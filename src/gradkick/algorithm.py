@@ -8,8 +8,9 @@ indices at or above 2^(n-1) folded to negative frequencies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,11 +20,13 @@ from .operators import (OracleCallCounter, apply_phase_rotation, apply_qft,
                         apply_u_f, apply_u_f_inverse, apply_u_plus,
                         apply_u_plus_inverse, collapse_to_grid)
 from .params import AlgorithmParams
-from .states import GridState, SparseTripartiteState, check_grid_bits
+from .states import (GridState, SparseTripartiteState, check_grid_bits,
+                     grid_points)
 
 __all__ = [
     "AlgorithmParams",
     "GradientEstimate",
+    "MeasurementSamples",
     "axis_decode_values",
     "decode_gradient",
     "plan_run_format",
@@ -40,6 +43,48 @@ class GradientEstimate:
     g: tuple[int, ...]
     gradient: tuple[float, ...]
     probability: float
+
+
+class MeasurementSamples(Sequence[GradientEstimate]):
+    """Outcomes of a run of shots, one row per shot in draw order.
+
+    indices holds each shot's flat grid index, gradients its decoded
+    gradient (shots x p) and probabilities its outcome's model weight.
+    Reading an element builds its GradientEstimate.
+    """
+
+    def __init__(self, n: int, p: int, indices: np.ndarray, gradients: np.ndarray,
+                 probabilities: np.ndarray) -> None:
+        self.n, self.p = n, p
+        self.indices, self.gradients, self.probabilities = indices, gradients, probabilities
+
+    def __len__(self) -> int:
+        return self.indices.size
+
+    def __getitem__(self, i: int) -> GradientEstimate:
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("shot index out of range")
+        g = grid_points(self.indices[[i]], self.n, self.p)[0]
+        return GradientEstimate(g=tuple(g.tolist()), gradient=tuple(self.gradients[i].tolist()),
+                                probability=float(self.probabilities[i]))
+
+    def __iter__(self) -> Iterator[GradientEstimate]:
+        rows = zip(grid_points(self.indices, self.n, self.p).tolist(),
+                   self.gradients.tolist(), self.probabilities.tolist())
+        for g, gradient, probability in rows:
+            yield GradientEstimate(g=tuple(g), gradient=tuple(gradient),
+                                   probability=probability)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MeasurementSamples):
+            return NotImplemented
+        return ((self.n, self.p) == (other.n, other.p)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.gradients, other.gradients)
+                and np.array_equal(self.probabilities, other.probabilities))
+
+    __hash__ = None
 
 
 def sampling_radius(params: AlgorithmParams) -> float:
@@ -122,7 +167,7 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
 
 
 def sample_measurements(chi: GridState, shots: int, seed: int,
-                        params: AlgorithmParams) -> list[GradientEstimate]:
+                        params: AlgorithmParams) -> MeasurementSamples:
     """Draw i.i.d. outcomes from |chi_g|^2 with a seeded generator.
 
     Inverse-CDF over the row-major outcome order, so identical (chi, shots,
@@ -138,10 +183,5 @@ def sample_measurements(chi: GridState, shots: int, seed: int,
     rng = np.random.default_rng(seed)
     draws = rng.random(int(shots))
     indices = np.minimum(np.searchsorted(cdf, draws, side="right"), probs.size - 1)
-    out = []
-    for i in indices:
-        g = chi.grid_of(int(i))
-        decoded = decode_gradient(g, params)
-        out.append(GradientEstimate(g=g, gradient=tuple(float(v) for v in decoded),
-                                    probability=float(probs[i])))
-    return out
+    gradients = axis_decode_values(params)[grid_points(indices, chi.n, chi.p)]
+    return MeasurementSamples(chi.n, chi.p, indices, gradients, probs[indices])

@@ -24,11 +24,13 @@ import numpy as np
 
 from .algorithm import (axis_decode_values, plan_run_format, run_pipeline,
                         sampling_radius)
-from .models import FunctionModel
+from .models import FunctionModel, row_dots
+from .operators import complex_array, complex_product, unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
-from .states import DEFAULT_MAX_GRID_BITS, GridState
+from .states import (DEFAULT_MAX_GRID_BITS, GridState, grid_offsets,
+                     grid_point_of)
 
 INEQUALITY_ORDER = ("curvature", "precision", "margin", "bandwidth", "leakage")
 
@@ -221,6 +223,15 @@ def _upper(name: str, value: float, bound: float, note: str, tol: float) -> Ineq
                            holds=slack >= -tol, note=note)
 
 
+def _grid_values(model: FunctionModel, x: Sequence[float],
+                 params: AlgorithmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Grid offsets h - g0 of every grid point h in row-major order, as a
+    (2^(pn), p) array, and f at x + mu (h - g0) for each."""
+    size = 1 << (params.n * model.p)
+    off = grid_offsets(np.arange(size), params.n, model.p)
+    return off, model.evaluate_points(np.asarray(x, dtype=float) + params.mu * off)
+
+
 def phase_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
                 fmt: FixedPointFormat) -> np.ndarray:
     """Reference construction of the pre-transform state.
@@ -229,17 +240,10 @@ def phase_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParam
     straight from the definition without running any operator, for
     cross-checking the pipeline.
     """
-    pt = np.asarray(x, dtype=float)
-    n, p = params.n, model.p
-    g0 = grid_center(n)
-    size = 1 << (n * p)
-    amp = 1.0 / math.sqrt(size)
-    out = np.empty(size, dtype=complex)
-    for i, h in enumerate(np.ndindex(*(1 << n,) * p)):
-        y = pt + params.mu * (np.asarray(h, dtype=float) - g0)
-        fq = fmt.decode(quantize(fmt, model.evaluate(y)))
-        out[i] = amp * cmath.exp(2j * math.pi * params.lam * fq)
-    return out
+    _, f_true = _grid_values(model, x, params)
+    amp = 1.0 / math.sqrt(f_true.size)
+    c, s = unit_phases(params.lam, fmt.decode(quantize(fmt, f_true)))
+    return complex_array(*complex_product(amp, 0.0, c, s))
 
 
 @dataclass(eq=False)
@@ -294,42 +298,38 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
         )
     grad = model.gradient(pt)
     fx = model.evaluate(pt)
-    g0 = grid_center(n)
     lam, mu = params.lam, params.mu
-    size = 1 << (n * p)
-    amp = 1.0 / math.sqrt(size)
-    psi = np.empty(size, dtype=complex)
-    psi_L = np.empty(size, dtype=complex)
-    psi_N = np.empty(size, dtype=complex)
-    psi_D = np.empty(size, dtype=complex)
-    eps_N = np.empty(size, dtype=float)
-    eps_D = np.empty(size, dtype=float)
-    for i, h in enumerate(np.ndindex(*(1 << n,) * p)):
-        off = np.asarray(h, dtype=float) - g0
-        f_true = model.evaluate(pt + mu * off)
-        f_lin = fx + mu * float(np.dot(grad, off))
-        f_q = fmt.decode(quantize(fmt, f_true))
-        eps_N[i] = f_true - f_lin
-        eps_D[i] = f_q - f_true
-        if abs(eps_D[i]) > params.nu:
+    off, f_true = _grid_values(model, pt, params)
+    amp = 1.0 / math.sqrt(f_true.size)
+    f_lin = fx + mu * row_dots(off, grad)
+    f_q = fmt.decode(quantize(fmt, f_true))
+    eps_N = f_true - f_lin
+    eps_D = f_q - f_true
+    cap = 0.5 * model.hess_bound * mu * mu * row_dots(off, off)
+    rounding_bad = np.abs(eps_D) > params.nu
+    curvature_bad = np.abs(eps_N) > cap + 1e-12 * np.maximum(1.0, cap)
+    bad = np.flatnonzero(rounding_bad | curvature_bad)
+    if bad.size:
+        i = int(bad[0])
+        h = grid_point_of(i, n, p)
+        if rounding_bad[i]:
             raise BoundViolation(
-                f"rounding error {eps_D[i]!r} above nu={params.nu!r} at grid {h}"
+                f"rounding error {float(eps_D[i])!r} above nu={params.nu!r} at grid {h}"
             )
-        cap = 0.5 * model.hess_bound * mu * mu * float(np.dot(off, off))
-        if abs(eps_N[i]) > cap + 1e-12 * max(1.0, cap):
-            raise BoundViolation(
-                f"curvature error {eps_N[i]!r} above M mu^2 |h-g0|^2 / 2 = {cap!r} "
-                f"at grid {h}"
-            )
-        e_lin = cmath.exp(2j * math.pi * lam * f_lin)
-        e_true = cmath.exp(2j * math.pi * lam * f_true)
-        e_q = cmath.exp(2j * math.pi * lam * f_q)
-        psi_L[i] = amp * e_lin
-        psi_N[i] = amp * (e_true - e_lin)
-        psi_D[i] = amp * (e_q - e_true)
-        psi[i] = amp * e_q
-    return ErrorDecomposition(n=n, p=p, psi=psi, psi_L=psi_L, psi_N=psi_N,
-                              psi_D=psi_D, eps_N=eps_N, eps_D=eps_D)
+        raise BoundViolation(
+            f"curvature error {float(eps_N[i])!r} above M mu^2 |h-g0|^2 / 2 = "
+            f"{float(cap[i])!r} at grid {h}"
+        )
+    lin_re, lin_im = unit_phases(lam, f_lin)
+    true_re, true_im = unit_phases(lam, f_true)
+    q_re, q_im = unit_phases(lam, f_q)
+    return ErrorDecomposition(
+        n=n, p=p,
+        psi=complex_array(*complex_product(amp, 0.0, q_re, q_im)),
+        psi_L=complex_array(*complex_product(amp, 0.0, lin_re, lin_im)),
+        psi_N=complex_array(*complex_product(amp, 0.0, true_re - lin_re, true_im - lin_im)),
+        psi_D=complex_array(*complex_product(amp, 0.0, q_re - true_re, q_im - true_im)),
+        eps_N=eps_N, eps_D=eps_D)
 
 
 def psi_N_norm_bound(params: AlgorithmParams, M: float) -> float:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
-from .algorithm import GradientEstimate, decode_gradient, sampling_radius
+from .algorithm import MeasurementSamples, axis_decode_values, sampling_radius
 from .analysis import (AccuracySpec, InequalityReport, TheoremReport,
                        select_parameters)
 from .models import (DomainBox, FunctionModel, linear_model, quadratic_model,
@@ -23,7 +23,7 @@ from .models import (DomainBox, FunctionModel, linear_model, quadratic_model,
 from .oracle import GROUP_MODES, FixedPointFormat
 from .operators import PHASE_VARIANTS
 from .params import AlgorithmParams
-from .states import GridState
+from .states import GridState, grid_points
 
 DEFAULT_PROB_FLOOR = 1e-12
 
@@ -328,29 +328,28 @@ def distribution_entries(chi: GridState, params: AlgorithmParams,
                          floor: float) -> list[dict]:
     """Outcome rows above the probability floor, in grid-index order."""
     probs = chi.probabilities()
-    rows = []
-    for index in np.flatnonzero(probs > floor):
-        g = chi.grid_of(int(index))
-        rows.append({
-            "g": list(g),
-            "gradient": [float(v) for v in decode_gradient(g, params)],
-            "probability": float(probs[index]),
-        })
-    return rows
+    kept = np.flatnonzero(probs > floor)
+    points = grid_points(kept, chi.n, chi.p)
+    gradients = axis_decode_values(params)[points]
+    return [{"g": g, "gradient": gradient, "probability": probability}
+            for g, gradient, probability in zip(points.tolist(), gradients.tolist(),
+                                                probs[kept].tolist())]
 
 
-def sample_summary(estimates: Sequence[GradientEstimate], shots: int,
-                   seed: int) -> dict:
-    """Aggregate sampled estimates: counts per outcome plus the sample mean."""
-    counts: dict[tuple[int, ...], int] = {}
-    for est in estimates:
-        counts[est.g] = counts.get(est.g, 0) + 1
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    mean = np.mean([est.gradient for est in estimates], axis=0)
+def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
+    """Aggregate sampled estimates: counts per outcome plus the sample mean.
+
+    Outcomes are listed by falling count, ties in grid-index order.
+    """
+    outcomes, counts = np.unique(samples.indices, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    points = grid_points(outcomes[order], samples.n, samples.p)
+    mean = np.mean(samples.gradients, axis=0)
     return {
         "shots": shots,
         "seed": seed,
-        "outcome_counts": [{"g": list(g), "count": c} for g, c in ordered],
+        "outcome_counts": [{"g": g, "count": c}
+                           for g, c in zip(points.tolist(), counts[order].tolist())],
         "mean_gradient": [float(v) for v in mean],
     }
 

@@ -1,6 +1,9 @@
 """Black-box objectives with certified derivative bounds.
 
-The estimator treats f as an oracle: only evaluate() ever feeds the pipeline.
+The estimator treats f as an oracle: only evaluate() ever feeds the pipeline,
+which reads it through evaluate_points() over a whole grid at once. The
+built-in models supply a batch evaluator that gives bit for bit the values
+evaluate() gives; a model without one has evaluate() mapped over the points.
 gradient() exists for the verification side (reference states, success
 windows, finite-difference comparisons); the algorithm itself never calls it.
 grad_bound is an infinity-norm bound on the gradient over the domain box and
@@ -53,6 +56,12 @@ class DomainBox:
         w = np.asarray(self.half_width)
         return bool(np.all(np.abs(pt - c) <= w))
 
+    def contains_points(self, points: np.ndarray) -> np.ndarray:
+        """contains() for each row of a (k, p) array, as a boolean array."""
+        c = np.asarray(self.center)
+        w = np.asarray(self.half_width)
+        return np.all(np.abs(np.asarray(points, dtype=float) - c) <= w, axis=1)
+
     def contains_box(self, point: Sequence[float], radius: float) -> bool:
         """True when the cube point + [-radius, radius]^p lies inside D."""
         pt = np.asarray(point, dtype=float)
@@ -66,6 +75,8 @@ class FunctionModel:
     """Objective f with exact evaluator and verification-only derivatives.
 
     evaluate and gradient work in float64, the widest native float here.
+    evaluate_batch, when given, maps a (k, p) array of points to the k values
+    evaluate would return for its rows, bit for bit.
     """
 
     p: int
@@ -75,6 +86,8 @@ class FunctionModel:
     hess_bound: float
     domain_box: DomainBox
     name: str = field(default="custom")
+    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -83,6 +96,25 @@ class FunctionModel:
             raise ValueError("domain box dimension disagrees with p")
         if self.grad_bound < 0 or self.hess_bound < 0:
             raise ValueError("derivative bounds must be nonnegative")
+
+    def evaluate_points(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of a (k, p) array of points, as a float64 array."""
+        if self.evaluate_batch is not None:
+            return np.asarray(self.evaluate_batch(points), dtype=float)
+        return np.fromiter((self.evaluate(row) for row in points), dtype=float,
+                           count=len(points))
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a[i], b[i]) for each row i (b may be one shared vector), bit for bit.
+
+    np.dot multiplies length-1 vectors as scalars. Longer ones go through
+    numpy's dot kernel, which a stack of 1 x p by p x 1 products calls once
+    per row; a matrix-vector product would sum in another order.
+    """
+    if a.shape[-1] == 1:
+        return a[:, 0] * b[..., 0]
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
 def _as_vector(a: Sequence[float]) -> np.ndarray:
@@ -101,6 +133,9 @@ def linear_model(a: Sequence[float], domain_box: DomainBox) -> FunctionModel:
     def evaluate(x: np.ndarray) -> float:
         return float(np.dot(coeff, np.asarray(x, dtype=float)))
 
+    def evaluate_batch(points: np.ndarray) -> np.ndarray:
+        return row_dots(points, coeff)
+
     def gradient(x: np.ndarray) -> np.ndarray:
         return coeff.copy()
 
@@ -112,6 +147,7 @@ def linear_model(a: Sequence[float], domain_box: DomainBox) -> FunctionModel:
         hess_bound=0.0,
         domain_box=domain_box,
         name="linear",
+        evaluate_batch=evaluate_batch,
     )
 
 
@@ -137,6 +173,11 @@ def quadratic_model(a: Sequence[float], hessian: Sequence[Sequence[float]],
         v = np.asarray(x, dtype=float)
         return float(np.dot(coeff, v) + 0.5 * np.dot(v, H @ v))
 
+    def evaluate_batch(points: np.ndarray) -> np.ndarray:
+        # matmul over a stack calls the kernel of evaluate's H @ v once per row.
+        hv = np.matmul(H, points[:, :, None])[:, :, 0]
+        return row_dots(points, coeff) + 0.5 * row_dots(points, hv)
+
     def gradient(x: np.ndarray) -> np.ndarray:
         return coeff + H @ np.asarray(x, dtype=float)
 
@@ -152,6 +193,7 @@ def quadratic_model(a: Sequence[float], hessian: Sequence[Sequence[float]],
         hess_bound=float(np.linalg.norm(H, 2)),
         domain_box=domain_box,
         name="quadratic",
+        evaluate_batch=evaluate_batch,
     )
 
 
@@ -170,6 +212,9 @@ def sinusoidal_model(c: float, b: Sequence[float], domain_box: DomainBox) -> Fun
     def evaluate(x: np.ndarray) -> float:
         return amp * float(np.sin(np.dot(freq, np.asarray(x, dtype=float))))
 
+    def evaluate_batch(points: np.ndarray) -> np.ndarray:
+        return amp * np.sin(row_dots(points, freq))
+
     def gradient(x: np.ndarray) -> np.ndarray:
         return amp * float(np.cos(np.dot(freq, np.asarray(x, dtype=float)))) * freq
 
@@ -181,4 +226,5 @@ def sinusoidal_model(c: float, b: Sequence[float], domain_box: DomainBox) -> Fun
         hess_bound=abs(amp) * float(np.dot(freq, freq)),
         domain_box=domain_box,
         name="sinusoidal",
+        evaluate_batch=evaluate_batch,
     )

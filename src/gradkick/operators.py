@@ -1,12 +1,20 @@
-"""Pipeline operators acting on sparse tripartite states.
+"""Pipeline operators acting on array-backed tripartite states.
 
-Each operator returns a new state. The shift and oracle operators are basis
+Each operator returns a new state and works on all terms in one numpy pass;
+arrays an operator leaves unchanged are shared with its input, which keeps
+run_pipeline's peak near 112 bytes per grid point (tracemalloc, n=8, p=2;
+a state holds 40 bytes per term). The shift and oracle operators are basis
 permutations (amplitudes move, never mix), the phase rotation multiplies
 amplitudes by unit phases, and the grid transform mixes amplitudes within
 each (label, word) sector only, since it acts on the grid register alone.
 That sector structure is what lets the final collapse verify factorization
 exactly: a broken inverse pair leaves terms in a wrong sector, and no
 operator can hide them.
+
+The arithmetic reproduces, bit for bit, what composing the operators term by
+term with Python complex numbers gives: phases come from the same cos/sin,
+and complex products are written out on real and imaginary parts, because
+numpy's complex multiply may fuse them into FMAs and round differently.
 """
 
 from __future__ import annotations
@@ -17,11 +25,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .oracle import (DomainLabel, FixedPointFormat, oracle_value, range_add,
-                     range_sub, shift_label, shift_label_inverse)
+from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, oracle_words,
+                     range_add, range_sub, shift_codes)
 from .qft import qft_amplitudes
-from .states import (GridState, SparseTerm, SparseTripartiteState,
-                     grid_index_of, grid_point_of)
+from .states import (GridState, SparseTripartiteState, grid_offsets,
+                     label_code)
 
 if TYPE_CHECKING:
     from .models import FunctionModel
@@ -48,45 +56,64 @@ class OracleCallCounter:
         self.count += 1
 
 
+def unit_phases(lam: float, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of cmath.exp(2j * pi * lam * v) for each v.
+
+    With k = 2j * pi * lam, the complex product k * v has imaginary part
+    k.real * 0.0 + k.imag * v (the sum fixes the sign of a zero angle) and a
+    real part of +-0, whose exp is exactly 1.
+    """
+    k = 2j * cmath.pi * lam
+    theta = k.real * 0.0 + k.imag * values
+    return np.cos(theta), np.sin(theta)
+
+
+def complex_product(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai)(br + i bi) with Python's complex multiply rounding."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _label_points(s: SparseTripartiteState, params: AlgorithmParams) -> np.ndarray:
+    """Represented point of every term's label, as a (terms, p) array:
+    x for BASE, x + mu * (g - g0) for SHIFTED(g)."""
+    x = np.asarray(s.x, dtype=float)
+    base = s.labels == BASE_CODE
+    shifted = x + params.mu * grid_offsets(np.where(base, 0, s.labels), s.n, s.p)
+    return np.where(base[:, None], x, shifted)
+
+
 def apply_u_plus(s: SparseTripartiteState, params: AlgorithmParams) -> SparseTripartiteState:
     """Shift operator: label <- c_p(label, g) per term, amplitudes unchanged."""
-    terms = tuple(
-        SparseTerm(shift_label(t.label, t.grid, params.n), t.word, t.grid, t.amplitude)
-        for t in s.terms
-    )
-    return SparseTripartiteState(n=s.n, p=s.p, terms=terms, normalized=s.normalized)
+    return s.replace(labels=shift_codes(s.labels, s.grid))
 
 
 def apply_u_plus_inverse(s: SparseTripartiteState, params: AlgorithmParams) -> SparseTripartiteState:
-    terms = tuple(
-        SparseTerm(shift_label_inverse(t.label, t.grid, params.n), t.word, t.grid, t.amplitude)
-        for t in s.terms
-    )
-    return SparseTripartiteState(n=s.n, p=s.p, terms=terms, normalized=s.normalized)
+    """Inverse shift; the same swap, since the swap is an involution."""
+    return s.replace(labels=shift_codes(s.labels, s.grid))
 
 
 def apply_u_f(s: SparseTripartiteState, model: FunctionModel, fmt: FixedPointFormat,
               params: AlgorithmParams, counter: OracleCallCounter) -> SparseTripartiteState:
     """Oracle operator: word <- word + c_f(label) in the range group."""
     counter.bump()
-    terms = tuple(
-        SparseTerm(t.label, range_add(fmt, t.word, oracle_value(model, fmt, params, t.label)),
-                   t.grid, t.amplitude)
-        for t in s.terms
-    )
-    return SparseTripartiteState(n=s.n, p=s.p, terms=terms, normalized=s.normalized)
+    values = oracle_words(model, fmt, _label_points(s, params))
+    return s.replace(words=range_add(fmt, s.words, values))
 
 
 def apply_u_f_inverse(s: SparseTripartiteState, model: FunctionModel, fmt: FixedPointFormat,
                       params: AlgorithmParams, counter: OracleCallCounter) -> SparseTripartiteState:
-    """Uncomputation of the oracle; costs one oracle call like the forward map."""
+    """Uncomputation of the oracle; costs one oracle call like the forward map
+    and evaluates f again rather than reusing the forward words."""
     counter.bump()
-    terms = tuple(
-        SparseTerm(t.label, range_sub(fmt, t.word, oracle_value(model, fmt, params, t.label)),
-                   t.grid, t.amplitude)
-        for t in s.terms
-    )
-    return SparseTripartiteState(n=s.n, p=s.p, terms=terms, normalized=s.normalized)
+    values = oracle_words(model, fmt, _label_points(s, params))
+    return s.replace(words=range_sub(fmt, s.words, values))
 
 
 def apply_phase_rotation(s: SparseTripartiteState, lam: float, fmt: FixedPointFormat,
@@ -100,37 +127,46 @@ def apply_phase_rotation(s: SparseTripartiteState, lam: float, fmt: FixedPointFo
     """
     if variant not in PHASE_VARIANTS:
         raise ValueError(f"variant must be one of {PHASE_VARIANTS}")
-    out = []
-    for t in s.terms:
-        if variant == "direct":
-            amp = t.amplitude * cmath.exp(2j * cmath.pi * lam * fmt.decode(t.word))
-        else:
-            amp = t.amplitude
-            for k in range(fmt.bits):
-                if (t.word >> k) & 1:
-                    amp = amp * cmath.exp(2j * cmath.pi * lam * fmt.a1 * float(1 << k))
-        out.append(SparseTerm(t.label, t.word, t.grid, amp))
-    return SparseTripartiteState(n=s.n, p=s.p, terms=tuple(out), normalized=s.normalized)
+    re, im = s.amplitudes.real, s.amplitudes.imag
+    if variant == "direct":
+        re, im = complex_product(re, im, *unit_phases(lam, fmt.decode(s.words)))
+    else:
+        for k in range(fmt.bits):
+            gate = cmath.exp(2j * cmath.pi * lam * fmt.a1 * float(1 << k))
+            bit = ((s.words >> k) & 1).astype(bool)
+            kicked_re, kicked_im = complex_product(re, im, gate.real, gate.imag)
+            re, im = np.where(bit, kicked_re, re), np.where(bit, kicked_im, im)
+    return s.replace(amplitudes=complex_array(re, im))
+
+
+def _sectors(labels: np.ndarray, words: np.ndarray):
+    """Distinct (label, word) pairs in order of first appearance, as label
+    and word arrays, and the position of each term's pair among them."""
+    if labels.size and (labels == labels[0]).all() and (words == words[0]).all():
+        # The pipeline's case; skips the sort and its temporaries.
+        return labels[:1], words[:1], np.zeros(labels.size, dtype=np.intp)
+    pairs, first, inverse = np.unique(np.stack([labels, words], axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return pairs[order, 0], pairs[order, 1], rank[inverse.reshape(-1)]
 
 
 def apply_qft(s: SparseTripartiteState, direction: str = "forward") -> SparseTripartiteState:
-    """Grid-register transform, applied densely within each (label, word) sector."""
-    sectors: dict[tuple[DomainLabel, int], np.ndarray] = {}
-    order: list[tuple[DomainLabel, int]] = []
+    """Grid-register transform, applied densely within each (label, word) sector.
+
+    Sectors keep the order in which their first term appears, and each
+    contributes every grid index in turn; all are transformed in one batch.
+    """
     size = 1 << (s.n * s.p)
-    for t in s.terms:
-        key = (t.label, t.word)
-        if key not in sectors:
-            sectors[key] = np.zeros(size, dtype=complex)
-            order.append(key)
-        sectors[key][grid_index_of(t.grid, s.n, s.p)] = t.amplitude
-    terms: list[SparseTerm] = []
-    for label, word in order:
-        transformed = qft_amplitudes(sectors[(label, word)], s.n, s.p, direction)
-        for i in range(size):
-            terms.append(SparseTerm(label, word, grid_point_of(i, s.n, s.p),
-                                    complex(transformed[i])))
-    return SparseTripartiteState(n=s.n, p=s.p, terms=tuple(terms), normalized=s.normalized)
+    labels, words, sector_of = _sectors(s.labels, s.words)
+    dense = np.zeros((labels.size, size), dtype=np.complex128)
+    dense[sector_of, s.grid] = s.amplitudes
+    transformed = qft_amplitudes(dense, s.n, s.p, direction)
+    return s.replace(labels=np.repeat(labels, size), words=np.repeat(words, size),
+                     grid=np.tile(np.arange(size, dtype=np.int64), labels.size),
+                     amplitudes=transformed.reshape(-1))
 
 
 def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
@@ -141,14 +177,18 @@ def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
     sector; the simulation is exact on basis labels, so any term elsewhere,
     however small its amplitude, means an inverse pair is broken.
     """
-    for t in s.terms:
-        if t.label != expected_label or t.word != expected_word:
-            raise ResidualEntanglementError(
-                f"term (label={t.label!r}, word={t.word}, grid={t.grid}, "
-                f"amplitude={t.amplitude!r}) is outside the expected sector "
-                f"(label={expected_label!r}, word={expected_word})"
-            )
+    if expected_label.x == s.x:
+        code = label_code(expected_label, s.n, s.p)
+        stray = np.flatnonzero((s.labels != code) | (s.words != expected_word))
+    else:
+        stray = np.arange(len(s))
+    if stray.size:
+        t = s.terms[int(stray[0])]
+        raise ResidualEntanglementError(
+            f"term (label={t.label!r}, word={t.word}, grid={t.grid}, "
+            f"amplitude={t.amplitude!r}) is outside the expected sector "
+            f"(label={expected_label!r}, word={expected_word})"
+        )
     amps = np.zeros(1 << (s.n * s.p), dtype=complex)
-    for t in s.terms:
-        amps[grid_index_of(t.grid, s.n, s.p)] = t.amplitude
+    amps[s.grid] = s.amplitudes
     return GridState(n=s.n, p=s.p, amplitudes=amps)

@@ -11,7 +11,12 @@ Domain labels are the basis symbols of the domain register: BASE denotes the
 evaluation point x, SHIFTED(g) denotes x + mu * (g - g0) where g0 is the
 half-integer grid center. The shift map swaps BASE with SHIFTED(g) and fixes
 every other label, which is an involution for each fixed g, so the shift
-operator is self-inverse.
+operator is self-inverse. Array-backed states store a label as an integer
+code: BASE_CODE for BASE, the flat grid index of g for SHIFTED(g).
+
+quantize, decode and the range group operations take a scalar or a numpy
+array and act elementwise, so the pipeline applies them to every term in
+one pass.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ if TYPE_CHECKING:
 
 MAX_WORD_BITS = 62
 GROUP_MODES = ("modular", "xor")
+
+# Label code of BASE; SHIFTED(g) is coded by the flat grid index of g (>= 0).
+BASE_CODE = -1
 
 
 class RangeOverflowError(ValueError):
@@ -63,14 +71,17 @@ class FixedPointFormat:
         """Largest representable value, a0 + a1 * (2^N - 1)."""
         return self.a0 + self.a1 * (self.num_words - 1)
 
-    def decode(self, word: int) -> float:
+    def decode(self, word):
+        """a0 + a1 * word, for an int or elementwise for an int array."""
         _check_word(self, word)
         return self.a0 + self.a1 * word
 
 
-def _check_word(fmt: FixedPointFormat, word: int) -> None:
-    if not 0 <= word < fmt.num_words:
-        raise ValueError(f"word {word} does not fit in {fmt.bits} bits")
+def _check_word(fmt: FixedPointFormat, word) -> None:
+    words = np.ravel(word)
+    bad = np.flatnonzero((words < 0) | (words >= fmt.num_words))
+    if bad.size:
+        raise ValueError(f"word {words[bad[0]]} does not fit in {fmt.bits} bits")
 
 
 def plan_format(nu: float, range_bound: float, group_mode: str = "modular") -> FixedPointFormat:
@@ -98,29 +109,34 @@ def plan_format(nu: float, range_bound: float, group_mode: str = "modular") -> F
                             group_mode=group_mode)
 
 
-def quantize(fmt: FixedPointFormat, v: float) -> int:
+def quantize(fmt: FixedPointFormat, v):
     """Word whose decoded value is nearest v, ties to the even word.
 
     Accepts v up to half a step beyond the representable endpoints (the
     nearest representable value is then the endpoint itself, still within
-    a1 / 2); anything further raises RangeOverflowError.
+    a1 / 2); anything further, or not finite, raises RangeOverflowError.
+    A scalar v gives an int; an array gives an int64 array of words.
     """
-    v = float(v)
-    t = (v - fmt.a0) / fmt.a1
-    word = round(t)  # banker's rounding on the float quotient
-    if word < 0 or word >= fmt.num_words:
-        if fmt.a0 - 0.5 * fmt.a1 <= v <= fmt.top + 0.5 * fmt.a1:
-            word = min(max(word, 0), fmt.num_words - 1)
-        else:
+    values = np.asarray(v, dtype=float)
+    # rint rounds half to even on the float quotient, as round() does.
+    word = np.rint((values - fmt.a0) / fmt.a1)
+    outside = ~((word >= 0) & (word < fmt.num_words))
+    if outside.any():
+        near = (fmt.a0 - 0.5 * fmt.a1 <= values) & (values <= fmt.top + 0.5 * fmt.a1)
+        bad = np.flatnonzero(outside & ~near)
+        if bad.size:
             raise RangeOverflowError(
-                f"value {v!r} outside representable range "
+                f"value {float(values.reshape(-1)[bad[0]])!r} outside representable range "
                 f"[{fmt.a0!r}, {fmt.top!r}] of the {fmt.bits}-bit format"
             )
-    return word
+        word = np.clip(word, 0, fmt.num_words - 1)
+    words = word.astype(np.int64)
+    return int(words) if words.ndim == 0 else words
 
 
-def range_add(fmt: FixedPointFormat, r1: int, r2: int) -> int:
-    """Group operation on range words; modular addition or XOR per the format."""
+def range_add(fmt: FixedPointFormat, r1, r2):
+    """Group operation on range words (ints or int64 arrays); modular
+    addition or XOR per the format."""
     _check_word(fmt, r1)
     _check_word(fmt, r2)
     if fmt.group_mode == "xor":
@@ -128,7 +144,7 @@ def range_add(fmt: FixedPointFormat, r1: int, r2: int) -> int:
     return (r1 + r2) & (fmt.num_words - 1)
 
 
-def range_sub(fmt: FixedPointFormat, r1: int, r2: int) -> int:
+def range_sub(fmt: FixedPointFormat, r1, r2):
     """Inverse of range_add in the second argument; in XOR mode the same map."""
     _check_word(fmt, r1)
     _check_word(fmt, r2)
@@ -213,6 +229,12 @@ def shift_label_inverse(d: DomainLabel, g: Sequence[int], n: int) -> DomainLabel
     return shift_label(d, g, n)
 
 
+def shift_codes(labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """shift_label on label codes, term by term against flat grid indices:
+    BASE_CODE <-> grid, every other code fixed."""
+    return np.where(labels == BASE_CODE, grid, np.where(labels == grid, BASE_CODE, labels))
+
+
 def oracle_value(model: FunctionModel, fmt: FixedPointFormat,
                  params: AlgorithmParams, d: DomainLabel) -> int:
     """Range word for f at the labeled point: quantize(evaluate(point(d))).
@@ -220,7 +242,18 @@ def oracle_value(model: FunctionModel, fmt: FixedPointFormat,
     Deterministic by construction. Raises DomainError when the represented
     point is outside the model's box and propagates quantization overflow.
     """
-    pt = d.point(params.n, params.mu)
-    if not model.domain_box.contains(pt):
-        raise DomainError(f"represented point {pt.tolist()} outside the domain box")
-    return quantize(fmt, model.evaluate(pt))
+    return int(oracle_words(model, fmt, d.point(params.n, params.mu)[None, :])[0])
+
+
+def oracle_words(model: FunctionModel, fmt: FixedPointFormat,
+                 points: np.ndarray) -> np.ndarray:
+    """oracle_value for each row of an (k, p) array of represented points.
+
+    f is evaluated afresh at every row on every call; nothing is cached, so
+    the inverse oracle really re-reads f.
+    """
+    outside = np.flatnonzero(~model.domain_box.contains_points(points))
+    if outside.size:
+        raise DomainError(f"represented point {points[outside[0]].tolist()} "
+                          "outside the domain box")
+    return quantize(fmt, model.evaluate_points(points))

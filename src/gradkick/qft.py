@@ -29,16 +29,24 @@ _SQRT2 = math.sqrt(2.0)
 
 def qft_amplitudes(amplitudes: np.ndarray, n: int, p: int, direction: str = "forward",
                    axes: Sequence[int] | None = None) -> np.ndarray:
-    """Per-axis transform on a raw length-2^(pn) array; no norm requirement."""
+    """Per-axis transform on raw length-2^(pn) arrays; no norm requirement.
+
+    Leading dimensions are a batch: each length-2^(pn) row along the last
+    one is transformed on its own, with the same result as alone. axes
+    number the p grid axes.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
-    arr = np.asarray(amplitudes, dtype=complex).reshape((1 << n,) * p)
+    arr = np.asarray(amplitudes, dtype=complex)
+    batch = arr.shape[:-1]
+    arr = arr.reshape(batch + (1 << n,) * p)
     axes = tuple(range(p)) if axes is None else tuple(axes)
+    axes = tuple(len(batch) + a for a in axes)
     if direction == "forward":
         out = np.fft.ifftn(arr, axes=axes, norm="ortho")
     else:
         out = np.fft.fftn(arr, axes=axes, norm="ortho")
-    return out.reshape(-1)
+    return out.reshape(batch + (1 << (n * p),))
 
 
 def qft_grid(state: GridState, direction: str = "forward",

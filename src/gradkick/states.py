@@ -1,24 +1,30 @@
-"""State containers: dense grid amplitudes and sparse tripartite terms.
+"""State containers: dense grid amplitudes and array-backed tripartite terms.
 
 The grid register is dense (complex array over {0,...,2^n-1}^p in row-major
 order). The full tripartite system is not: a dense vector over domain labels,
 range words and grid indices would be astronomically large, while the
-pipeline never populates more than 2^(pn) basis terms. Sparse terms make the
-uncomputation claim checkable exactly instead of assumed.
+pipeline never populates more than 2^(pn) basis terms. Those terms are held
+as parallel numpy arrays (one label code, int64 word, flat grid index and
+complex128 amplitude per term, 40 bytes in all) around one shared evaluation
+point, so every operator is a whole-array pass. Keeping each term's label
+and word explicit makes the uncomputation claim checkable exactly instead of
+assumed. run_pipeline peaks at about 112 bytes per grid point under
+tracemalloc at n=8, p=2 (2^16 points).
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .oracle import DomainLabel
+from .oracle import BASE_CODE, DomainLabel, grid_center
 
-# 2^26 complex amplitudes is about 1 GiB; refuse anything larger unless the
-# caller overrides the guard explicitly.
+# One dense complex vector over 2^26 points is 1 GiB, and run_pipeline peaks
+# near 112 bytes per point, about 7 GiB at this size; refuse anything larger
+# unless the caller overrides the guard explicitly.
 DEFAULT_MAX_GRID_BITS = 26
 
 NORM_TOL = 1e-12
@@ -59,6 +65,17 @@ def grid_point_of(index: int, n: int, p: int) -> tuple[int, ...]:
         raise ValueError(f"flat index {index} out of range")
     mask = (1 << n) - 1
     return tuple((index >> (n * (p - 1 - axis))) & mask for axis in range(p))
+
+
+def grid_points(indices: np.ndarray, n: int, p: int) -> np.ndarray:
+    """grid_point_of over an array of flat indices, as a (k, p) int64 array."""
+    shifts = n * np.arange(p - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & ((1 << n) - 1)
+
+
+def grid_offsets(indices: np.ndarray, n: int, p: int) -> np.ndarray:
+    """g - g0 per axis for each flat index: the grid offsets the shift scales by mu."""
+    return grid_points(indices, n, p).astype(float) - grid_center(n)
 
 
 @dataclass(eq=False)
@@ -129,39 +146,144 @@ class SparseTerm(NamedTuple):
     amplitude: complex
 
 
-@dataclass(eq=False)
-class SparseTripartiteState:
-    """Finite superposition over distinct (label, word, grid) basis triples."""
+def label_code(label: DomainLabel, n: int, p: int) -> int:
+    """Array code of a label: BASE_CODE for BASE, the flat grid index of g
+    for SHIFTED(g)."""
+    return BASE_CODE if label.shift is None else grid_index_of(label.shift, n, p)
 
-    n: int
-    p: int
-    terms: tuple[SparseTerm, ...]
-    normalized: bool = field(default=True, repr=False)
+
+class TermView(Sequence[SparseTerm]):
+    """Read-only sequence of a state's terms, built as SparseTerm on access."""
+
+    def __init__(self, state: SparseTripartiteState) -> None:
+        self._state = state
+
+    def __len__(self) -> int:
+        return self._state.amplitudes.size
+
+    def __getitem__(self, i: int) -> SparseTerm:
+        s = self._state
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("term index out of range")
+        label = int(s.labels[i])
+        shift = None if label == BASE_CODE else grid_point_of(label, s.n, s.p)
+        return SparseTerm(DomainLabel(x=s.x, shift=shift), int(s.words[i]),
+                          grid_point_of(int(s.grid[i]), s.n, s.p),
+                          complex(s.amplitudes[i]))
+
+
+class SparseTripartiteState:
+    """Finite superposition over distinct (label, word, grid) basis triples.
+
+    Term i is |label_i> |words[i]> |grid[i]> with amplitude amplitudes[i].
+    Every label shares the evaluation point x; labels[i] is BASE_CODE (-1)
+    for the BASE label or the flat grid index h for SHIFTED(h), and grid[i]
+    is a flat row-major grid index. The arrays are read-only, so states may
+    share the ones an operator leaves unchanged. terms presents the same
+    data as SparseTerm objects, built only when read.
+
+    Every constructor ends in __post_init__, which validates the arrays.
+    """
+
+    def __init__(self, n: int, p: int, terms: Sequence[SparseTerm],
+                 normalized: bool = True) -> None:
+        terms = tuple(terms)
+        points = {t.label.x for t in terms}
+        if len(points) > 1:
+            raise ValueError(f"terms mix evaluation points {sorted(points)}")
+        self._assign(
+            n, p, points.pop() if points else (0.0,) * p,
+            [label_code(t.label, n, p) for t in terms],
+            [t.word for t in terms],
+            [grid_index_of(t.grid, n, p) for t in terms],
+            [t.amplitude for t in terms],
+            normalized)
+        self.__post_init__()
+
+    @classmethod
+    def from_arrays(cls, n: int, p: int, x: Sequence[float], labels: np.ndarray,
+                    words: np.ndarray, grid: np.ndarray, amplitudes: np.ndarray,
+                    normalized: bool = True) -> SparseTripartiteState:
+        state = cls.__new__(cls)
+        state._assign(n, p, x, labels, words, grid, amplitudes, normalized)
+        state.__post_init__()
+        return state
+
+    def _assign(self, n, p, x, labels, words, grid, amplitudes, normalized) -> None:
+        self.n, self.p, self.normalized = n, p, normalized
+        self.x = tuple(float(v) for v in x)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.words = np.asarray(words, dtype=np.int64)
+        self.grid = np.asarray(grid, dtype=np.int64)
+        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128)
 
     def __post_init__(self) -> None:
-        seen: set[tuple] = set()
-        size = 1 << self.n
-        for term in self.terms:
-            key = (term.label, term.word, term.grid)
-            if key in seen:
-                raise ValueError(f"duplicate basis triple {key[:3]}")
-            seen.add(key)
-            if len(term.grid) != self.p or any(not 0 <= v < size for v in term.grid):
-                raise ValueError(f"grid index {term.grid} out of range for n={self.n}")
+        size = 1 << (self.n * self.p)
+        arrays = (self.labels, self.words, self.grid, self.amplitudes)
+        if any(a.shape != (self.amplitudes.size,) for a in arrays):
+            raise ValueError("labels, words, grid and amplitudes must be 1-d "
+                             "arrays of one length")
+        if len(self.x) != self.p:
+            raise ValueError(f"evaluation point has {len(self.x)} axes, expected {self.p}")
+        bad = np.flatnonzero((self.grid < 0) | (self.grid >= size))
+        if bad.size:
+            raise ValueError(f"grid index {int(self.grid[bad[0]])} out of range "
+                             f"for n={self.n}, p={self.p}")
+        bad = np.flatnonzero((self.labels < BASE_CODE) | (self.labels >= size))
+        if bad.size:
+            raise ValueError(f"label code {int(self.labels[bad[0]])} out of range "
+                             f"for n={self.n}, p={self.p}")
+        dup = _first_duplicate(self.labels, self.words, self.grid)
+        if dup is not None:
+            t = self.terms[dup]
+            raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
+        for a in arrays:
+            a.flags.writeable = False
         if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
 
+    def replace(self, **arrays: np.ndarray) -> SparseTripartiteState:
+        """New state with some of labels/words/grid/amplitudes swapped out;
+        the rest are shared, which their read-only flag makes safe."""
+        fields = {"labels": self.labels, "words": self.words, "grid": self.grid,
+                  "amplitudes": self.amplitudes}
+        fields.update(arrays)
+        return SparseTripartiteState.from_arrays(self.n, self.p, self.x,
+                                                 normalized=self.normalized, **fields)
+
+    @property
+    def terms(self) -> TermView:
+        return TermView(self)
+
     def norm(self) -> float:
-        return math.sqrt(sum(abs(t.amplitude) ** 2 for t in self.terms))
+        return float(np.linalg.norm(self.amplitudes))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.amplitudes.size
 
-    def __iter__(self) -> Iterable[SparseTerm]:
+    def __iter__(self) -> Iterator[SparseTerm]:
         return iter(self.terms)
 
     @classmethod
     def initial(cls, n: int, p: int, label: DomainLabel, word: int = 0) -> SparseTripartiteState:
         """Preparation state |label> |word> |0...0> with unit amplitude."""
-        term = SparseTerm(label=label, word=int(word), grid=(0,) * p, amplitude=1.0 + 0.0j)
-        return cls(n=n, p=p, terms=(term,))
+        return cls.from_arrays(n, p, label.x, [label_code(label, n, p)], [int(word)],
+                               [0], [1.0 + 0.0j])
+
+
+def _first_duplicate(labels: np.ndarray, words: np.ndarray,
+                     grid: np.ndarray) -> int | None:
+    """Index of a term repeating an earlier (label, word, grid) triple, or None.
+
+    Strictly increasing grid indices rule duplicates out, which is the
+    pipeline's case (one term per grid point, in order); only otherwise are
+    whole triples sorted.
+    """
+    if np.all(grid[1:] > grid[:-1]):
+        return None
+    order = np.lexsort((grid, words, labels))
+    sorted_rows = (labels[order], words[order], grid[order])
+    same = np.logical_and.reduce([a[1:] == a[:-1] for a in sorted_rows])
+    hits = np.flatnonzero(same)
+    return int(order[hits[0] + 1]) if hits.size else None

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradkick import (DomainBox, FunctionModel, linear_model, quadratic_model,
-                      sinusoidal_model)
+                      run_pipeline, sinusoidal_model)
+from gradkick.params import AlgorithmParams
 
 
 def test_domain_box_contains_is_inclusive():
@@ -99,3 +102,41 @@ def test_model_dimension_validation():
         FunctionModel(p=2, evaluate=lambda x: 0.0,
                       gradient=lambda x: np.zeros(2),
                       grad_bound=-1.0, hess_bound=0.0, domain_box=box)
+
+
+VALUES = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+
+
+@given(kind=st.sampled_from(["linear", "quadratic", "sinusoidal"]),
+       p=st.integers(min_value=1, max_value=4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_batch_evaluator_matches_scalar_bit_for_bit(kind, p, data):
+    coeff = data.draw(st.lists(VALUES, min_size=p, max_size=p))
+    box = DomainBox.cube(p, 8.0)
+    if kind == "linear":
+        model = linear_model(coeff, box)
+    elif kind == "quadratic":
+        a = np.array(data.draw(st.lists(VALUES, min_size=p * p, max_size=p * p)))
+        a = a.reshape(p, p)
+        model = quadratic_model(coeff, (a + a.T).tolist(), box)
+    else:
+        model = sinusoidal_model(data.draw(VALUES), coeff, box)
+    k = data.draw(st.integers(min_value=1, max_value=40))
+    points = np.array(data.draw(st.lists(VALUES, min_size=k * p, max_size=k * p)))
+    points = points.reshape(k, p)
+    batch = model.evaluate_points(points)
+    mapped = np.array([model.evaluate(row) for row in points])
+    assert batch.dtype == np.float64 and batch.tobytes() == mapped.tobytes()
+
+
+def test_model_without_batch_evaluator_runs_the_pipeline():
+    box = DomainBox.cube(1, 1.0)
+    plain = FunctionModel(p=1, evaluate=lambda y: -float(y[0]),
+                          gradient=lambda y: np.array([-1.0]),
+                          grad_bound=1.0, hess_bound=0.0, domain_box=box)
+    assert plain.evaluate_batch is None
+    params = AlgorithmParams(n=3, nu=1e-9, lam=1.0, mu=0.125)
+    chi, calls = run_pipeline(plain, [0.0], params)
+    expected, _ = run_pipeline(linear_model([-1.0], box), [0.0], params)
+    assert calls == 2
+    assert np.array_equal(chi.amplitudes, expected.amplitudes)

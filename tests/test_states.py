@@ -120,3 +120,26 @@ def test_sparse_state_rejects_bad_grid_and_norm():
         n=2, p=1, terms=(SparseTerm(label, 0, (0,), 0.5 + 0j),),
         normalized=False)
     assert partial.norm() == 0.5
+
+
+def test_sparse_state_rejects_mixed_evaluation_points():
+    terms = (
+        SparseTerm(DomainLabel.base((0.0,)), 0, (0,), 0.6 + 0j),
+        SparseTerm(DomainLabel.base((0.5,)), 0, (1,), 0.8 + 0j),
+    )
+    with pytest.raises(ValueError, match="mix evaluation points"):
+        SparseTripartiteState(n=2, p=1, terms=terms)
+
+
+def test_sparse_state_terms_round_trip_through_arrays():
+    x = (0.25, -0.5)
+    terms = (
+        SparseTerm(DomainLabel.base(x), 3, (1, 2), 0.6 + 0j),
+        SparseTerm(DomainLabel.shifted(x, (3, 0)), 0, (3, 0), 0.0 + 0.8j),
+    )
+    state = SparseTripartiteState(n=2, p=2, terms=terms)
+    assert tuple(state) == terms
+    assert state.terms[-1] == terms[-1]
+    assert state.labels.tolist() == [-1, 12] and state.grid.tolist() == [6, 12]
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0  # arrays are shared between states, so frozen
