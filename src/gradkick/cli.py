@@ -14,7 +14,7 @@ inequality); only asserted checks decide the status.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 import time
@@ -28,7 +28,8 @@ from .algorithm import plan_run_format, run_pipeline, sample_measurements
 from .analysis import (BoundViolation, PlannerError, check_inequalities,
                        classical_baseline, verify_theorem)
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
-                     distribution_entries, grid_geometry, sample_summary)
+                     distribution_entries, grid_geometry, record_json,
+                     sample_summary)
 from .oracle import DomainError, RangeOverflowError
 from .operators import ResidualEntanglementError
 from .states import GridSizeError
@@ -44,7 +45,9 @@ PIPELINE_ERRORS = (DomainError, RangeOverflowError, ResidualEntanglementError,
                    GridSizeError, BoundViolation)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gradkick",
         description="Gradient-estimation pipeline simulator and verifier.")
@@ -177,9 +180,10 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           timings={"pipeline_seconds": pipeline_seconds})
     print(f"pipeline finished in {pipeline_seconds:.3f} s with {calls} oracle calls")
     print(f"true gradient: {list(true_grad)}")
-    top = sorted(entries, key=lambda e: -e["probability"])[:8]
+    top = np.argsort(-entries.column("probability"), kind="stable")[:8]
     print(f"top outcomes (floor {cfg.prob_floor:g}, {len(entries)} recorded):")
-    for e in top:
+    for i in top.tolist():
+        e = entries[i]
         print(f"  g={tuple(e['g'])}  gradient={e['gradient']}  "
               f"p={e['probability']:.6e}")
     if samples is not None:
@@ -277,7 +281,7 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     payload = {"command": "bench", "rows": rows}
     path = output_path(args, "bench")
     if path:
-        write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        write_text(path, record_json(payload))
     return EXIT_OK
 
 

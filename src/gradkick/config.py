@@ -4,14 +4,19 @@ One canonical tree schema for both input configs and output records, using
 the algorithm's own symbol names (n, nu, lambda, mu, gamma, delta, epsilon)
 so files stay auditable against the math. Records round-trip losslessly
 through JSON; wall-clock timings are kept out of the serialized form so a
-rerun with the same config and seed produces byte-identical files.
+rerun with the same config and seed produces byte-identical files. Every
+record is written by record_json, which matches json.dumps(indent=2) byte
+for byte and writes the outcome tables (RowTable) straight from their arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -324,16 +329,65 @@ def format_from_dict(payload: dict) -> FixedPointFormat:
                             group_mode=str(payload["group_mode"]))
 
 
+class RowTable(Sequence[dict]):
+    """Read-only record rows held as one numpy column per field.
+
+    Each field is (values, codes): row i holds values[codes[i]], a scalar
+    when codes is 1-D and a list when it is 2-D (rows x width); codes None
+    means values holds one entry per row. values is an int or float array,
+    so a field with few distinct values (grid coordinates, decoded
+    gradients) keeps each of them once. Reading a row builds its dict; the
+    table equals the list of those dicts.
+    """
+
+    def __init__(self, **fields: tuple[np.ndarray, np.ndarray | None]) -> None:
+        rows = {len(values if codes is None else codes) for values, codes in fields.values()}
+        if len(rows) > 1:
+            raise ValueError(f"row table fields disagree on the row count: {sorted(rows)}")
+        if any(values.dtype.kind not in "iuf" for values, _ in fields.values()):
+            raise TypeError("row table values must be int or float arrays")
+        self.fields = fields
+        self._rows = rows.pop() if rows else 0
+
+    def column(self, name: str) -> np.ndarray:
+        """One field's entries, row by row."""
+        values, codes = self.fields[name]
+        return values if codes is None else values[codes]
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, i: int) -> dict:
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("row index out of range")
+        return {name: (values[i] if codes is None else values[codes[i]]).tolist()
+                for name, (values, codes) in self.fields.items()}
+
+    def __iter__(self) -> Iterator[dict]:
+        names = tuple(self.fields)
+        for row in zip(*(self.column(name).tolist() for name in names)):
+            yield dict(zip(names, row))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RowTable):
+            other = list(other)
+        if not isinstance(other, list):
+            return NotImplemented
+        return list(self) == other
+
+    __hash__ = None
+
+
 def distribution_entries(chi: GridState, params: AlgorithmParams,
-                         floor: float) -> list[dict]:
+                         floor: float) -> RowTable:
     """Outcome rows above the probability floor, in grid-index order."""
     probs = chi.probabilities()
     kept = np.flatnonzero(probs > floor)
     points = grid_points(kept, chi.n, chi.p)
-    gradients = axis_decode_values(params)[points]
-    return [{"g": g, "gradient": gradient, "probability": probability}
-            for g, gradient, probability in zip(points.tolist(), gradients.tolist(),
-                                                probs[kept].tolist())]
+    return RowTable(g=(np.arange(1 << params.n), points),
+                    gradient=(axis_decode_values(params), points),
+                    probability=(probs[kept], None))
 
 
 def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
@@ -348,10 +402,124 @@ def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
     return {
         "shots": shots,
         "seed": seed,
-        "outcome_counts": [{"g": g, "count": c}
-                           for g, c in zip(points.tolist(), counts[order].tolist())],
+        "outcome_counts": RowTable(g=(np.arange(1 << samples.n), points),
+                                   count=(counts[order], None)),
         "mean_gradient": [float(v) for v in mean],
     }
+
+
+def record_json(tree: Any) -> str:
+    """The text of json.dumps(tree, indent=2, allow_nan=False) + "\\n", byte for byte.
+
+    Values are written as the json module writes them: floats by
+    float.__repr__, strings ASCII-escaped, tuples as lists; a NaN or an
+    infinity anywhere raises ValueError. Dict keys must be strings. A
+    RowTable is written as its list of row dicts, straight from its columns.
+    """
+    out: list[str] = []
+    _write(tree, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append value's JSON text; newline is the line break plus this level's indent."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, RowTable):
+        out.append(_table_text(value, newline))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(("," if i else "") + inner)
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"record keys must be str, not {type(key).__name__}")
+            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _write(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# Placeholder for each value of a RowTable's row template: its JSON text,
+# "\u0000", cannot occur in the template's own field names and brackets.
+_SLOT = "\0"
+_SLOT_TEXT = encode_basestring_ascii(_SLOT)
+
+
+def _table_text(table: RowTable, newline: str) -> str:
+    """A RowTable's JSON text: a row template filled from the column arrays.
+
+    Each distinct value is formatted once and indexed by its codes; the
+    template is one row rendered by _write with a _SLOT in every value
+    position, so its layout is the generic writer's by construction.
+    """
+    rows = len(table)
+    if not rows:
+        return "[]"
+    inner = newline + "  "
+    shape = {name: _SLOT if codes is None or codes.ndim == 1 else [_SLOT] * codes.shape[1]
+             for name, (_, codes) in table.fields.items()}
+    template: list[str] = []
+    _write(shape, inner, template)
+    literals = "".join(template).split(_SLOT_TEXT)
+    # pieces[i] = literal, value, literal, ..., value, literal for row i.
+    pieces = np.empty((rows, len(literals) * 2 - 1), dtype=object)
+    pieces[:, 0] = "," + inner + literals[0]
+    pieces[0, 0] = inner + literals[0]
+    pieces[:, 2::2] = literals[1:]
+    slot = 1
+    for values, codes in table.fields.values():
+        texts = _value_texts(values, codes)
+        cells = texts if codes is None else texts[codes]
+        width = 1 if cells.ndim == 1 else cells.shape[1]
+        pieces[:, slot:slot + 2 * width:2] = cells.reshape(rows, width)
+        slot += 2 * width
+    return "[" + "".join(pieces.ravel().tolist()) + newline + "]"
+
+
+def _value_texts(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
+    """JSON text of every entry of values, as an object array.
+
+    Only the entries the codes select must be finite, as json.dumps of the
+    rows would see only those.
+    """
+    if values.dtype.kind != "f":
+        return np.array(list(map(int.__repr__, values.tolist())), dtype=object)
+    used = values if codes is None else values[codes]
+    finite = np.isfinite(used)
+    if not finite.all():
+        _float_text(float(used[~finite][0]))
+    return np.array(list(map(float.__repr__, values.tolist())), dtype=object)
 
 
 @dataclass
@@ -359,7 +527,9 @@ class ResultRecord:
     """Everything one command produced, minus wall-clock timings.
 
     timings stays in memory for display but is excluded from to_dict so the
-    serialized record is a pure function of config and seed.
+    serialized record is a pure function of config and seed. to_dict keeps
+    the outcome tables as given (RowTable from the commands), which
+    record_json writes from their arrays.
     """
 
     command: str
@@ -372,7 +542,7 @@ class ResultRecord:
     oracle_calls: int | None = None
     true_gradient: tuple[float, ...] | None = None
     prob_floor: float | None = None
-    distribution: list[dict] | None = None
+    distribution: Sequence[dict] | None = None
     samples: dict | None = None
     theorem: TheoremReport | None = None
     inequalities: InequalityReport | None = None
@@ -424,8 +594,8 @@ class ResultRecord:
         )
 
     def to_json(self) -> str:
-        # allow_nan=False: records must never smuggle inf/nan through JSON.
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        # record_json raises on inf/nan: records must never smuggle them through.
+        return record_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> ResultRecord:

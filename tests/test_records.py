@@ -1,0 +1,204 @@
+"""The record writer: byte-identical to json.dumps(indent=2), row tables,
+and the committed golden records.
+
+The golden files under tests/golden/ hold the records the CLI wrote for
+their *.config.json inputs before records were written by record_json.
+They are never regenerated: a change to any byte is a change to the
+canonical record format.
+"""
+
+import json
+import math
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradkick.cli import build_parser, main
+from gradkick.config import (ExperimentConfig, FunctionSpec, ResultRecord,
+                             RowTable, record_json)
+from gradkick.params import AlgorithmParams
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def oracle(tree) -> str:
+    # default=list turns a RowTable into the list of row dicts it stands for.
+    return json.dumps(tree, indent=2, allow_nan=False, default=list) + "\n"
+
+
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4, 0.1, 1.7976931348623157e308,
+               2.0 ** 63, 123456789.0)
+EDGE_INTS = (0, -1, 2 ** 63, -(2 ** 63) - 1, 10 ** 30)
+EDGE_STRINGS = ("", 'say "hi"', "back\\slash", "ctl\x00\x01\x1f\x7f\n\t",
+                "naïve ☃ \U0001d11e", " \ud800")
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+scalars = (st.none() | st.booleans() | st.integers() | st.sampled_from(EDGE_INTS)
+           | finite_floats | st.text(max_size=12) | st.sampled_from(EDGE_STRINGS))
+
+
+@st.composite
+def row_tables(draw, max_rows=6):
+    """A distribution-style or count-style RowTable, p in 1..3, possibly empty."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, max_rows))
+    axis = 1 << n
+    points = np.array(draw(st.lists(st.lists(st.integers(0, axis - 1), min_size=p, max_size=p),
+                                    min_size=rows, max_size=rows)),
+                      dtype=np.int64).reshape(rows, p)
+    g = (np.arange(axis), points)
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1),
+                               min_size=rows, max_size=rows))
+        return RowTable(g=g, count=(np.array(counts, dtype=np.int64), None))
+    decoded = draw(st.lists(finite_floats, min_size=axis, max_size=axis))
+    probs = draw(st.lists(finite_floats, min_size=rows, max_size=rows))
+    return RowTable(g=g, gradient=(np.array(decoded), points),
+                    probability=(np.array(probs, dtype=float), None))
+
+
+trees = st.recursive(
+    scalars | row_tables(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(max_size=8) | st.sampled_from(EDGE_STRINGS),
+                                        children, max_size=4)),
+    max_leaves=30)
+
+
+@given(tree=trees)
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_json_dumps(tree):
+    assert record_json(tree) == oracle(tree)
+
+
+@given(table=row_tables(max_rows=40))
+@settings(max_examples=100, deadline=None)
+def test_row_tables_match_json_dumps_at_every_depth(table):
+    for tree in (table, [table], {"samples": {"outcome_counts": table, "seed": 3}}):
+        assert record_json(tree) == oracle(tree)
+
+
+def test_empty_containers_and_tables():
+    empty = RowTable(g=(np.arange(4), np.zeros((0, 2), dtype=np.int64)),
+                     probability=(np.zeros(0), None))
+    tree = {"a": [], "b": {}, "c": (), "d": empty, "e": [[], {}, empty]}
+    assert record_json(tree) == oracle(tree)
+    assert record_json(empty) == "[]\n"
+
+
+def distribution_table(probabilities, decoded=(0.0, -0.5, 1.0, 0.5)):
+    points = np.array([[0, 1], [2, 3], [1, 1]][:len(probabilities)], dtype=np.int64).reshape(-1, 2)
+    return RowTable(g=(np.arange(4), points),
+                    gradient=(np.array(decoded), points),
+                    probability=(np.array(probabilities, dtype=float), None))
+
+
+def bad_placements(bad):
+    yield bad
+    yield [1.0, bad]
+    yield {"ok": 1, "nested": {"list": [0.5, (2.0, bad)]}}
+    yield {"distribution": distribution_table([0.5, bad, 0.25])}
+    # a decoded value that a row selects (g = 2 on the first axis)
+    yield {"distribution": distribution_table([0.5, 0.25], decoded=(0.0, -0.5, bad, 0.5))}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_raise_wherever_they_sit(bad):
+    for tree in bad_placements(bad):
+        with pytest.raises(ValueError):
+            oracle(tree)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            record_json(tree)
+
+
+def test_unselected_non_finite_decoded_value_is_not_written():
+    # json.dumps of the rows never sees a decoded value no row selects.
+    points = np.array([[0, 2], [3, 3]])
+    table = RowTable(g=(np.arange(4), points),
+                     gradient=(np.array([0.0, math.nan, 1.0, 0.5]), points))
+    assert record_json(table) == oracle(table)
+
+
+def test_record_with_non_finite_field_raises():
+    params = AlgorithmParams(n=3, nu=1e-9, lam=1.0, mu=0.125)
+    cfg = ExperimentConfig(function=FunctionSpec(kind="linear", coefficients=(-1.0,)),
+                           x=(0.0,), params=params)
+    record = ResultRecord(command="run", config=cfg, params=params, grid_bits=3,
+                          grid_size=8, memory_estimate_bytes=128,
+                          true_gradient=(math.inf,))
+    with pytest.raises(ValueError):
+        record.to_json()
+    record.true_gradient = (-1.0,)
+    record.distribution = distribution_table([1.0, math.nan])
+    with pytest.raises(ValueError):
+        record.to_json()
+
+
+def test_writer_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        record_json({"x": object()})
+    with pytest.raises(TypeError):
+        record_json({"x": np.float32(1.0)})
+    # Record keys are strings; any other key is refused, not converted.
+    with pytest.raises(TypeError, match="keys must be str"):
+        record_json({1: "int key"})
+
+
+def test_row_table_is_a_read_only_sequence_of_row_dicts():
+    table = distribution_table([0.5, 0.25, 0.25])
+    rows = [{"g": [0, 1], "gradient": [0.0, -0.5], "probability": 0.5},
+            {"g": [2, 3], "gradient": [1.0, 0.5], "probability": 0.25},
+            {"g": [1, 1], "gradient": [-0.5, -0.5], "probability": 0.25}]
+    assert len(table) == 3
+    assert table[0] == rows[0] and table[-1] == rows[2]
+    assert type(table[1]["g"][0]) is int and type(table[1]["probability"]) is float
+    with pytest.raises(IndexError):
+        table[3]
+    with pytest.raises(IndexError):
+        table[-4]
+    assert list(table) == rows
+    assert table == rows and rows == table
+    assert table != rows[:2] and table != rows[::-1]
+    assert table == distribution_table([0.5, 0.25, 0.25])
+    assert table.column("probability").tolist() == [0.5, 0.25, 0.25]
+    assert (table == "rows") is False
+
+    empty = distribution_table([])
+    assert len(empty) == 0 and list(empty) == [] and empty == []
+
+
+def test_row_table_rejects_ragged_or_non_numeric_fields():
+    with pytest.raises(ValueError, match="row count"):
+        RowTable(a=(np.zeros(3), None), b=(np.zeros(2), None))
+    with pytest.raises(TypeError):
+        RowTable(a=(np.array(["x"]), None))
+
+
+@pytest.mark.parametrize("command", ["plan", "run", "verify", "bench"])
+def test_cli_writes_the_golden_records(command, tmp_path, capsys):
+    out = tmp_path / f"{command}.json"
+    code = main([command, "--config", str(GOLDEN / f"{command}.config.json"),
+                 "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
+
+
+def test_golden_records_are_json_dumps_of_their_trees():
+    for command in ("plan", "run", "verify", "bench"):
+        text = (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
+        tree = json.loads(text)
+        assert record_json(tree) == text == oracle(tree)
+
+
+def test_parser_is_built_once_and_still_reports_usage_errors(capsys):
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run"])
+        assert exit_info.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
