@@ -18,7 +18,7 @@ from .models import FunctionModel
 from .oracle import DomainError, DomainLabel, FixedPointFormat, plan_format
 from .operators import (OracleCallCounter, apply_phase_rotation, apply_qft,
                         apply_u_f, apply_u_f_inverse, apply_u_plus,
-                        apply_u_plus_inverse, collapse_to_grid)
+                        apply_u_plus_inverse, check_sector, collapse_to_grid)
 from .params import AlgorithmParams
 from .states import (GridState, SparseTripartiteState, check_grid_bits,
                      grid_points)
@@ -161,6 +161,10 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     state = apply_phase_rotation(state, params.lam, range_format, variant=phase_variant)
     state = apply_u_f_inverse(state, model, range_format, params, counter)
     state = apply_u_plus_inverse(state, params)
+    # The transform cannot move a term between (label, word) sectors, so a
+    # broken inverse pair is caught here as well as at the collapse, and
+    # before one dense grid per stray sector is allocated.
+    check_sector(state, base, expected_word=0)
     state = apply_qft(state, "forward")
     chi = collapse_to_grid(state, base, expected_word=0)
     return chi, counter.count

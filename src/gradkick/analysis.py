@@ -30,7 +30,7 @@ from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
 from .states import (DEFAULT_MAX_GRID_BITS, GridState, grid_offsets,
-                     grid_point_of)
+                     grid_point_of, represented_points)
 
 INEQUALITY_ORDER = ("curvature", "precision", "margin", "bandwidth", "leakage")
 
@@ -224,12 +224,9 @@ def _upper(name: str, value: float, bound: float, note: str, tol: float) -> Ineq
 
 
 def _grid_values(model: FunctionModel, x: Sequence[float],
-                 params: AlgorithmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Grid offsets h - g0 of every grid point h in row-major order, as a
-    (2^(pn), p) array, and f at x + mu (h - g0) for each."""
-    size = 1 << (params.n * model.p)
-    off = grid_offsets(np.arange(size), params.n, model.p)
-    return off, model.evaluate_points(np.asarray(x, dtype=float) + params.mu * off)
+                 params: AlgorithmParams) -> np.ndarray:
+    """f at x + mu (h - g0) for every grid point h, in row-major order."""
+    return model.evaluate_points(represented_points(x, params.mu, None, params.n))
 
 
 def phase_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
@@ -240,7 +237,7 @@ def phase_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParam
     straight from the definition without running any operator, for
     cross-checking the pipeline.
     """
-    _, f_true = _grid_values(model, x, params)
+    f_true = _grid_values(model, x, params)
     amp = 1.0 / math.sqrt(f_true.size)
     c, s = unit_phases(params.lam, fmt.decode(quantize(fmt, f_true)))
     return complex_array(*complex_product(amp, 0.0, c, s))
@@ -299,13 +296,17 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     grad = model.gradient(pt)
     fx = model.evaluate(pt)
     lam, mu = params.lam, params.mu
-    off, f_true = _grid_values(model, pt, params)
-    amp = 1.0 / math.sqrt(f_true.size)
+    # The offsets are dropped before f is evaluated over the grid, which
+    # builds an array of the same size.
+    off = grid_offsets(None, n, p)
     f_lin = fx + mu * row_dots(off, grad)
+    cap = 0.5 * model.hess_bound * mu * mu * row_dots(off, off)
+    del off
+    f_true = _grid_values(model, pt, params)
+    amp = 1.0 / math.sqrt(f_true.size)
     f_q = fmt.decode(quantize(fmt, f_true))
     eps_N = f_true - f_lin
     eps_D = f_q - f_true
-    cap = 0.5 * model.hess_bound * mu * mu * row_dots(off, off)
     rounding_bad = np.abs(eps_D) > params.nu
     curvature_bad = np.abs(eps_N) > cap + 1e-12 * np.maximum(1.0, cap)
     bad = np.flatnonzero(rounding_bad | curvature_bad)
@@ -664,9 +665,10 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     triangle_floor = projected_linear - psi_N_norm - psi_D_norm
     guarantee_asserted = inequalities.all_hold
 
+    reconstruction_error = dec.reconstruction_error
     failures: list[str] = []
-    if dec.reconstruction_error > RECONSTRUCTION_TOL:
-        failures.append(f"reconstruction error {dec.reconstruction_error!r} "
+    if reconstruction_error > RECONSTRUCTION_TOL:
+        failures.append(f"reconstruction error {reconstruction_error!r} "
                         f"above {RECONSTRUCTION_TOL}")
     if dual_path_error > DUAL_PATH_TOL:
         failures.append(f"pipeline/reference disagreement {dual_path_error!r} "
@@ -704,7 +706,7 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
         psi_N_norm=psi_N_norm,
         psi_N_bound=psi_N_bound,
         psi_N_asserted=psi_N_asserted,
-        reconstruction_error=dec.reconstruction_error,
+        reconstruction_error=reconstruction_error,
         dual_path_error=dual_path_error,
         projected_linear=projected_linear,
         linear_floor=linear_floor,

@@ -167,8 +167,10 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     entries = distribution_entries(chi, params, cfg.prob_floor)
     samples = None
     if cfg.shots > 0:
-        estimates = sample_measurements(chi, cfg.shots, cfg.seed, params)
-        samples = sample_summary(estimates, cfg.shots, cfg.seed)
+        # Only the summary is kept: the per-shot arrays are freed before the
+        # record is written.
+        samples = sample_summary(sample_measurements(chi, cfg.shots, cfg.seed, params),
+                                 cfg.shots, cfg.seed)
     bits, size, mem = grid_geometry(params, model.p)
     true_grad = tuple(float(v) for v in model.gradient(x))
     record = ResultRecord(command="run", config=cfg, params=params,

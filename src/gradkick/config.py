@@ -15,6 +15,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, Sequence
 
@@ -443,7 +444,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
     elif isinstance(value, float):
         out.append(_float_text(value))
     elif isinstance(value, RowTable):
-        out.append(_table_text(value, newline))
+        _write_table(value, newline, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -476,50 +477,63 @@ _SLOT = "\0"
 _SLOT_TEXT = encode_basestring_ascii(_SLOT)
 
 
-def _table_text(table: RowTable, newline: str) -> str:
-    """A RowTable's JSON text: a row template filled from the column arrays.
+def _write_table(table: RowTable, newline: str, out: list[str]) -> None:
+    """Append a RowTable's JSON text: a row template filled from the columns.
 
     Each distinct value is formatted once and indexed by its codes; the
     template is one row rendered by _write with a _SLOT in every value
-    position, so its layout is the generic writer's by construction.
+    position, so its layout is the generic writer's by construction. Row
+    pieces go straight into out, one template position at a time, as a
+    strided slice over the rows.
     """
     rows = len(table)
     if not rows:
-        return "[]"
+        out.append("[]")
+        return
     inner = newline + "  "
     shape = {name: _SLOT if codes is None or codes.ndim == 1 else [_SLOT] * codes.shape[1]
              for name, (_, codes) in table.fields.items()}
     template: list[str] = []
     _write(shape, inner, template)
     literals = "".join(template).split(_SLOT_TEXT)
-    # pieces[i] = literal, value, literal, ..., value, literal for row i.
-    pieces = np.empty((rows, len(literals) * 2 - 1), dtype=object)
-    pieces[:, 0] = "," + inner + literals[0]
-    pieces[0, 0] = inner + literals[0]
-    pieces[:, 2::2] = literals[1:]
-    slot = 1
+    # Row i fills out[start + i * width:][:width] with literal, value,
+    # literal, ..., value, literal.
+    width = len(literals) * 2 - 1
+    out.append("[")
+    start = len(out)
+    out.extend(repeat(None, rows * width))
+    stop = len(out)
+    out[start:stop:width] = ["," + inner + literals[0]] * rows
+    out[start] = inner + literals[0]
+    for k, literal in enumerate(literals[1:], 1):
+        out[start + 2 * k:stop:width] = [literal] * rows
+    slot = start + 1
     for values, codes in table.fields.values():
         texts = _value_texts(values, codes)
-        cells = texts if codes is None else texts[codes]
-        width = 1 if cells.ndim == 1 else cells.shape[1]
-        pieces[:, slot:slot + 2 * width:2] = cells.reshape(rows, width)
-        slot += 2 * width
-    return "[" + "".join(pieces.ravel().tolist()) + newline + "]"
+        if codes is None:
+            out[slot:stop:width] = texts
+            slot += 2
+            continue
+        texts = np.array(texts, dtype=object)
+        for column in codes.reshape(rows, -1).T:
+            out[slot:stop:width] = texts[column].tolist()
+            slot += 2
+    out.append(newline + "]")
 
 
-def _value_texts(values: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
-    """JSON text of every entry of values, as an object array.
+def _value_texts(values: np.ndarray, codes: np.ndarray | None) -> list[str]:
+    """JSON text of every entry of values.
 
     Only the entries the codes select must be finite, as json.dumps of the
     rows would see only those.
     """
     if values.dtype.kind != "f":
-        return np.array(list(map(int.__repr__, values.tolist())), dtype=object)
+        return list(map(int.__repr__, values.tolist()))
     used = values if codes is None else values[codes]
     finite = np.isfinite(used)
     if not finite.all():
         _float_text(float(used[~finite][0]))
-    return np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    return list(map(float.__repr__, values.tolist()))
 
 
 @dataclass

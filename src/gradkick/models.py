@@ -57,10 +57,16 @@ class DomainBox:
         return bool(np.all(np.abs(pt - c) <= w))
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
-        """contains() for each row of a (k, p) array, as a boolean array."""
-        c = np.asarray(self.center)
-        w = np.asarray(self.half_width)
-        return np.all(np.abs(np.asarray(points, dtype=float) - c) <= w, axis=1)
+        """contains() for each row of a (k, p) array, as a boolean array,
+        checked one axis (column) at a time."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dimension:
+            raise ValueError(f"expected a (k, {self.dimension}) array of points, "
+                             f"got shape {pts.shape}")
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for axis, (c, w) in enumerate(zip(self.center, self.half_width)):
+            inside &= np.abs(pts[:, axis] - c) <= w
+        return inside
 
     def contains_box(self, point: Sequence[float], radius: float) -> bool:
         """True when the cube point + [-radius, radius]^p lies inside D."""

@@ -2,7 +2,7 @@
 
 Each operator returns a new state and works on all terms in one numpy pass;
 arrays an operator leaves unchanged are shared with its input, which keeps
-run_pipeline's peak near 112 bytes per grid point (tracemalloc, n=8, p=2;
+run_pipeline's peak near 96 bytes per grid point (tracemalloc, n=8, p=2;
 a state holds 40 bytes per term). The shift and oracle operators are basis
 permutations (amplitudes move, never mix), the phase rotation multiplies
 amplitudes by unit phases, and the grid transform mixes amplitudes within
@@ -28,8 +28,8 @@ import numpy as np
 from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, oracle_words,
                      range_add, range_sub, shift_codes)
 from .qft import qft_amplitudes
-from .states import (GridState, SparseTripartiteState, grid_offsets,
-                     label_code)
+from .states import (GridState, SparseTripartiteState, is_full_range,
+                     label_code, represented_points)
 
 if TYPE_CHECKING:
     from .models import FunctionModel
@@ -83,10 +83,14 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def _label_points(s: SparseTripartiteState, params: AlgorithmParams) -> np.ndarray:
     """Represented point of every term's label, as a (terms, p) array:
     x for BASE, x + mu * (g - g0) for SHIFTED(g)."""
-    x = np.asarray(s.x, dtype=float)
+    if is_full_range(s.labels, 1 << (s.n * s.p)):
+        # The pipeline's case: SHIFTED(h) for every grid index h, in order.
+        return represented_points(s.x, params.mu, None, s.n)
+    points = represented_points(s.x, params.mu, s.labels, s.n)
     base = s.labels == BASE_CODE
-    shifted = x + params.mu * grid_offsets(np.where(base, 0, s.labels), s.n, s.p)
-    return np.where(base[:, None], x, shifted)
+    if base.any():
+        points[base] = s.x
+    return points
 
 
 def apply_u_plus(s: SparseTripartiteState, params: AlgorithmParams) -> SparseTripartiteState:
@@ -158,9 +162,13 @@ def apply_qft(s: SparseTripartiteState, direction: str = "forward") -> SparseTri
 
     Sectors keep the order in which their first term appears, and each
     contributes every grid index in turn; all are transformed in one batch.
+    A single sector whose terms already cover every grid index in order is
+    transformed as it stands, keeping its labels, words and grid arrays.
     """
     size = 1 << (s.n * s.p)
     labels, words, sector_of = _sectors(s.labels, s.words)
+    if labels.size == 1 and is_full_range(s.grid, size):
+        return s.replace(amplitudes=qft_amplitudes(s.amplitudes, s.n, s.p, direction))
     dense = np.zeros((labels.size, size), dtype=np.complex128)
     dense[sector_of, s.grid] = s.amplitudes
     transformed = qft_amplitudes(dense, s.n, s.p, direction)
@@ -169,14 +177,10 @@ def apply_qft(s: SparseTripartiteState, direction: str = "forward") -> SparseTri
                      amplitudes=transformed.reshape(-1))
 
 
-def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
-                     expected_word: int) -> GridState:
-    """Project the pipeline output onto its grid register.
-
-    Every term must already sit in the (expected_label, expected_word)
-    sector; the simulation is exact on basis labels, so any term elsewhere,
-    however small its amplitude, means an inverse pair is broken.
-    """
+def check_sector(s: SparseTripartiteState, expected_label: DomainLabel,
+                 expected_word: int) -> None:
+    """Raise ResidualEntanglementError, naming the first stray term, unless
+    every term sits in the (expected_label, expected_word) sector."""
     if expected_label.x == s.x:
         code = label_code(expected_label, s.n, s.p)
         stray = np.flatnonzero((s.labels != code) | (s.words != expected_word))
@@ -189,6 +193,17 @@ def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
             f"amplitude={t.amplitude!r}) is outside the expected sector "
             f"(label={expected_label!r}, word={expected_word})"
         )
+
+
+def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
+                     expected_word: int) -> GridState:
+    """Project the pipeline output onto its grid register.
+
+    Every term must already sit in the (expected_label, expected_word)
+    sector; the simulation is exact on basis labels, so any term elsewhere,
+    however small its amplitude, means an inverse pair is broken.
+    """
+    check_sector(s, expected_label, expected_word)
     amps = np.zeros(1 << (s.n * s.p), dtype=complex)
     amps[s.grid] = s.amplitudes
     return GridState(n=s.n, p=s.p, amplitudes=amps)

@@ -8,8 +8,17 @@ as parallel numpy arrays (one label code, int64 word, flat grid index and
 complex128 amplitude per term, 40 bytes in all) around one shared evaluation
 point, so every operator is a whole-array pass. Keeping each term's label
 and word explicit makes the uncomputation claim checkable exactly instead of
-assumed. run_pipeline peaks at about 112 bytes per grid point under
-tracemalloc at n=8, p=2 (2^16 points).
+assumed. run_pipeline peaks at about 96 bytes per grid point under
+tracemalloc at n=8, p=2 (2^16 points), and at 112 with p=3.
+
+Arrays of grid points, offsets and represented points are (k, p), one row
+per point, but they are filled one axis at a time and never reduced over
+axis=1: numpy runs its inner loop over the last axis, so with p = 2 or 3 a
+row-wise pass pays its per-loop overhead every few elements, while a column
+pass runs over all k. Each axis takes only 2^n values, so a column is a
+gather from a table of them. models.row_dots is the exception: it must
+multiply rows through numpy's dot kernel to match np.dot bit for bit, and a
+per-axis sum rounds differently wherever that kernel fuses multiply-adds.
 """
 
 from __future__ import annotations
@@ -23,11 +32,14 @@ import numpy as np
 from .oracle import BASE_CODE, DomainLabel, grid_center
 
 # One dense complex vector over 2^26 points is 1 GiB, and run_pipeline peaks
-# near 112 bytes per point, about 7 GiB at this size; refuse anything larger
+# near 96-112 bytes per point, 6-7 GiB at this size; refuse anything larger
 # unless the caller overrides the guard explicitly.
 DEFAULT_MAX_GRID_BITS = 26
 
 NORM_TOL = 1e-12
+
+# The per-term arrays of a SparseTripartiteState.
+ARRAY_FIELDS = frozenset(("labels", "words", "grid", "amplitudes"))
 
 
 class GridSizeError(ValueError):
@@ -67,15 +79,61 @@ def grid_point_of(index: int, n: int, p: int) -> tuple[int, ...]:
     return tuple((index >> (n * (p - 1 - axis))) & mask for axis in range(p))
 
 
+def is_full_range(indices: np.ndarray, size: int) -> bool:
+    """True when indices is 0, 1, ..., size - 1 in order, for indices already
+    known to lie in [-1, size)."""
+    return (indices.size == size and indices[0] == 0
+            and bool((indices[1:] > indices[:-1]).all()))
+
+
+def axis_columns(indices: np.ndarray | None, n: int, p: int,
+                 tables: Sequence[np.ndarray]) -> np.ndarray:
+    """(k, p) array whose column a is tables[a] read at axis a's coordinate
+    of each flat index; None stands for every grid point in row-major order.
+
+    Each table holds the 2^n values of one axis, all of one dtype. Columns
+    are filled one axis at a time (see the module docstring).
+    """
+    size = 1 << n
+    if indices is None:
+        out = np.empty((size,) * p + (p,), dtype=tables[0].dtype)
+        for axis, table in enumerate(tables):
+            out[..., axis] = table.reshape((size,) + (1,) * (p - 1 - axis))
+        return out.reshape(-1, p)
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    out = np.empty((idx.size, p), dtype=tables[0].dtype)
+    coord = np.empty(idx.size, dtype=np.int64)
+    column = np.empty(idx.size, dtype=out.dtype)
+    for axis, table in enumerate(tables):
+        np.right_shift(idx, n * (p - 1 - axis), out=coord)
+        np.bitwise_and(coord, size - 1, out=coord)
+        out[:, axis] = np.take(table, coord, out=column, mode="clip")
+    return out
+
+
+def axis_offsets(n: int) -> np.ndarray:
+    """g - g0 for every single-axis coordinate g, as floats."""
+    return np.arange(1 << n, dtype=np.int64).astype(float) - grid_center(n)
+
+
 def grid_points(indices: np.ndarray, n: int, p: int) -> np.ndarray:
     """grid_point_of over an array of flat indices, as a (k, p) int64 array."""
-    shifts = n * np.arange(p - 1, -1, -1, dtype=np.int64)
-    return (np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & ((1 << n) - 1)
+    return axis_columns(indices, n, p, [np.arange(1 << n, dtype=np.int64)] * p)
 
 
-def grid_offsets(indices: np.ndarray, n: int, p: int) -> np.ndarray:
-    """g - g0 per axis for each flat index: the grid offsets the shift scales by mu."""
-    return grid_points(indices, n, p).astype(float) - grid_center(n)
+def grid_offsets(indices: np.ndarray | None, n: int, p: int) -> np.ndarray:
+    """g - g0 per axis for each flat index (None: the whole grid in order):
+    the grid offsets the shift scales by mu."""
+    return axis_columns(indices, n, p, [axis_offsets(n)] * p)
+
+
+def represented_points(x: Sequence[float], mu: float, indices: np.ndarray | None,
+                       n: int) -> np.ndarray:
+    """x + mu * (g - g0) for the grid point g of each flat index (None: the
+    whole grid in order), as a (k, p) array."""
+    off = axis_offsets(n)
+    tables = [v + mu * off for v in np.asarray(x, dtype=float)]
+    return axis_columns(indices, n, len(tables), tables)
 
 
 @dataclass(eq=False)
@@ -218,7 +276,9 @@ class SparseTripartiteState:
         self.grid = np.asarray(grid, dtype=np.int64)
         self.amplitudes = np.asarray(amplitudes, dtype=np.complex128)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, changed: frozenset[str] = ARRAY_FIELDS) -> None:
+        """Validate the arrays named in changed (all four by default) and make
+        them read-only; the others are already validated and read-only."""
         size = 1 << (self.n * self.p)
         arrays = (self.labels, self.words, self.grid, self.amplitudes)
         if any(a.shape != (self.amplitudes.size,) for a in arrays):
@@ -226,31 +286,40 @@ class SparseTripartiteState:
                              "arrays of one length")
         if len(self.x) != self.p:
             raise ValueError(f"evaluation point has {len(self.x)} axes, expected {self.p}")
-        bad = np.flatnonzero((self.grid < 0) | (self.grid >= size))
-        if bad.size:
-            raise ValueError(f"grid index {int(self.grid[bad[0]])} out of range "
-                             f"for n={self.n}, p={self.p}")
-        bad = np.flatnonzero((self.labels < BASE_CODE) | (self.labels >= size))
-        if bad.size:
-            raise ValueError(f"label code {int(self.labels[bad[0]])} out of range "
-                             f"for n={self.n}, p={self.p}")
-        dup = _first_duplicate(self.labels, self.words, self.grid)
-        if dup is not None:
-            t = self.terms[dup]
-            raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
-        for a in arrays:
-            a.flags.writeable = False
-        if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
+        if "grid" in changed:
+            bad = np.flatnonzero((self.grid < 0) | (self.grid >= size))
+            if bad.size:
+                raise ValueError(f"grid index {int(self.grid[bad[0]])} out of range "
+                                 f"for n={self.n}, p={self.p}")
+        if "labels" in changed:
+            bad = np.flatnonzero((self.labels < BASE_CODE) | (self.labels >= size))
+            if bad.size:
+                raise ValueError(f"label code {int(self.labels[bad[0]])} out of range "
+                                 f"for n={self.n}, p={self.p}")
+        if not changed.isdisjoint(("labels", "words", "grid")):
+            dup = _first_duplicate(self.labels, self.words, self.grid)
+            if dup is not None:
+                t = self.terms[dup]
+                raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
+        for name in changed:
+            getattr(self, name).flags.writeable = False
+        if ("amplitudes" in changed and self.normalized
+                and abs(self.norm() - 1.0) > NORM_TOL):
             raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
 
     def replace(self, **arrays: np.ndarray) -> SparseTripartiteState:
-        """New state with some of labels/words/grid/amplitudes swapped out;
-        the rest are shared, which their read-only flag makes safe."""
+        """New state with some of labels/words/grid/amplitudes swapped out.
+
+        The rest are shared, which their read-only flag makes safe, and only
+        the checks the new arrays can break are run again.
+        """
         fields = {"labels": self.labels, "words": self.words, "grid": self.grid,
                   "amplitudes": self.amplitudes}
         fields.update(arrays)
-        return SparseTripartiteState.from_arrays(self.n, self.p, self.x,
-                                                 normalized=self.normalized, **fields)
+        state = SparseTripartiteState.__new__(SparseTripartiteState)
+        state._assign(self.n, self.p, self.x, normalized=self.normalized, **fields)
+        state.__post_init__(frozenset(arrays))
+        return state
 
     @property
     def terms(self) -> TermView:

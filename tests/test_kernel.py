@@ -7,15 +7,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradkick.states as states
-from gradkick import (DomainBox, DomainLabel, FunctionModel, OracleCallCounter,
-                      ResidualEntanglementError, SparseTripartiteState,
-                      apply_phase_rotation, apply_qft, apply_u_f,
-                      apply_u_f_inverse, apply_u_plus, collapse_to_grid,
-                      linear_model, plan_run_format, qft_amplitudes,
-                      quadratic_model, run_pipeline, sinusoidal_model)
+from gradkick import (DomainBox, DomainLabel, FunctionModel,
+                      OracleCallCounter, ResidualEntanglementError,
+                      SparseTripartiteState, apply_phase_rotation, apply_qft,
+                      apply_u_f, apply_u_f_inverse, apply_u_plus,
+                      collapse_to_grid, grid_center, linear_model,
+                      plan_run_format, qft_amplitudes, quadratic_model,
+                      run_pipeline, sinusoidal_model)
+from gradkick.oracle import BASE_CODE
 from gradkick.params import AlgorithmParams
+from gradkick.states import grid_offsets, grid_points, represented_points
 
 
 def reference_chi(model, x, params, fmt, variant):
@@ -184,5 +189,200 @@ def test_pipeline_memory_and_no_term_objects(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / float(1 << 16) <= 160.0
+    assert peak / float(1 << 16) <= 100.0
     assert built == []
+
+
+def test_broken_inverse_oracle_raises_before_the_final_transform():
+    # An inverse oracle that misreads f leaves one (label, word) sector per
+    # distinct stray word; transforming them all would take a dense grid
+    # each, so the sector check must come first.
+    params = AlgorithmParams(n=6, nu=1e-3, lam=0.5, mu=0.01)
+    fmt = plan_run_format(BASE_2D, [0.0, 0.0], params)
+    passes = []
+
+    def batch(points):
+        passes.append(len(points))
+        values = BASE_2D.evaluate_batch(points)
+        return values if len(passes) == 1 else np.zeros_like(values)
+
+    model = FunctionModel(p=2, evaluate=BASE_2D.evaluate, gradient=BASE_2D.gradient,
+                          grad_bound=BASE_2D.grad_bound, hess_bound=BASE_2D.hess_bound,
+                          domain_box=BASE_2D.domain_box, evaluate_batch=batch)
+    run_pipeline(BASE_2D, [0.0, 0.0], params, range_format=fmt)  # warm caches
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResidualEntanglementError, match="outside the expected sector"):
+            run_pipeline(model, [0.0, 0.0], params, range_format=fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passes == [1 << 12, 1 << 12]
+    assert peak / float(1 << 12) <= 160.0
+
+
+# The row-major (k, p) formulas the axis-major construction replaced.
+
+def rowwise_grid_points(indices, n, p):
+    shifts = n * np.arange(p - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(indices, dtype=np.int64)[:, None] >> shifts) & ((1 << n) - 1)
+
+
+def rowwise_grid_offsets(indices, n, p):
+    return rowwise_grid_points(indices, n, p).astype(float) - grid_center(n)
+
+
+def rowwise_contains(box, points):
+    c = np.asarray(box.center)
+    w = np.asarray(box.half_width)
+    return np.all(np.abs(np.asarray(points, dtype=float) - c) <= w, axis=1)
+
+
+FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(n=st.integers(1, 8), p=st.integers(1, 4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_axis_major_grid_arrays_equal_rowwise_formulas(n, p, data):
+    bits = n * p
+    if bits <= 12 and data.draw(st.booleans()):
+        indices, given_indices = np.arange(1 << bits, dtype=np.int64), None
+    else:
+        indices = np.array(data.draw(st.lists(st.integers(0, (1 << bits) - 1),
+                                              max_size=50)), dtype=np.int64)
+        given_indices = indices
+    x = np.array(data.draw(st.lists(FINITE, min_size=p, max_size=p)))
+    mu = data.draw(st.floats(min_value=1e-9, max_value=10.0))
+    points = grid_points(indices, n, p)
+    assert points.dtype == np.int64
+    assert np.array_equal(points, rowwise_grid_points(indices, n, p))
+    offsets = grid_offsets(given_indices, n, p)
+    assert np.array_equal(offsets, rowwise_grid_offsets(indices, n, p))
+    represented = represented_points(x, mu, given_indices, n)
+    expected = x + mu * rowwise_grid_offsets(indices, n, p)
+    assert represented.shape == (indices.size, p)
+    assert represented.tobytes() == expected.tobytes()
+
+
+@given(p=st.integers(1, 4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_contains_points_matches_rowwise_check(p, data):
+    center = data.draw(st.lists(FINITE, min_size=p, max_size=p))
+    half = data.draw(st.lists(st.floats(min_value=1e-6, max_value=1e6),
+                              min_size=p, max_size=p))
+    box = DomainBox(center=tuple(center), half_width=tuple(half))
+    k = data.draw(st.integers(0, 30))
+    rows = []
+    for _ in range(k):
+        row = []
+        for c, w in zip(center, half):
+            edge = np.array([c - w, c + w])
+            row.append(data.draw(st.one_of(
+                FINITE, st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                st.sampled_from(edge.tolist()),
+                st.sampled_from(np.nextafter(edge, [-np.inf, np.inf]).tolist()))))
+        rows.append(row)
+    points = np.array(rows, dtype=float).reshape(k, p)
+    inside = box.contains_points(points)
+    assert inside.dtype == bool
+    assert np.array_equal(inside, rowwise_contains(box, points))
+    assert inside.tolist() == [box.contains(row) for row in points]
+
+
+def test_contains_points_rejects_wrong_width():
+    with pytest.raises(ValueError, match="points"):
+        DomainBox.cube(2, 1.0).contains_points(np.zeros((3, 3)))
+
+
+def batched_qft(s, direction):
+    """The multi-sector path on a single-sector state: scatter into a
+    (1, size) batch, transform it, then repeat labels and words."""
+    size = 1 << (s.n * s.p)
+    dense = np.zeros((1, size), dtype=np.complex128)
+    dense[0, s.grid] = s.amplitudes
+    out = qft_amplitudes(dense, s.n, s.p, direction)
+    return (np.repeat(s.labels[:1], size), np.repeat(s.words[:1], size),
+            np.arange(size, dtype=np.int64), out.reshape(-1))
+
+
+@given(n=st.integers(1, 4), p=st.integers(1, 3), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_sector_qft_equals_the_batched_path(n, p, data):
+    size = 1 << (n * p)
+    layout = data.draw(st.sampled_from(["in order", "permuted", "partial"]))
+    grid = np.arange(size, dtype=np.int64)
+    if layout == "permuted":
+        grid = np.array(data.draw(st.permutations(grid.tolist())), dtype=np.int64)
+    elif layout == "partial":
+        grid = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1,
+                                                 max_size=size - 1))), dtype=np.int64)
+        grid = np.array(data.draw(st.permutations(grid.tolist())), dtype=np.int64)
+    parts = st.floats(min_value=-1.0, max_value=1.0)
+    amps = np.array([complex(data.draw(parts), data.draw(parts)) for _ in grid])
+    label = data.draw(st.sampled_from([BASE_CODE, 0, size - 1]))
+    word = data.draw(st.integers(0, 7))
+    x = (0.5,) * p
+    state = SparseTripartiteState.from_arrays(
+        n, p, x, np.full(grid.size, label), np.full(grid.size, word), grid, amps,
+        normalized=False)
+    direction = data.draw(st.sampled_from(["forward", "inverse"]))
+    out = apply_qft(state, direction)
+    labels, words, out_grid, out_amps = batched_qft(state, direction)
+    assert np.array_equal(out.labels, labels) and np.array_equal(out.words, words)
+    assert np.array_equal(out.grid, out_grid)
+    assert out.amplitudes.tobytes() == out_amps.tobytes()
+
+
+@pytest.mark.parametrize("group_mode", ["modular", "xor"])
+def test_u_f_on_base_and_partial_labels_matches_term_oracle(group_mode):
+    # The pipeline's labels are SHIFTED(h) for every grid index h in order;
+    # any other label set, BASE included, takes the general point gather.
+    n, p = 3, 2
+    params = AlgorithmParams(n=n, nu=1e-3, lam=0.5, mu=0.05)
+    model = quadratic_model([0.3, -0.2], [[1.0, 0.25], [0.25, 1.0]], DomainBox.cube(2, 1.0))
+    x = [0.1, -0.2]
+    fmt = plan_run_format(model, x, params, group_mode)
+    labels = np.array([BASE_CODE, 5, 63, BASE_CODE, 0, 17, 5])
+    words = np.array([0, 1, 2, 3, 0, 7, 4])
+    grid = np.array([0, 1, 2, 3, 4, 5, 1])
+    state = SparseTripartiteState.from_arrays(n, p, x, labels, words, grid,
+                                              np.full(labels.size, labels.size ** -0.5))
+    counter = OracleCallCounter()
+    out = apply_u_f(state, model, fmt, params, counter)
+    g0 = float(1 << (n - 1)) - 0.5
+    expected = []
+    for label, word in zip(labels.tolist(), words.tolist()):
+        point = np.asarray(x, dtype=float)
+        if label != BASE_CODE:
+            g = np.array(states.grid_point_of(label, n, p), dtype=float)
+            point = point + params.mu * (g - g0)
+        w = round((float(model.evaluate(point)) - fmt.a0) / fmt.a1)
+        expected.append(word ^ w if group_mode == "xor" else (word + w) & (fmt.num_words - 1))
+    assert out.words.tolist() == expected
+    back = apply_u_f_inverse(out, model, fmt, params, counter)
+    assert back.words.tolist() == words.tolist()
+
+
+def test_replace_checks_only_the_replaced_arrays(monkeypatch):
+    base = DomainLabel.base((0.0,))
+    state = apply_qft(SparseTripartiteState.initial(2, 1, base))
+    scans = []
+    real = states._first_duplicate
+    monkeypatch.setattr(states, "_first_duplicate",
+                        lambda *a: scans.append(1) or real(*a))
+    state.replace(amplitudes=state.amplitudes[::-1].copy())
+    assert scans == []
+    state.replace(words=np.array([0, 1, 2, 3]))
+    assert scans == [1]
+    # Each replaced array is still checked in full.
+    with pytest.raises(ValueError, match="duplicate"):
+        state.replace(grid=np.array([0, 1, 1, 3]))
+    with pytest.raises(ValueError, match="grid index 4 out of range"):
+        state.replace(grid=np.array([0, 1, 2, 4]))
+    with pytest.raises(ValueError, match="label code 4 out of range"):
+        state.replace(labels=np.array([0, 1, 2, 4]))
+    with pytest.raises(ValueError, match="norm"):
+        state.replace(amplitudes=np.full(4, 0.6 + 0j))
+    fresh = state.replace(words=np.array([0, 1, 2, 3]))
+    assert not fresh.words.flags.writeable and fresh.labels is state.labels
+

@@ -10,6 +10,7 @@ canonical record format.
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,28 @@ def test_row_table_rejects_ragged_or_non_numeric_fields():
         RowTable(a=(np.zeros(3), None), b=(np.zeros(2), None))
     with pytest.raises(TypeError):
         RowTable(a=(np.array(["x"]), None))
+
+
+def test_large_table_is_written_without_an_intermediate_copy():
+    # Row pieces go straight into the writer's output list: besides the
+    # text itself that costs one pointer per piece and the value strings,
+    # about 1.9x the text; building a joined table string on the way took
+    # about 2.9x.
+    rows = 1 << 14
+    points = np.stack([np.arange(rows) >> 7, np.arange(rows) & 127], axis=1)
+    table = RowTable(g=(np.arange(128), points),
+                     gradient=(np.linspace(-1.0, 1.0, 128), points),
+                     probability=(np.random.default_rng(1).random(rows), None))
+    tree = {"distribution": table}
+    record_json(tree)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        text = record_json(tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == oracle(tree)
+    assert peak <= 2.4 * len(text)
 
 
 @pytest.mark.parametrize("command", ["plan", "run", "verify", "bench"])
