@@ -71,14 +71,6 @@ class AccuracySpec:
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie strictly between 0 and 1")
 
-    def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "delta": self.delta, "epsilon": self.epsilon}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> AccuracySpec:
-        return cls(gamma=float(payload["gamma"]), delta=float(payload["delta"]),
-                   epsilon=float(payload["epsilon"]))
-
 
 @dataclass(frozen=True)
 class InequalityCheck:
@@ -98,25 +90,13 @@ class InequalityCheck:
     holds: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound,
-                "slack": self.slack, "holds": self.holds, "note": self.note}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> InequalityCheck:
-        return cls(name=str(payload["name"]),
-                   value=None if payload["value"] is None else float(payload["value"]),
-                   bound=None if payload["bound"] is None else float(payload["bound"]),
-                   slack=None if payload["slack"] is None else float(payload["slack"]),
-                   holds=bool(payload["holds"]), note=str(payload.get("note", "")))
-
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """The five planning inequalities in canonical order."""
+    """The five planning inequalities in canonical order, and their tolerance."""
 
+    tol: float
     checks: tuple[InequalityCheck, ...]
-    tol: float = DEFAULT_CHECK_TOL
 
     @property
     def all_hold(self) -> bool:
@@ -127,14 +107,6 @@ class InequalityReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"tol": self.tol, "checks": [c.to_dict() for c in self.checks]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> InequalityReport:
-        return cls(checks=tuple(InequalityCheck.from_dict(c) for c in payload["checks"]),
-                   tol=float(payload["tol"]))
 
 
 def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
@@ -380,21 +352,6 @@ class LeakageReport:
     factorization_error: float
     factorization_ok: bool
 
-    def to_dict(self) -> dict:
-        return {"bound": self.bound, "vacuous": self.vacuous,
-                "per_axis_max": list(self.per_axis_max),
-                "amplitude_ok": self.amplitude_ok,
-                "factorization_error": self.factorization_error,
-                "factorization_ok": self.factorization_ok}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> LeakageReport:
-        return cls(bound=float(payload["bound"]), vacuous=bool(payload["vacuous"]),
-                   per_axis_max=tuple(float(v) for v in payload["per_axis_max"]),
-                   amplitude_ok=bool(payload["amplitude_ok"]),
-                   factorization_error=float(payload["factorization_error"]),
-                   factorization_ok=bool(payload["factorization_ok"]))
-
 
 def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
                   delta: float) -> LeakageReport:
@@ -541,64 +498,6 @@ class TheoremReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "accuracy": self.accuracy.to_dict(),
-            "p": self.p,
-            "grad_bound": self.grad_bound,
-            "hess_bound": self.hess_bound,
-            "true_gradient": list(self.true_gradient),
-            "oracle_calls": self.oracle_calls,
-            "inequalities": self.inequalities.to_dict(),
-            "psi_D_norm": self.psi_D_norm,
-            "psi_D_bound": self.psi_D_bound,
-            "psi_N_norm": self.psi_N_norm,
-            "psi_N_bound": self.psi_N_bound,
-            "psi_N_asserted": self.psi_N_asserted,
-            "reconstruction_error": self.reconstruction_error,
-            "dual_path_error": self.dual_path_error,
-            "projected_linear": self.projected_linear,
-            "linear_floor": self.linear_floor,
-            "projected_amplitude": self.projected_amplitude,
-            "amplitude_floor": self.amplitude_floor,
-            "success_probability": self.success_probability,
-            "triangle_floor": self.triangle_floor,
-            "guarantee_asserted": self.guarantee_asserted,
-            "leakage": None if self.leakage is None else self.leakage.to_dict(),
-            "failures": list(self.failures),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> TheoremReport:
-        return cls(
-            params=AlgorithmParams.from_dict(payload["params"]),
-            accuracy=AccuracySpec.from_dict(payload["accuracy"]),
-            p=int(payload["p"]),
-            grad_bound=float(payload["grad_bound"]),
-            hess_bound=float(payload["hess_bound"]),
-            true_gradient=tuple(float(v) for v in payload["true_gradient"]),
-            oracle_calls=int(payload["oracle_calls"]),
-            inequalities=InequalityReport.from_dict(payload["inequalities"]),
-            psi_D_norm=float(payload["psi_D_norm"]),
-            psi_D_bound=float(payload["psi_D_bound"]),
-            psi_N_norm=float(payload["psi_N_norm"]),
-            psi_N_bound=float(payload["psi_N_bound"]),
-            psi_N_asserted=bool(payload["psi_N_asserted"]),
-            reconstruction_error=float(payload["reconstruction_error"]),
-            dual_path_error=float(payload["dual_path_error"]),
-            projected_linear=float(payload["projected_linear"]),
-            linear_floor=float(payload["linear_floor"]),
-            projected_amplitude=float(payload["projected_amplitude"]),
-            amplitude_floor=float(payload["amplitude_floor"]),
-            success_probability=float(payload["success_probability"]),
-            triangle_floor=float(payload["triangle_floor"]),
-            guarantee_asserted=bool(payload["guarantee_asserted"]),
-            leakage=(None if payload["leakage"] is None
-                     else LeakageReport.from_dict(payload["leakage"])),
-            failures=tuple(str(v) for v in payload["failures"]),
-        )
 
 
 def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,

@@ -29,7 +29,7 @@ from .analysis import (BoundViolation, PlannerError, check_inequalities,
                        classical_baseline, verify_theorem)
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
                      distribution_entries, grid_geometry, record_json,
-                     sample_summary)
+                     sample_summary, to_tree)
 from .oracle import DomainError, RangeOverflowError
 from .operators import ResidualEntanglementError
 from .states import GridSizeError
@@ -178,8 +178,7 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           memory_estimate_bytes=mem, format=fmt,
                           oracle_calls=calls, true_gradient=true_grad,
                           prob_floor=cfg.prob_floor, distribution=entries,
-                          samples=samples,
-                          timings={"pipeline_seconds": pipeline_seconds})
+                          samples=samples)
     print(f"pipeline finished in {pipeline_seconds:.3f} s with {calls} oracle calls")
     print(f"true gradient: {list(true_grad)}")
     top = np.argsort(-entries.column("probability"), kind="stable")[:8]
@@ -216,8 +215,7 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           memory_estimate_bytes=mem, format=fmt,
                           oracle_calls=report.oracle_calls,
                           true_gradient=report.true_gradient,
-                          theorem=report,
-                          timings={"verify_seconds": verify_seconds})
+                          theorem=report)
     print(f"verification finished in {verify_seconds:.3f} s "
           f"({report.oracle_calls} oracle calls)")
     print_params(params)
@@ -259,7 +257,7 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rows = []
     print("index\tp\tn\tnu\tgrid_size\tquantum_calls\tclassical_calls")
     for index, entry in enumerate(cfg.sweep):
-        sub = cfg.merged(entry)
+        sub = cfg.merged(entry, f"config.sweep[{index}]")
         model = sub.resolve_model()
         params = sub.resolve_params(model)
         bits, size, mem = grid_geometry(params, model.p)
@@ -272,8 +270,8 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
               f"{classical_calls}")
         rows.append({
             "index": index,
-            "config": sub.to_dict(),
-            "params": params.to_dict(),
+            "config": to_tree(sub),
+            "params": to_tree(params),
             "grid_bits": bits,
             "grid_size": size,
             "memory_estimate_bytes": mem,

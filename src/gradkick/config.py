@@ -2,22 +2,33 @@
 
 One canonical tree schema for both input configs and output records, using
 the algorithm's own symbol names (n, nu, lambda, mu, gamma, delta, epsilon)
-so files stay auditable against the math. Records round-trip losslessly
-through JSON; wall-clock timings are kept out of the serialized form so a
-rerun with the same config and seed produces byte-identical files. Every
+so files stay auditable against the math. One codec maps every config and
+record dataclass to and from its tree: to_tree writes a dataclass as a dict
+keyed by its field names in declaration order (lam is written as lambda, the
+one alias), and from_tree reads a tree back by the field types, refusing
+unknown or missing keys, wrong JSON types, non-finite numbers and
+fractional integers with a ConfigError that names the offending path.
+
+Records round-trip losslessly through JSON, and hold no wall-clock time, so
+a rerun with the same config and seed produces byte-identical files. Every
 record is written by record_json, which matches json.dumps(indent=2) byte
 for byte and writes the outcome tables (RowTable) straight from their arrays.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, Sequence
+from types import UnionType
+from typing import (Any, Callable, Iterator, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -40,17 +51,141 @@ class ConfigError(ValueError):
     """The configuration tree is malformed or inconsistent."""
 
 
-def _require(payload: dict, key: str, context: str) -> Any:
-    if key not in payload:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return payload[key]
+# The one record key that is not its field's name: lambda is a Python keyword.
+_ALIASES = {"lam": "lambda"}
+
+_LEAVES = frozenset((str, int, float, bool, type(None)))
 
 
-def _reject_unknown(payload: dict, allowed: tuple[str, ...], context: str) -> None:
-    unknown = sorted(set(payload) - set(allowed))
+def to_tree(obj: Any) -> Any:
+    """The record tree of obj: a dataclass becomes a dict of its fields, keyed
+    by field name in declaration order, and a tuple or list becomes a list.
+
+    Anything else (scalars, dicts, RowTables) is kept as it is. A
+    FunctionSpec leaves out its None fields; every other None is kept.
+    """
+    kind = type(obj)
+    if kind is tuple or kind is list:
+        return [item if type(item) in _LEAVES else to_tree(item) for item in obj]
+    keys = _record_keys(kind)
+    if keys is None:
+        return obj
+    tree = {}
+    for name, key in keys:
+        value = getattr(obj, name)
+        if value is None and kind is FunctionSpec:
+            continue
+        tree[key] = value if type(value) in _LEAVES else to_tree(value)
+    return tree
+
+
+@functools.cache
+def _record_keys(kind: type) -> tuple[tuple[str, str], ...] | None:
+    """(field name, record key) of each field of a dataclass; None for other types."""
+    return (tuple((f.name, _ALIASES.get(f.name, f.name)) for f in dataclasses.fields(kind))
+            if dataclasses.is_dataclass(kind) else None)
+
+
+def from_tree(cls: type, tree: Any, context: str) -> Any:
+    """Build a cls from its record tree, reading each field as its type says.
+
+    Floats take a finite number, ints an integer or an integral float. Any
+    problem raises ConfigError naming its path, e.g.
+    config.function.coefficients[0]; context is the path of tree itself.
+    """
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{context}: expected an object, got {_shown(tree)}")
+    fields, keys = _record_fields(cls)
+    unknown = tree.keys() - keys
     if unknown:
-        raise ConfigError(f"{context}: unknown field(s) {', '.join(map(repr, unknown))}; "
-                          f"allowed: {', '.join(allowed)}")
+        raise ConfigError(f"{context}: unknown field(s) {', '.join(map(repr, sorted(unknown)))}; "
+                          f"allowed: {', '.join(key for _, key, _, _ in fields)}")
+    values = {}
+    for name, key, read, required in fields:
+        if key in tree:
+            values[name] = read(tree[key], f"{context}.{key}")
+        elif required:
+            raise ConfigError(f"{context}: missing required field {key!r}")
+    try:
+        return cls(**values)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+@functools.cache
+def _record_fields(cls: type) -> tuple[tuple, frozenset[str]]:
+    """(name, key, reader, required) of each field of cls, and the set of keys."""
+    hints = get_type_hints(cls)
+    fields = tuple((f.name, _ALIASES.get(f.name, f.name), _reader(hints[f.name]),
+                    f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+                   for f in dataclasses.fields(cls))
+    return fields, frozenset(key for _, key, _, _ in fields)
+
+
+def _shown(value: Any) -> str:
+    if isinstance(value, (dict, list, tuple)):
+        return "an object" if isinstance(value, dict) else "an array"
+    return json.dumps(value) if value is None or isinstance(value, bool) else repr(value)
+
+
+def _read_float(value: Any, path: str) -> float:
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{path}: expected a finite number, got {_shown(value)}")
+
+
+def _read_int(value: Any, path: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{path}: expected an integer, got {_shown(value)}")
+
+
+def _read_instance(kind: type, expected: str) -> Callable[[Any, str], Any]:
+    def read(value: Any, path: str):
+        if isinstance(value, kind):
+            return value
+        raise ConfigError(f"{path}: expected {expected}, got {_shown(value)}")
+    return read
+
+
+_SCALAR_READERS = {float: _read_float, int: _read_int,
+                   str: _read_instance(str, "a string"),
+                   bool: _read_instance(bool, "true or false"),
+                   dict: _read_instance(dict, "an object")}
+
+
+@functools.cache
+def _reader(hint: Any) -> Callable[[Any, str], Any]:
+    """The reader of a field type: called as reader(value, path)."""
+    if hint in _SCALAR_READERS:
+        return _SCALAR_READERS[hint]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union or origin is UnionType:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        read_inner = _reader(inner)
+        return lambda value, path: None if value is None else read_inner(value, path)
+    if origin is tuple or origin is abc.Sequence:
+        return _array_reader(_reader(args[0]), origin is tuple)
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(from_tree, hint)
+    raise TypeError(f"no record reader for {hint!r}")
+
+
+def _array_reader(read_item: Callable[[Any, str], Any], as_tuple: bool):
+    def read(value: Any, path: str):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected an array, got {_shown(value)}")
+        items = [read_item(item, f"{path}[{i}]") for i, item in enumerate(value)]
+        return tuple(items) if as_tuple else items
+    return read
 
 
 @dataclass(frozen=True)
@@ -93,6 +228,11 @@ class FunctionSpec:
                 k = len(self.coefficients)
                 if len(self.hessian) != k or any(len(row) != k for row in self.hessian):
                     raise ConfigError(f"hessian must be {k} x {k}")
+                if any(row[j] != self.hessian[j][i] for i, row in enumerate(self.hessian)
+                       for j in range(i)):
+                    raise ConfigError("hessian must be exactly symmetric")
+        if self.dimension == 0:
+            raise ConfigError(f"{self.kind} function needs at least one dimension")
 
     @property
     def dimension(self) -> int:
@@ -108,38 +248,6 @@ class FunctionSpec:
             return quadratic_model(list(self.coefficients),
                                    [list(row) for row in self.hessian], box)
         return linear_model(list(self.coefficients), box)
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.coefficients is not None:
-            out["coefficients"] = list(self.coefficients)
-        if self.hessian is not None:
-            out["hessian"] = [list(row) for row in self.hessian]
-        if self.amplitude is not None:
-            out["amplitude"] = self.amplitude
-        if self.frequencies is not None:
-            out["frequencies"] = list(self.frequencies)
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> FunctionSpec:
-        if not isinstance(payload, dict):
-            raise ConfigError("function must be an object")
-        _reject_unknown(payload, ("kind", "coefficients", "hessian", "amplitude",
-                                  "frequencies"), "function")
-        kind = _require(payload, "kind", "function")
-        coeffs = payload.get("coefficients")
-        hess = payload.get("hessian")
-        return cls(
-            kind=str(kind),
-            coefficients=None if coeffs is None else tuple(float(v) for v in coeffs),
-            hessian=None if hess is None else tuple(tuple(float(v) for v in row)
-                                                    for row in hess),
-            amplitude=(None if payload.get("amplitude") is None
-                       else float(payload["amplitude"])),
-            frequencies=(None if payload.get("frequencies") is None
-                         else tuple(float(v) for v in payload["frequencies"])),
-        )
 
 
 @dataclass(frozen=True)
@@ -212,80 +320,9 @@ class ExperimentConfig:
         return select_parameters(self.accuracy, model.grad_bound,
                                  model.hess_bound, model.p, self.max_grid_bits)
 
-    def to_dict(self) -> dict:
-        return {
-            "function": self.function.to_dict(),
-            "x": list(self.x),
-            "accuracy": None if self.accuracy is None else self.accuracy.to_dict(),
-            "params": None if self.params is None else self.params.to_dict(),
-            "domain": None if self.domain is None else {
-                "center": list(self.domain.center),
-                "half_width": list(self.domain.half_width),
-            },
-            "shots": self.shots,
-            "seed": self.seed,
-            "group_mode": self.group_mode,
-            "phase_variant": self.phase_variant,
-            "max_grid_bits": self.max_grid_bits,
-            "prob_floor": self.prob_floor,
-            "sweep": [dict(entry) for entry in self.sweep],
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> ExperimentConfig:
-        if not isinstance(payload, dict):
-            raise ConfigError("config must be an object")
-        _reject_unknown(payload, ("function", "x", "accuracy", "params", "domain",
-                                  "shots", "seed", "group_mode", "phase_variant",
-                                  "max_grid_bits", "prob_floor", "sweep"), "config")
-        function = FunctionSpec.from_dict(_require(payload, "function", "config"))
-        x = tuple(float(v) for v in _require(payload, "x", "config"))
-        accuracy = payload.get("accuracy")
-        params = payload.get("params")
-        domain = payload.get("domain")
-        if accuracy is not None:
-            _reject_unknown(accuracy, ("gamma", "delta", "epsilon"), "accuracy")
-            try:
-                accuracy = AccuracySpec.from_dict(accuracy)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"accuracy: {exc}") from exc
-        if params is not None:
-            _reject_unknown(params, ("n", "nu", "lambda", "mu"), "params")
-            try:
-                params = AlgorithmParams.from_dict(params)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"params: {exc}") from exc
-        if domain is not None:
-            _reject_unknown(domain, ("center", "half_width"), "domain")
-            try:
-                domain = DomainBox(center=tuple(float(v) for v in domain["center"]),
-                                   half_width=tuple(float(v) for v
-                                                    in domain["half_width"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"domain: {exc}") from exc
-        sweep = payload.get("sweep", [])
-        if not isinstance(sweep, list) or not all(isinstance(e, dict) for e in sweep):
-            raise ConfigError("sweep must be a list of objects")
-        try:
-            return cls(
-                function=function,
-                x=x,
-                accuracy=accuracy,
-                params=params,
-                domain=domain,
-                shots=int(payload.get("shots", 0)),
-                seed=int(payload.get("seed", 0)),
-                group_mode=str(payload.get("group_mode", "modular")),
-                phase_variant=str(payload.get("phase_variant", "direct")),
-                max_grid_bits=(None if payload.get("max_grid_bits") is None
-                               else int(payload["max_grid_bits"])),
-                prob_floor=float(payload.get("prob_floor", DEFAULT_PROB_FLOOR)),
-                sweep=tuple(sweep),
-            )
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return from_tree(cls, payload, "config")
 
     @classmethod
     def from_json_file(cls, path: str) -> ExperimentConfig:
@@ -296,38 +333,28 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(payload)
 
-    def merged(self, entry: dict) -> ExperimentConfig:
+    def merged(self, entry: dict, context: str = "sweep entry") -> ExperimentConfig:
         """Sweep-entry merge: top-level fields of entry override this config.
 
         The shorthand {"p": k} expands to a k-dimensional linear objective
         with coefficients 0.5, x at the origin, and no explicit overrides,
-        which is what dimension sweeps in benchmarks want.
+        which is what dimension sweeps in benchmarks want. context is the
+        entry's path in error messages.
         """
-        base = self.to_dict()
+        base = to_tree(self)
         base["sweep"] = []
         entry = dict(entry)
         if "p" in entry:
-            k = int(entry.pop("p"))
+            k = _read_int(entry.pop("p"), f"{context}.p")
             if k < 1:
-                raise ConfigError("sweep entry: p must be positive")
+                raise ConfigError(f"{context}.p: must be a positive integer, got {k}")
             entry.setdefault("function", {"kind": "linear",
                                           "coefficients": [0.5] * k})
             entry.setdefault("x", [0.0] * k)
             entry.setdefault("domain", None)
             entry.setdefault("params", None)
         base.update(entry)
-        return ExperimentConfig.from_dict(base)
-
-
-def format_to_dict(fmt: FixedPointFormat) -> dict:
-    return {"bits": fmt.bits, "a0": fmt.a0, "a1": fmt.a1,
-            "group_mode": fmt.group_mode}
-
-
-def format_from_dict(payload: dict) -> FixedPointFormat:
-    return FixedPointFormat(bits=int(payload["bits"]), a0=float(payload["a0"]),
-                            a1=float(payload["a1"]),
-                            group_mode=str(payload["group_mode"]))
+        return from_tree(ExperimentConfig, base, context)
 
 
 class RowTable(Sequence[dict]):
@@ -538,12 +565,10 @@ def _value_texts(values: np.ndarray, codes: np.ndarray | None) -> list[str]:
 
 @dataclass
 class ResultRecord:
-    """Everything one command produced, minus wall-clock timings.
+    """Everything one command produced; a pure function of config and seed.
 
-    timings stays in memory for display but is excluded from to_dict so the
-    serialized record is a pure function of config and seed. to_dict keeps
-    the outcome tables as given (RowTable from the commands), which
-    record_json writes from their arrays.
+    The outcome tables are kept as given (RowTable from the commands), and
+    record_json writes them from their arrays.
     """
 
     command: str
@@ -560,60 +585,14 @@ class ResultRecord:
     samples: dict | None = None
     theorem: TheoremReport | None = None
     inequalities: InequalityReport | None = None
-    timings: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config.to_dict(),
-            "params": self.params.to_dict(),
-            "grid_bits": self.grid_bits,
-            "grid_size": self.grid_size,
-            "memory_estimate_bytes": self.memory_estimate_bytes,
-            "format": None if self.format is None else format_to_dict(self.format),
-            "oracle_calls": self.oracle_calls,
-            "true_gradient": (None if self.true_gradient is None
-                              else list(self.true_gradient)),
-            "prob_floor": self.prob_floor,
-            "distribution": self.distribution,
-            "samples": self.samples,
-            "theorem": None if self.theorem is None else self.theorem.to_dict(),
-            "inequalities": (None if self.inequalities is None
-                             else self.inequalities.to_dict()),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> ResultRecord:
-        return cls(
-            command=str(payload["command"]),
-            config=ExperimentConfig.from_dict(payload["config"]),
-            params=AlgorithmParams.from_dict(payload["params"]),
-            grid_bits=int(payload["grid_bits"]),
-            grid_size=int(payload["grid_size"]),
-            memory_estimate_bytes=int(payload["memory_estimate_bytes"]),
-            format=(None if payload["format"] is None
-                    else format_from_dict(payload["format"])),
-            oracle_calls=(None if payload["oracle_calls"] is None
-                          else int(payload["oracle_calls"])),
-            true_gradient=(None if payload["true_gradient"] is None
-                           else tuple(float(v) for v in payload["true_gradient"])),
-            prob_floor=(None if payload["prob_floor"] is None
-                        else float(payload["prob_floor"])),
-            distribution=payload["distribution"],
-            samples=payload["samples"],
-            theorem=(None if payload["theorem"] is None
-                     else TheoremReport.from_dict(payload["theorem"])),
-            inequalities=(None if payload["inequalities"] is None
-                          else InequalityReport.from_dict(payload["inequalities"])),
-        )
 
     def to_json(self) -> str:
         # record_json raises on inf/nan: records must never smuggle them through.
-        return record_json(self.to_dict())
+        return record_json(to_tree(self))
 
     @classmethod
     def from_json(cls, text: str) -> ResultRecord:
-        return cls.from_dict(json.loads(text))
+        return from_tree(cls, json.loads(text), "record")
 
 
 def grid_geometry(params: AlgorithmParams, p: int) -> tuple[int, int, int]:

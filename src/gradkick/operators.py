@@ -28,8 +28,9 @@ import numpy as np
 from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, oracle_words,
                      range_add, range_sub, shift_codes)
 from .qft import qft_amplitudes
-from .states import (GridState, SparseTripartiteState, is_full_range,
-                     label_code, represented_points)
+from .states import (DEFAULT_MAX_GRID_BITS, GridSizeError, GridState,
+                     SparseTripartiteState, is_full_range, label_code,
+                     represented_points)
 
 if TYPE_CHECKING:
     from .models import FunctionModel
@@ -164,11 +165,17 @@ def apply_qft(s: SparseTripartiteState, direction: str = "forward") -> SparseTri
     contributes every grid index in turn; all are transformed in one batch.
     A single sector whose terms already cover every grid index in order is
     transformed as it stands, keeping its labels, words and grid arrays.
+    Two or more sectors are refused with GridSizeError, before they are allocated,
+    above 2^DEFAULT_MAX_GRID_BITS points; one sector is the caller's guarded grid.
     """
     size = 1 << (s.n * s.p)
     labels, words, sector_of = _sectors(s.labels, s.words)
     if labels.size == 1 and is_full_range(s.grid, size):
         return s.replace(amplitudes=qft_amplitudes(s.amplitudes, s.n, s.p, direction))
+    if labels.size > 1 and labels.size * size > 1 << DEFAULT_MAX_GRID_BITS:
+        raise GridSizeError(
+            f"transforming {labels.size} (label, word) sectors of {size} grid points "
+            f"each needs over the 2^{DEFAULT_MAX_GRID_BITS} points of the grid guard")
     dense = np.zeros((labels.size, size), dtype=np.complex128)
     dense[sector_of, s.grid] = s.amplitudes
     transformed = qft_amplitudes(dense, s.n, s.p, direction)

@@ -12,8 +12,8 @@ class AlgorithmParams:
 
     n is the bit width per grid axis, nu the arithmetic precision carried by
     the range register, lam the phase scale applied by the rotation operator,
-    and mu the grid spacing around the evaluation point. lam is spelled out
-    as "lambda" in serialized form only (reserved word in Python).
+    and mu the grid spacing around the evaluation point. Records spell lam
+    as "lambda" (a reserved word in Python).
     """
 
     n: int
@@ -28,15 +28,3 @@ class AlgorithmParams:
             value = float(getattr(self, name))
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "nu": self.nu, "lambda": self.lam, "mu": self.mu}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> AlgorithmParams:
-        return cls(
-            n=int(payload["n"]),
-            nu=float(payload["nu"]),
-            lam=float(payload["lambda"]),
-            mu=float(payload["mu"]),
-        )

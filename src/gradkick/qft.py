@@ -84,7 +84,6 @@ class PhaseOnBit:
 
 
 Gate = Union[Hadamard, ControlledPhase, Swap, PhaseOnBit]
-GateList = list
 
 
 def qft_gate_circuit(n: int) -> list[Gate]:

@@ -1,5 +1,6 @@
 """Planner, error decomposition, leakage bound, and the theorem audit."""
 
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gradkick import (AccuracySpec, BoundViolation, DomainBox, DomainError,
                       plan_run_format, psi_D_norm_bound, psi_N_norm_bound,
                       quadratic_model, select_parameters, success_projection,
                       verify_theorem)
+from gradkick.config import from_tree, record_json, to_tree
 from gradkick.params import AlgorithmParams
 
 WORKED = AccuracySpec(gamma=1.0, delta=0.5, epsilon=0.5)
@@ -221,5 +223,7 @@ def test_verify_theorem_runs_leakage_path_for_linear_models():
 def test_theorem_report_round_trips_through_dict():
     model = quadratic_model([0.0], [[1.0]], QUAD_BOX)
     report = verify_theorem(model, [0.0], WORKED, worked_params())
-    clone = TheoremReport.from_dict(report.to_dict())
+    text = record_json(to_tree(report))
+    clone = from_tree(TheoremReport, json.loads(text), "theorem")
     assert clone == report
+    assert record_json(to_tree(clone)) == text

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, records on disk, determinism, bench table."""
 
 import json
+import math
 
 import pytest
 
@@ -197,3 +198,35 @@ def test_bench_empty_sweep_prints_header_only(tmp_path, capsys):
     assert main(["bench", "--config", cfg]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["index\tp\tn\tnu\tgrid_size\tquantum_calls\tclassical_calls"]
+
+
+MALFORMED = [
+    # Each escaped as a traceback with exit 1 ...
+    ({"x": 5}, "config.x"),
+    ({"accuracy": 5}, "config.accuracy"),
+    ({"function": {"kind": "linear", "coefficients": ["a"]}}, "config.function.coefficients[0]"),
+    ({"x": [math.nan]}, "config.x[0]"),  # json.load reads NaN; a record cannot hold it
+    ({"function": {"kind": "linear", "coefficients": []}, "x": []}, "config.function"),
+    ({"function": {"kind": "sinusoidal", "amplitude": 1.0, "frequencies": []}, "x": []},
+     "config.function"),
+    ({"sweep": [{"p": "x"}]}, "config.sweep[0].p"),
+    ({"function": {"kind": "quadratic", "coefficients": [0.5, 0.1],
+                   "hessian": [[1.0, 2.0], [0.0, 1.0]]}, "x": [0.0, 0.0]}, "config.function"),
+    # ... or ran with a silently truncated value.
+    ({"params": {"n": 2.5, "nu": 1e-3, "lambda": 1.0, "mu": 0.125}}, "config.params.n"),
+    ({"shots": 1.9}, "config.shots"),
+    ({"seed": True}, "config.seed"),
+    ({"sweep": [{"p": 2}, {"p": 2.5}]}, "config.sweep[1].p"),
+]
+
+
+@pytest.mark.parametrize("override, path", MALFORMED)
+def test_malformed_config_is_a_usage_error_naming_its_path(override, path, tmp_path, capsys):
+    payload = {**PLANNED_QUADRATIC, "function": {"kind": "linear", "coefficients": [0.5]},
+               **override}
+    cfg = write_config(tmp_path, payload)
+    commands = ["bench"] if "sweep" in override else ["plan", "run"]
+    for command in commands:
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: "), err

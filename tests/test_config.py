@@ -1,15 +1,25 @@
 """Config schema, defaults, sweep merging, and record serialization."""
 
+import dataclasses
+import json
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradkick import (AccuracySpec, ConfigError, DomainBox, ExperimentConfig,
                       FunctionSpec, GridState, ResultRecord,
                       distribution_entries, grid_geometry, run_pipeline,
                       sample_measurements, sample_summary)
-from gradkick.config import format_from_dict, format_to_dict
-from gradkick.oracle import FixedPointFormat
+from gradkick.config import FUNCTION_KINDS, from_tree, record_json, to_tree
+from gradkick.operators import PHASE_VARIANTS
+from gradkick.oracle import GROUP_MODES, FixedPointFormat
 from gradkick.params import AlgorithmParams
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def linear_spec(coeffs=(0.5,)):
@@ -53,7 +63,7 @@ class TestFunctionSpec:
     def test_round_trip(self):
         spec = FunctionSpec(kind="quadratic", coefficients=(1.0, 0.0),
                             hessian=((2.0, 1.0), (1.0, 2.0)))
-        assert FunctionSpec.from_dict(spec.to_dict()) == spec
+        assert from_tree(FunctionSpec, to_tree(spec), "function") == spec
 
 
 class TestExperimentConfig:
@@ -140,7 +150,7 @@ class TestExperimentConfig:
             shots=100, seed=7, group_mode="xor", phase_variant="per-bit",
             max_grid_bits=20, prob_floor=1e-9,
             sweep=({"p": 2}, {"seed": 9}))
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(to_tree(cfg)) == cfg
 
     def test_merged_sweep_entry_overrides(self):
         cfg = ExperimentConfig(function=linear_spec(), x=(0.0,),
@@ -207,7 +217,9 @@ def test_grid_geometry():
 def test_format_dict_round_trip():
     fmt = FixedPointFormat(bits=30, a0=-1e-9 * 2.0**29, a1=1e-9,
                            group_mode="xor")
-    assert format_from_dict(format_to_dict(fmt)) == fmt
+    assert to_tree(fmt) == {"bits": 30, "a0": -1e-9 * 2.0**29, "a1": 1e-9,
+                            "group_mode": "xor"}
+    assert from_tree(FixedPointFormat, to_tree(fmt), "format") == fmt
 
 
 def test_result_record_round_trips_byte_identically():
@@ -235,12 +247,133 @@ def test_result_record_round_trips_byte_identically():
     assert clone.params == params
 
 
-def test_result_record_excludes_timings():
+def test_result_record_has_no_wall_clock_field():
+    # A record is a pure function of config and seed: the commands print
+    # their wall-clock times, and no field of the record can hold one.
+    names = [f.name for f in dataclasses.fields(ResultRecord)]
+    assert names == ["command", "config", "params", "grid_bits", "grid_size",
+                     "memory_estimate_bytes", "format", "oracle_calls",
+                     "true_gradient", "prob_floor", "distribution", "samples",
+                     "theorem", "inequalities"]
     cfg, params, chi, calls = small_run()
     record = ResultRecord(command="run", config=cfg, params=params,
                           grid_bits=3, grid_size=8, memory_estimate_bytes=128,
-                          format=None, oracle_calls=calls,
-                          true_gradient=(-1.0,), prob_floor=0.0,
-                          timings={"pipeline_s": 0.25})
-    assert "timings" not in record.to_dict()
-    assert "0.25" not in record.to_json()
+                          oracle_calls=calls, true_gradient=(-1.0,), prob_floor=0.0)
+    assert list(to_tree(record)) == names
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-9, max_value=1e9)
+json_values = (st.none() | st.booleans() | st.integers(-10, 10) | finite
+               | st.text(max_size=4) | st.lists(finite, max_size=3))
+
+
+@st.composite
+def experiment_configs(draw):
+    """Any valid ExperimentConfig: the four kinds, p 1..4, every optional part."""
+    p = draw(st.integers(1, 4))
+    vector = st.lists(finite, min_size=p, max_size=p).map(tuple)
+    kind = draw(st.sampled_from(FUNCTION_KINDS))
+    if kind == "sinusoidal":
+        function = FunctionSpec(kind=kind, amplitude=draw(finite), frequencies=draw(vector))
+    else:
+        hessian = None
+        if kind == "quadratic" or (kind == "custom-coefficients" and draw(st.booleans())):
+            rows = [list(draw(vector)) for _ in range(p)]
+            hessian = tuple(tuple(rows[min(i, j)][max(i, j)] for j in range(p))
+                            for i in range(p))
+        function = FunctionSpec(kind=kind, coefficients=draw(vector), hessian=hessian)
+    accuracy = draw(st.none() | st.builds(AccuracySpec, gamma=positive, delta=positive,
+                                          epsilon=st.floats(0.01, 0.99)))
+    params = st.builds(AlgorithmParams, n=st.integers(1, 30), nu=positive, lam=positive,
+                       mu=positive)
+    return ExperimentConfig(
+        function=function, x=draw(vector), accuracy=accuracy,
+        params=draw(params if accuracy is None else st.none() | params),
+        domain=draw(st.none() | st.builds(
+            DomainBox, center=vector,
+            half_width=st.lists(positive, min_size=p, max_size=p).map(tuple))),
+        shots=draw(st.integers(0, 10 ** 6)), seed=draw(st.integers(0, 2 ** 64)),
+        group_mode=draw(st.sampled_from(GROUP_MODES)),
+        phase_variant=draw(st.sampled_from(PHASE_VARIANTS)),
+        max_grid_bits=draw(st.none() | st.integers(1, 40)),
+        prob_floor=draw(st.floats(0.0, 0.99)),
+        sweep=tuple(draw(st.lists(st.dictionaries(st.sampled_from(("p", "seed", "x")),
+                                                  json_values, max_size=3),
+                                  max_size=3))))
+
+
+@given(cfg=experiment_configs())
+@settings(max_examples=300, deadline=None)
+def test_codec_round_trips_every_config(cfg):
+    text = record_json(to_tree(cfg))
+    clone = ExperimentConfig.from_dict(json.loads(text))
+    assert clone == cfg
+    assert record_json(to_tree(clone)) == text
+
+
+def test_codec_writes_field_names_in_order_with_one_alias():
+    params = AlgorithmParams(n=3, nu=1e-9, lam=1.5, mu=0.125)
+    assert list(to_tree(params)) == ["n", "nu", "lambda", "mu"]
+    assert to_tree(linear_spec((0.5, 1))) == {"kind": "linear", "coefficients": [0.5, 1]}
+    cfg = ExperimentConfig(function=linear_spec(), x=(0.0,), params=params)
+    tree = to_tree(cfg)
+    assert list(tree) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert tree["accuracy"] is None and tree["domain"] is None and tree["sweep"] == []
+
+
+def test_codec_reads_integral_floats_as_ints():
+    cfg = ExperimentConfig.from_dict({
+        "function": {"kind": "linear", "coefficients": [1]},
+        "x": [0],
+        "params": {"n": 3.0, "nu": 1, "lambda": 1, "mu": 0.125},
+        "shots": 12.0,
+    })
+    assert type(cfg.params.n) is int and cfg.params.n == 3
+    assert type(cfg.shots) is int and cfg.shots == 12
+    assert type(cfg.x[0]) is float and type(cfg.params.lam) is float
+
+
+def golden_tree(command):
+    return json.loads((GOLDEN / f"{command}.json").read_text(encoding="utf-8"))
+
+
+def set_at(tree, path, value):
+    *parents, last = path
+    for key in parents:
+        tree = tree[key]
+    tree[last] = value
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("verify-linear", ("theorem", "leakage", "spread"), 1.0,
+     r"record\.theorem\.leakage: unknown field\(s\) 'spread'"),
+    ("verify-linear", ("theorem", "leakage", "vacuous"), 0,
+     r"record\.theorem\.leakage\.vacuous: expected true or false, got 0"),
+    ("verify-linear", ("theorem", "leakage", "per_axis_max", 1), "0",
+     r"record\.theorem\.leakage\.per_axis_max\[1\]: expected a finite number"),
+    ("plan", ("inequalities", "checks", 2, "margin"), 0.5,
+     r"record\.inequalities\.checks\[2\]: unknown field\(s\) 'margin'"),
+    ("plan", ("inequalities", "checks", 2, "holds"), "yes",
+     r"record\.inequalities\.checks\[2\]\.holds: expected true or false"),
+    ("plan", ("inequalities", "checks", 4, "slack"), [0.5],
+     r"record\.inequalities\.checks\[4\]\.slack: expected a finite number, got an array"),
+    ("run", ("format", "scale"), 2.0, r"record\.format: unknown field\(s\) 'scale'"),
+    ("run", ("format", "bits"), 30.5, r"record\.format\.bits: expected an integer, got 30\.5"),
+    ("run", ("format", "group_mode"), None,
+     r"record\.format\.group_mode: expected a string, got null"),
+])
+def test_record_decoder_names_the_bad_field(command, path, value, message):
+    tree = golden_tree(command)
+    ResultRecord.from_json(json.dumps(tree))
+    set_at(tree, path, value)
+    with pytest.raises(ConfigError, match=message):
+        ResultRecord.from_json(json.dumps(tree))
+
+
+def test_record_decoder_requires_every_field_without_a_default():
+    tree = golden_tree("verify-linear")
+    del tree["theorem"]["leakage"]["bound"]
+    with pytest.raises(ConfigError,
+                       match=r"record\.theorem\.leakage: missing required field 'bound'"):
+        ResultRecord.from_json(json.dumps(tree))

@@ -2,15 +2,17 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gradkick import (DomainBox, DomainLabel, FixedPointFormat, GridState,
-                      OracleCallCounter, ResidualEntanglementError, SparseTerm,
-                      SparseTripartiteState, apply_phase_rotation, apply_qft,
-                      apply_u_f, apply_u_f_inverse, apply_u_plus,
-                      apply_u_plus_inverse, collapse_to_grid, linear_model)
+from gradkick import (DomainBox, DomainLabel, FixedPointFormat, GridSizeError,
+                      GridState, OracleCallCounter, ResidualEntanglementError,
+                      SparseTerm, SparseTripartiteState, apply_phase_rotation,
+                      apply_qft, apply_u_f, apply_u_f_inverse, apply_u_plus,
+                      apply_u_plus_inverse, collapse_to_grid, linear_model,
+                      operators, run_pipeline)
 from gradkick.params import AlgorithmParams
 
 PARAMS = AlgorithmParams(n=2, nu=0.0625, lam=1.0, mu=0.25)
@@ -139,3 +141,34 @@ def test_collapse_raises_on_any_out_of_sector_term():
         n=2, p=1, terms=(SparseTerm(label, 1, (0,), 1.0 + 0j),))
     with pytest.raises(ResidualEntanglementError, match="word=1"):
         collapse_to_grid(wrong_word, label, expected_word=0)
+
+
+def test_many_sector_qft_is_refused_before_it_allocates():
+    # After the shift every grid point is its own (label, word) sector, so a
+    # second transform would batch 2^14 sectors of 2^14 points: 4 GiB of
+    # complex128, over the 2^26 points the grid guard admits for a pipeline.
+    n, p = 7, 2
+    params = AlgorithmParams(n=n, nu=0.0625, lam=1.0, mu=1e-3)
+    fmt = FixedPointFormat(bits=8, a0=-8.0, a1=0.0625)
+    model = linear_model([0.5, -0.25], DomainBox.cube(2, 1.0))
+    state = apply_qft(SparseTripartiteState.initial(n, p, DomainLabel.base((0.0, 0.0))))
+    state = apply_u_f(apply_u_plus(state, params), model, fmt, params,
+                      OracleCallCounter())
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridSizeError, match="16384 .label, word. sectors"):
+            apply_qft(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_one_sector_qft_follows_the_callers_grid_guard(monkeypatch):
+    # The pipeline's first transform acts on one term, so it takes the
+    # batched path; a max_grid_bits above the default must still run.
+    monkeypatch.setattr(operators, "DEFAULT_MAX_GRID_BITS", 3)
+    params = AlgorithmParams(n=2, nu=0.0625, lam=1.0, mu=1e-3)
+    model = linear_model([0.5, -0.25], DomainBox.cube(2, 1.0))
+    chi, calls = run_pipeline(model, [0.0, 0.0], params, max_grid_bits=8)
+    assert chi.amplitudes.size == 16 and calls == 2

@@ -202,20 +202,31 @@ def test_large_table_is_written_without_an_intermediate_copy():
     assert peak <= 2.4 * len(text)
 
 
-@pytest.mark.parametrize("command", ["plan", "run", "verify", "bench"])
-def test_cli_writes_the_golden_records(command, tmp_path, capsys):
-    out = tmp_path / f"{command}.json"
-    code = main([command, "--config", str(GOLDEN / f"{command}.config.json"),
+# verify-linear is a linear p=2 verify with an explicit domain and
+# max_grid_bits, so its record holds a leakage report.
+GOLDEN_NAMES = ("plan", "run", "verify", "verify-linear", "bench")
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_cli_writes_the_golden_records(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.json"
+    code = main([name.split("-")[0], "--config", str(GOLDEN / f"{name}.config.json"),
                  "--out", str(out)])
     assert code == 0
-    assert out.read_bytes() == (GOLDEN / f"{command}.json").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_golden_records_are_json_dumps_of_their_trees():
-    for command in ("plan", "run", "verify", "bench"):
-        text = (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
+    for name in GOLDEN_NAMES:
+        text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         tree = json.loads(text)
         assert record_json(tree) == text == oracle(tree)
+
+
+@pytest.mark.parametrize("name", ["plan", "run", "verify", "verify-linear"])
+def test_golden_records_read_back_and_rewrite_byte_for_byte(name):
+    text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert ResultRecord.from_json(text).to_json() == text
 
 
 def test_parser_is_built_once_and_still_reports_usage_errors(capsys):
