@@ -7,115 +7,43 @@ pipeline sparsely, plans parameters from accuracy targets, and audits the
 success guarantee numerically.
 """
 
-from .algorithm import (GradientEstimate, axis_decode_values, decode_gradient,
-                        plan_run_format, run_pipeline, sample_measurements,
-                        sampling_radius)
-from .analysis import (AccuracySpec, BoundViolation, ErrorDecomposition,
-                       InequalityCheck, InequalityReport, LeakageReport,
-                       PlannerError, TheoremReport, check_inequalities,
+from .algorithm import decode_gradient, run_pipeline
+from .analysis import (AccuracySpec, ErrorDecomposition, InequalityReport,
+                       LeakageReport, TheoremReport, check_inequalities,
                        classical_baseline, decompose_state, leakage_check,
-                       phase_state, psi_D_norm_bound, psi_N_norm_bound,
                        select_parameters, success_projection, verify_theorem)
-from .config import (ConfigError, ExperimentConfig, FunctionSpec, ResultRecord,
-                     distribution_entries, grid_geometry, sample_summary)
 from .models import (DomainBox, FunctionModel, linear_model, quadratic_model,
                      sinusoidal_model)
-from .oracle import (GROUP_MODES, MAX_WORD_BITS, DomainError, DomainLabel,
-                     FixedPointFormat, RangeOverflowError, grid_center,
-                     oracle_value, plan_format, quantize, range_add, range_sub,
-                     shift_label, shift_label_inverse)
-from .operators import (PHASE_VARIANTS, OracleCallCounter,
-                        ResidualEntanglementError, apply_phase_rotation,
-                        apply_qft, apply_u_f, apply_u_f_inverse, apply_u_plus,
-                        apply_u_plus_inverse, collapse_to_grid)
+from .oracle import FixedPointFormat
 from .params import AlgorithmParams
-from .qft import (DIRECTIONS, MAX_GATE_QUBITS, ControlledPhase, Hadamard,
-                  Swap, apply_gates, qft_amplitudes, qft_gate_circuit,
-                  qft_grid)
-from .states import (DEFAULT_MAX_GRID_BITS, GridSizeError, GridState,
-                     SparseTerm, SparseTripartiteState, check_grid_bits,
-                     grid_index_of, grid_point_of)
+from .states import GridState
 
 __version__ = "0.1.0"
 
+# The README's Library section: its functions, the types they take or
+# return, and the version. Everything else is imported from its submodule.
 __all__ = [
     "AccuracySpec",
     "AlgorithmParams",
-    "BoundViolation",
-    "ConfigError",
-    "ControlledPhase",
-    "DEFAULT_MAX_GRID_BITS",
-    "DIRECTIONS",
     "DomainBox",
-    "DomainError",
-    "DomainLabel",
     "ErrorDecomposition",
-    "ExperimentConfig",
     "FixedPointFormat",
     "FunctionModel",
-    "FunctionSpec",
-    "GROUP_MODES",
-    "GradientEstimate",
-    "GridSizeError",
     "GridState",
-    "Hadamard",
-    "InequalityCheck",
     "InequalityReport",
     "LeakageReport",
-    "MAX_GATE_QUBITS",
-    "MAX_WORD_BITS",
-    "OracleCallCounter",
-    "PHASE_VARIANTS",
-    "PlannerError",
-    "RangeOverflowError",
-    "ResidualEntanglementError",
-    "ResultRecord",
-    "SparseTerm",
-    "SparseTripartiteState",
-    "Swap",
     "TheoremReport",
     "__version__",
-    "apply_gates",
-    "apply_phase_rotation",
-    "apply_qft",
-    "apply_u_f",
-    "apply_u_f_inverse",
-    "apply_u_plus",
-    "apply_u_plus_inverse",
-    "axis_decode_values",
-    "check_grid_bits",
     "check_inequalities",
     "classical_baseline",
-    "collapse_to_grid",
     "decode_gradient",
     "decompose_state",
-    "distribution_entries",
-    "grid_center",
-    "grid_geometry",
-    "grid_index_of",
-    "grid_point_of",
     "leakage_check",
     "linear_model",
-    "oracle_value",
-    "phase_state",
-    "plan_format",
-    "plan_run_format",
-    "psi_D_norm_bound",
-    "psi_N_norm_bound",
-    "qft_amplitudes",
-    "qft_gate_circuit",
-    "qft_grid",
     "quadratic_model",
-    "quantize",
-    "range_add",
-    "range_sub",
     "run_pipeline",
-    "sample_measurements",
-    "sample_summary",
-    "sampling_radius",
     "select_parameters",
-    "shift_label",
-    "shift_label_inverse",
+    "sinusoidal_model",
     "success_projection",
     "verify_theorem",
 ]

@@ -18,22 +18,11 @@ from .models import FunctionModel
 from .oracle import DomainError, DomainLabel, FixedPointFormat, plan_format
 from .operators import (OracleCallCounter, apply_phase_rotation, apply_qft,
                         apply_u_f, apply_u_f_inverse, apply_u_plus,
-                        apply_u_plus_inverse, check_sector, collapse_to_grid)
+                        apply_u_plus_inverse, collapse_to_grid)
 from .params import AlgorithmParams
+from .qft import qft_amplitudes
 from .states import (GridState, SparseTripartiteState, check_grid_bits,
                      grid_points)
-
-__all__ = [
-    "AlgorithmParams",
-    "GradientEstimate",
-    "MeasurementSamples",
-    "axis_decode_values",
-    "decode_gradient",
-    "plan_run_format",
-    "run_pipeline",
-    "sample_measurements",
-    "sampling_radius",
-]
 
 
 @dataclass(frozen=True)
@@ -92,24 +81,22 @@ def sampling_radius(params: AlgorithmParams) -> float:
     return float(1 << (params.n - 1)) * params.mu
 
 
-def decode_gradient(g: Sequence[int], params: AlgorithmParams) -> np.ndarray:
-    """Per-axis decoding: -g_m / (2^n lam mu), folding g_m >= 2^(n-1) positive."""
-    idx = tuple(int(v) for v in g)
-    size = 1 << params.n
-    if any(not 0 <= v < size for v in idx):
-        raise ValueError(f"grid index {idx} out of range for n={params.n}")
-    scale = float(size) * params.lam * params.mu
-    half = size >> 1
-    return np.array([(-v if v < half else size - v) / scale for v in idx])
-
-
 def axis_decode_values(params: AlgorithmParams) -> np.ndarray:
-    """decode_gradient for every single-axis index, as one array of length 2^n."""
+    """Decoded gradient component of every single-axis index g, as one array
+    of length 2^n: -g / (2^n lam mu), folding g >= 2^(n-1) positive."""
     size = 1 << params.n
     scale = float(size) * params.lam * params.mu
     half = size >> 1
     g = np.arange(size)
     return np.where(g < half, -g / scale, (size - g) / scale)
+
+
+def decode_gradient(g: Sequence[int], params: AlgorithmParams) -> np.ndarray:
+    """Gradient estimate of one measured grid index, axis by axis."""
+    idx = [int(v) for v in g]
+    if any(not 0 <= v < 1 << params.n for v in idx):
+        raise ValueError(f"grid index {tuple(idx)} out of range for n={params.n}")
+    return axis_decode_values(params)[idx]
 
 
 def plan_run_format(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
@@ -133,10 +120,10 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     """Execute the estimator and return (grid state chi, oracle call count).
 
     Prepares |base label> |0> |0...0>, applies grid transform, shift, oracle,
-    phase rotation, inverse oracle, inverse shift, grid transform (the same
-    positive-kernel transform both times), then collapses onto the grid
-    register, verifying the domain and range registers returned to their
-    initial basis states.
+    phase rotation, inverse oracle and inverse shift, then checks and
+    collapses onto the grid register, verifying the domain and range
+    registers returned to their initial basis states, then applies the final
+    grid transform (the same positive-kernel transform both times).
     """
     pt = np.asarray(x, dtype=float)
     if pt.shape != (model.p,):
@@ -155,18 +142,18 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     base = DomainLabel.base(pt)
     counter = OracleCallCounter()
     state = SparseTripartiteState.initial(params.n, model.p, base, word=0)
-    state = apply_qft(state, "forward")
+    state = apply_qft(state)
     state = apply_u_plus(state, params)
     state = apply_u_f(state, model, range_format, params, counter)
     state = apply_phase_rotation(state, params.lam, range_format, variant=phase_variant)
     state = apply_u_f_inverse(state, model, range_format, params, counter)
     state = apply_u_plus_inverse(state, params)
-    # The transform cannot move a term between (label, word) sectors, so a
-    # broken inverse pair is caught here as well as at the collapse, and
-    # before one dense grid per stray sector is allocated.
-    check_sector(state, base, expected_word=0)
-    state = apply_qft(state, "forward")
+    # The transform acts on the grid register alone, so the other two are
+    # checked and dropped before it: a broken inverse pair raises here, before
+    # a dense grid per stray sector is allocated.
     chi = collapse_to_grid(state, base, expected_word=0)
+    del state
+    chi = GridState(n=chi.n, p=chi.p, amplitudes=qft_amplitudes(chi.amplitudes, chi.n, chi.p))
     return chi, counter.count
 
 

@@ -47,7 +47,8 @@ LEAKAGE_AMPLITUDE_TOL = 1e-12
 
 
 class PlannerError(ValueError):
-    """Parameter planning failed (grid too large for the memory guard)."""
+    """Parameter planning failed: the grid would exceed the memory guard, or
+    no grid meets the targets."""
 
 
 class BoundViolation(RuntimeError):
@@ -126,6 +127,10 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
         raise ValueError("p must be at least 1")
     window = 1.0 - ((2.0 + spec.epsilon) / 3.0) ** (2.0 / p)
     s = math.sin(math.pi * spec.delta / (2.0 * (L + spec.delta)))
+    if not s * s * window > 0:
+        raise PlannerError(
+            f"no grid meets delta={spec.delta!r} with L={L!r} and p={p}: "
+            "sin^2(pi delta / (2 (L + delta))) w underflows to 0")
     n = math.ceil(-math.log2(s * s * window))
     assert n >= 1  # the argument of log2 is strictly below 1
     limit = DEFAULT_MAX_GRID_BITS if max_grid_bits is None else int(max_grid_bits)
@@ -195,35 +200,18 @@ def _upper(name: str, value: float, bound: float, note: str, tol: float) -> Ineq
                            holds=slack >= -tol, note=note)
 
 
-def _grid_values(model: FunctionModel, x: Sequence[float],
-                 params: AlgorithmParams) -> np.ndarray:
-    """f at x + mu (h - g0) for every grid point h, in row-major order."""
-    return model.evaluate_points(represented_points(x, params.mu, None, params.n))
-
-
-def phase_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
-                fmt: FixedPointFormat) -> np.ndarray:
-    """Reference construction of the pre-transform state.
-
-    amplitudes[h] = 2^(-pn/2) exp(2 pi i lam c_r(c_f(c_p(base, h)))), built
-    straight from the definition without running any operator, for
-    cross-checking the pipeline.
-    """
-    f_true = _grid_values(model, x, params)
-    amp = 1.0 / math.sqrt(f_true.size)
-    c, s = unit_phases(params.lam, fmt.decode(quantize(fmt, f_true)))
-    return complex_array(*complex_product(amp, 0.0, c, s))
-
-
 @dataclass(eq=False)
 class ErrorDecomposition:
     """Split of the pre-transform state into linear, curvature, rounding parts.
 
-    psi is the actual (quantized-phase) state; psi_L carries the linearized
-    phase, psi_N the curvature correction, psi_D the rounding correction, so
-    psi_L + psi_N + psi_D reconstructs psi up to float addition error. The
-    parts are not individually normalized, but psi_L has unit norm. eps_N
-    and eps_D are the per-point phase-argument errors.
+    psi is the actual (quantized-phase) state, 2^(-pn/2) exp(2 pi i lam
+    c_r(c_f(c_p(base, h)))) at each grid point h, built straight from that
+    definition without running any operator; it is the reference the
+    pipeline is checked against. psi_L carries the linearized phase, psi_N
+    the curvature correction, psi_D the rounding correction, so psi_L +
+    psi_N + psi_D reconstructs psi up to float addition error. The parts are
+    not individually normalized, but psi_L has unit norm. eps_N and eps_D
+    are the per-point phase-argument errors.
     """
 
     n: int
@@ -274,7 +262,7 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     f_lin = fx + mu * row_dots(off, grad)
     cap = 0.5 * model.hess_bound * mu * mu * row_dots(off, off)
     del off
-    f_true = _grid_values(model, pt, params)
+    f_true = model.evaluate_points(represented_points(pt, mu, None, n))
     amp = 1.0 / math.sqrt(f_true.size)
     f_q = fmt.decode(quantize(fmt, f_true))
     eps_N = f_true - f_lin
@@ -504,15 +492,13 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                    params: AlgorithmParams | None = None, *,
                    group_mode: str = "modular", phase_variant: str = "direct",
                    max_grid_bits: int | None = None,
-                   chi: GridState | None = None, oracle_calls: int | None = None,
                    tol: float = DEFAULT_CHECK_TOL) -> TheoremReport:
-    """Run the full audit and collect a TheoremReport.
+    """Run the pipeline and the full audit, and collect a TheoremReport.
 
-    Plans parameters when none are given. chi and oracle_calls may be passed
-    in by a caller that already ran the pipeline; otherwise the pipeline runs
-    here. The audit always measures everything; what it asserts (and lists
-    under failures) is the set of checks that must hold unconditionally,
-    plus the projection floors when the planning inequalities all hold.
+    Plans parameters when none are given. The audit always measures
+    everything; what it asserts (and lists under failures) is the set of
+    checks that must hold unconditionally, plus the projection floors when
+    the planning inequalities all hold.
     """
     pt = np.asarray(x, dtype=float)
     if params is None:
@@ -520,13 +506,9 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                                    model.p, max_grid_bits)
     fmt = plan_run_format(model, pt, params, group_mode)
     dec = decompose_state(model, pt, params, fmt)
-    if chi is None:
-        chi, oracle_calls = run_pipeline(model, pt, params, group_mode,
-                                         phase_variant=phase_variant,
-                                         max_grid_bits=max_grid_bits,
-                                         range_format=fmt)
-    elif oracle_calls is None:
-        raise ValueError("oracle_calls must accompany a precomputed chi")
+    chi, oracle_calls = run_pipeline(model, pt, params, group_mode,
+                                     phase_variant=phase_variant,
+                                     max_grid_bits=max_grid_bits, range_format=fmt)
 
     aligned = chi.amplitudes
     if phase_variant == "per-bit":
@@ -598,7 +580,7 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
         grad_bound=model.grad_bound,
         hess_bound=model.hess_bound,
         true_gradient=tuple(float(v) for v in grad),
-        oracle_calls=int(oracle_calls),
+        oracle_calls=oracle_calls,
         inequalities=inequalities,
         psi_D_norm=psi_D_norm,
         psi_D_bound=psi_D_bound,

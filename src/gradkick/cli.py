@@ -30,7 +30,7 @@ from .analysis import (BoundViolation, PlannerError, check_inequalities,
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
                      distribution_entries, grid_geometry, record_json,
                      sample_summary, to_tree)
-from .oracle import DomainError, RangeOverflowError
+from .oracle import DomainError, FormatError, RangeOverflowError
 from .operators import ResidualEntanglementError
 from .states import GridSizeError
 
@@ -295,7 +295,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, PlannerError, FileNotFoundError) as exc:
+    except (ConfigError, PlannerError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PIPELINE_ERRORS as exc:

@@ -7,9 +7,9 @@ a state holds 40 bytes per term). The shift and oracle operators are basis
 permutations (amplitudes move, never mix), the phase rotation multiplies
 amplitudes by unit phases, and the grid transform mixes amplitudes within
 each (label, word) sector only, since it acts on the grid register alone.
-That sector structure is what lets the final collapse verify factorization
-exactly: a broken inverse pair leaves terms in a wrong sector, and no
-operator can hide them.
+That is why run_pipeline can collapse onto the grid register before the
+second transform and verify factorization exactly there: a broken inverse
+pair leaves terms in a wrong sector, and no operator can hide them.
 
 The arithmetic reproduces, bit for bit, what composing the operators term by
 term with Python complex numbers gives: phases come from the same cos/sin,
@@ -158,36 +158,37 @@ def _sectors(labels: np.ndarray, words: np.ndarray):
     return pairs[order, 0], pairs[order, 1], rank[inverse.reshape(-1)]
 
 
-def apply_qft(s: SparseTripartiteState, direction: str = "forward") -> SparseTripartiteState:
+def apply_qft(s: SparseTripartiteState) -> SparseTripartiteState:
     """Grid-register transform, applied densely within each (label, word) sector.
 
     Sectors keep the order in which their first term appears, and each
     contributes every grid index in turn; all are transformed in one batch.
-    A single sector whose terms already cover every grid index in order is
-    transformed as it stands, keeping its labels, words and grid arrays.
     Two or more sectors are refused with GridSizeError, before they are allocated,
     above 2^DEFAULT_MAX_GRID_BITS points; one sector is the caller's guarded grid.
     """
     size = 1 << (s.n * s.p)
     labels, words, sector_of = _sectors(s.labels, s.words)
-    if labels.size == 1 and is_full_range(s.grid, size):
-        return s.replace(amplitudes=qft_amplitudes(s.amplitudes, s.n, s.p, direction))
     if labels.size > 1 and labels.size * size > 1 << DEFAULT_MAX_GRID_BITS:
         raise GridSizeError(
             f"transforming {labels.size} (label, word) sectors of {size} grid points "
             f"each needs over the 2^{DEFAULT_MAX_GRID_BITS} points of the grid guard")
     dense = np.zeros((labels.size, size), dtype=np.complex128)
     dense[sector_of, s.grid] = s.amplitudes
-    transformed = qft_amplitudes(dense, s.n, s.p, direction)
+    transformed = qft_amplitudes(dense, s.n, s.p)
     return s.replace(labels=np.repeat(labels, size), words=np.repeat(words, size),
                      grid=np.tile(np.arange(size, dtype=np.int64), labels.size),
                      amplitudes=transformed.reshape(-1))
 
 
-def check_sector(s: SparseTripartiteState, expected_label: DomainLabel,
-                 expected_word: int) -> None:
-    """Raise ResidualEntanglementError, naming the first stray term, unless
-    every term sits in the (expected_label, expected_word) sector."""
+def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
+                     expected_word: int) -> GridState:
+    """Project the state onto its grid register.
+
+    Every term must already sit in the (expected_label, expected_word)
+    sector; the simulation is exact on basis labels, so any term elsewhere,
+    however small its amplitude, means an inverse pair is broken. The first
+    stray term is named in the ResidualEntanglementError.
+    """
     if expected_label.x == s.x:
         code = label_code(expected_label, s.n, s.p)
         stray = np.flatnonzero((s.labels != code) | (s.words != expected_word))
@@ -200,17 +201,6 @@ def check_sector(s: SparseTripartiteState, expected_label: DomainLabel,
             f"amplitude={t.amplitude!r}) is outside the expected sector "
             f"(label={expected_label!r}, word={expected_word})"
         )
-
-
-def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
-                     expected_word: int) -> GridState:
-    """Project the pipeline output onto its grid register.
-
-    Every term must already sit in the (expected_label, expected_word)
-    sector; the simulation is exact on basis labels, so any term elsewhere,
-    however small its amplitude, means an inverse pair is broken.
-    """
-    check_sector(s, expected_label, expected_word)
     amps = np.zeros(1 << (s.n * s.p), dtype=complex)
     amps[s.grid] = s.amplitudes
     return GridState(n=s.n, p=s.p, amplitudes=amps)

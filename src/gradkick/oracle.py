@@ -45,6 +45,10 @@ class DomainError(ValueError):
     """A represented point left the model's domain box."""
 
 
+class FormatError(ValueError):
+    """No range format of at most MAX_WORD_BITS bits has the requested step and span."""
+
+
 @dataclass(frozen=True)
 class FixedPointFormat:
     """N-bit fixed-point encoding: word w decodes to a0 + a1 * w."""
@@ -94,14 +98,14 @@ def plan_format(nu: float, range_bound: float, group_mode: str = "modular") -> F
     nu = float(nu)
     range_bound = float(range_bound)
     if not nu > 0:
-        raise ValueError("nu must be positive")
+        raise FormatError("nu must be positive")
     if not range_bound > 0:
-        raise ValueError("range_bound must be positive")
+        raise FormatError("range_bound must be positive")
     bits = 1
     while nu * ((1 << bits) - 1) < 2.0 * range_bound:
         bits += 1
         if bits > MAX_WORD_BITS:
-            raise ValueError(
+            raise FormatError(
                 f"range format would need more than {MAX_WORD_BITS} bits; "
                 "raise nu or shrink range_bound"
             )
@@ -174,10 +178,6 @@ class DomainLabel:
         return cls(x=tuple(float(v) for v in x), shift=tuple(int(v) for v in g))
 
     @property
-    def is_base(self) -> bool:
-        return self.shift is None
-
-    @property
     def p(self) -> int:
         return len(self.x)
 
@@ -222,11 +222,6 @@ def shift_label(d: DomainLabel, g: Sequence[int], n: int) -> DomainLabel:
     if d.shift == idx:
         return DomainLabel(x=d.x, shift=None)
     return d
-
-
-def shift_label_inverse(d: DomainLabel, g: Sequence[int], n: int) -> DomainLabel:
-    """Inverse of shift_label; equal to it because the swap is an involution."""
-    return shift_label(d, g, n)
 
 
 def shift_codes(labels: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Quantum Fourier transform, dense and gate-level.
 
-Convention: the forward transform carries the positive kernel on every
-application, amplitudes[h] <- 2^(-n/2) sum_g exp(+2 pi i h g / 2^n) a[g]
-per axis, and the pipeline applies this same transform both times (no
-conjugate on the second application). numpy's inverse FFT with orthonormal
-scaling is exactly this kernel, so the dense path rides on pocketfft, which
-is deterministic. The gate path is built independently and includes the
-final bit-reversal swaps so its matrix equals the dense transform rather
-than a permutation of it.
+Convention: there is one transform, with the positive kernel,
+amplitudes[h] <- 2^(-n/2) sum_g exp(+2 pi i h g / 2^n) a[g] per axis, and
+the pipeline applies it both times (no conjugate on the second
+application). Its inverse, the conjugate kernel, is never applied. numpy's
+inverse FFT with orthonormal scaling is exactly this kernel, so the dense
+path rides on pocketfft, which is deterministic. The gate path is built
+independently and includes the final bit-reversal swaps so its matrix
+equals the dense transform rather than a permutation of it.
 """
 
 from __future__ import annotations
@@ -18,43 +18,22 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .states import GridState
-
-DIRECTIONS = ("forward", "inverse")
-
 MAX_GATE_QUBITS = 12  # dense verification guard
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def qft_amplitudes(amplitudes: np.ndarray, n: int, p: int, direction: str = "forward",
-                   axes: Sequence[int] | None = None) -> np.ndarray:
+def qft_amplitudes(amplitudes: np.ndarray, n: int, p: int) -> np.ndarray:
     """Per-axis transform on raw length-2^(pn) arrays; no norm requirement.
 
     Leading dimensions are a batch: each length-2^(pn) row along the last
-    one is transformed on its own, with the same result as alone. axes
-    number the p grid axes.
+    one is transformed on its own, with the same result as alone.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
     arr = np.asarray(amplitudes, dtype=complex)
     batch = arr.shape[:-1]
     arr = arr.reshape(batch + (1 << n,) * p)
-    axes = tuple(range(p)) if axes is None else tuple(axes)
-    axes = tuple(len(batch) + a for a in axes)
-    if direction == "forward":
-        out = np.fft.ifftn(arr, axes=axes, norm="ortho")
-    else:
-        out = np.fft.fftn(arr, axes=axes, norm="ortho")
+    out = np.fft.ifftn(arr, axes=tuple(range(len(batch), len(batch) + p)), norm="ortho")
     return out.reshape(batch + (1 << (n * p),))
-
-
-def qft_grid(state: GridState, direction: str = "forward",
-             axes: Sequence[int] | None = None) -> GridState:
-    """Transform of the grid register; forward then inverse is the identity."""
-    out = qft_amplitudes(state.amplitudes, state.n, state.p, direction, axes)
-    return GridState(n=state.n, p=state.p, amplitudes=out,
-                     normalized=state.normalized)
 
 
 @dataclass(frozen=True)
@@ -75,15 +54,7 @@ class Swap:
     b: int
 
 
-@dataclass(frozen=True)
-class PhaseOnBit:
-    """diag(1, e^(i angle)) on one bit; the per-bit phase rotation primitive."""
-
-    target: int
-    angle: float
-
-
-Gate = Union[Hadamard, ControlledPhase, Swap, PhaseOnBit]
+Gate = Union[Hadamard, ControlledPhase, Swap]
 
 
 def qft_gate_circuit(n: int) -> list[Gate]:
@@ -91,7 +62,7 @@ def qft_gate_circuit(n: int) -> list[Gate]:
 
     Qubit 0 is the most significant bit of the register index. The trailing
     swaps undo the bit-reversed output order so the circuit's matrix equals
-    qft_grid's single-axis transform.
+    qft_amplitudes' single-axis transform.
     """
     if not 1 <= n <= MAX_GATE_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_GATE_QUBITS}, got {n}")
@@ -132,10 +103,6 @@ def apply_gates(state: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
             _check_qubit(gate.a, width)
             _check_qubit(gate.b, width)
             arr = np.ascontiguousarray(np.swapaxes(arr, gate.a, gate.b))
-        elif isinstance(gate, PhaseOnBit):
-            _check_qubit(gate.target, width)
-            view = np.moveaxis(arr, gate.target, 0)
-            view[1] = view[1] * np.exp(1j * gate.angle)
         else:
             raise TypeError(f"unknown gate {gate!r}")
     return arr.reshape(-1)

@@ -152,8 +152,8 @@ class GridState:
     normalized: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
-        # The memory guard lives at the allocation entry points (basis
-        # construction, the pipeline); here only shape sanity is enforced.
+        # The memory guard lives at the allocation entry point (the
+        # pipeline); here only shape sanity is enforced.
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be positive")
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -184,15 +184,6 @@ class GridState:
 
     def grid_of(self, index: int) -> tuple[int, ...]:
         return grid_point_of(index, self.n, self.p)
-
-    @classmethod
-    def basis(cls, n: int, p: int, g: Sequence[int],
-              max_grid_bits: int | None = None) -> GridState:
-        check_grid_bits(n, p, max_grid_bits)
-        amps = np.zeros(1 << (n * p), dtype=complex)
-        state = cls(n=n, p=p, amplitudes=amps, normalized=False)
-        amps[state.index_of(g)] = 1.0
-        return cls(n=n, p=p, amplitudes=amps)
 
 
 class SparseTerm(NamedTuple):

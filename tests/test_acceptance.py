@@ -11,17 +11,21 @@ import time
 
 import numpy as np
 
-from gradkick import (AccuracySpec, ControlledPhase, DomainBox, DomainLabel,
-                      FixedPointFormat, Hadamard, ResidualEntanglementError,
-                      SparseTerm, SparseTripartiteState, apply_gates,
-                      apply_phase_rotation, axis_decode_values,
-                      classical_baseline, collapse_to_grid, decode_gradient,
-                      decompose_state, leakage_check, linear_model,
-                      plan_run_format, psi_D_norm_bound, psi_N_norm_bound,
-                      qft_amplitudes, qft_gate_circuit, quadratic_model,
-                      run_pipeline, sample_measurements, select_parameters,
-                      sinusoidal_model, verify_theorem)
+from gradkick import (AccuracySpec, DomainBox, FixedPointFormat,
+                      classical_baseline, decode_gradient, decompose_state,
+                      leakage_check, linear_model, quadratic_model,
+                      run_pipeline, select_parameters, sinusoidal_model,
+                      verify_theorem)
+from gradkick.algorithm import (axis_decode_values, plan_run_format,
+                                sample_measurements)
+from gradkick.analysis import psi_D_norm_bound, psi_N_norm_bound
+from gradkick.operators import (ResidualEntanglementError,
+                                apply_phase_rotation, collapse_to_grid)
+from gradkick.oracle import DomainLabel
 from gradkick.params import AlgorithmParams
+from gradkick.qft import (ControlledPhase, Hadamard, apply_gates,
+                          qft_amplitudes, qft_gate_circuit)
+from gradkick.states import SparseTerm, SparseTripartiteState
 
 WORKED_SPEC = AccuracySpec(gamma=1.0, delta=0.5, epsilon=0.5)
 

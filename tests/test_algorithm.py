@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from gradkick import (DomainBox, DomainError, FixedPointFormat, GridSizeError,
-                      axis_decode_values, decode_gradient, linear_model,
-                      plan_run_format, qft_amplitudes, run_pipeline,
-                      sample_measurements, sampling_radius, sinusoidal_model)
-from gradkick.analysis import phase_state
+from gradkick import (DomainBox, FixedPointFormat, decode_gradient,
+                      decompose_state, linear_model, run_pipeline,
+                      sinusoidal_model)
+from gradkick.algorithm import (axis_decode_values, plan_run_format,
+                                sample_measurements, sampling_radius)
+from gradkick.oracle import DomainError
 from gradkick.params import AlgorithmParams
+from gradkick.qft import qft_amplitudes
+from gradkick.states import GridSizeError
 
 EXACT = AlgorithmParams(n=3, nu=1e-9, lam=1.0, mu=0.125)
 BOX = DomainBox.cube(1, 4.0)
@@ -99,7 +102,7 @@ def test_pipeline_matches_reference_construction():
     fmt = plan_run_format(model, [0.2, -0.1], params)
     chi, calls = run_pipeline(model, [0.2, -0.1], params, range_format=fmt)
     assert calls == 2
-    psi = phase_state(model, [0.2, -0.1], params, fmt)
+    psi = decompose_state(model, [0.2, -0.1], params, fmt).psi
     expected = qft_amplitudes(psi, params.n, model.p)
     assert np.max(np.abs(chi.amplitudes - expected)) < 1e-12
 

@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from gradkick import (AccuracySpec, BoundViolation, DomainBox, DomainError,
-                      FixedPointFormat, FunctionModel, GridState, PlannerError,
-                      TheoremReport, check_inequalities, classical_baseline,
-                      decompose_state, leakage_check, linear_model,
-                      plan_run_format, psi_D_norm_bound, psi_N_norm_bound,
-                      quadratic_model, select_parameters, success_projection,
-                      verify_theorem)
+from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
+                      GridState, TheoremReport, check_inequalities,
+                      classical_baseline, decompose_state, leakage_check,
+                      linear_model, quadratic_model, select_parameters,
+                      success_projection, verify_theorem)
+from gradkick.algorithm import plan_run_format
+from gradkick.analysis import (BoundViolation, PlannerError, psi_D_norm_bound,
+                               psi_N_norm_bound)
 from gradkick.config import from_tree, record_json, to_tree
+from gradkick.oracle import DomainError
 from gradkick.params import AlgorithmParams
 
 WORKED = AccuracySpec(gamma=1.0, delta=0.5, epsilon=0.5)

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from gradkick import ResultRecord, TheoremReport, verify_theorem
+from gradkick import TheoremReport, verify_theorem
 from gradkick.cli import main
+from gradkick.config import ResultRecord
 
 PLANNED_QUADRATIC = {
     "function": {"kind": "quadratic", "coefficients": [0.0], "hessian": [[1.0]]},
@@ -230,3 +231,25 @@ def test_malformed_config_is_a_usage_error_naming_its_path(override, path, tmp_p
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: "), err
+
+
+INFEASIBLE = [
+    # select_parameters: sin^2(pi delta / (2 (L + delta))) underflows to 0.
+    (["plan", "run", "verify"],
+     {"function": {"kind": "linear", "coefficients": [1e308, 1e308]}, "x": [0.0, 0.0],
+      "domain": {"center": [0.0, 0.0], "half_width": [1.0, 1.0]}}),
+    # plan_format: the range format would need more than 62 bits.
+    (["run", "verify"], {"params": {"n": 3, "nu": 1e-300, "lambda": 1.0, "mu": 0.125}}),
+]
+
+
+@pytest.mark.parametrize("commands, override", INFEASIBLE, ids=["huge-gradient", "tiny-nu"])
+def test_infeasible_parameters_are_a_usage_error(commands, override, tmp_path, capsys):
+    # Both escaped as a bare ValueError traceback with exit 1.
+    payload = {**PLANNED_QUADRATIC, "function": {"kind": "linear", "coefficients": [0.5]},
+               **override}
+    cfg = write_config(tmp_path, payload)
+    for command in commands:
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err

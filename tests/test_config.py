@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradkick import (AccuracySpec, ConfigError, DomainBox, ExperimentConfig,
-                      FunctionSpec, GridState, ResultRecord,
-                      distribution_entries, grid_geometry, run_pipeline,
-                      sample_measurements, sample_summary)
-from gradkick.config import FUNCTION_KINDS, from_tree, record_json, to_tree
+from gradkick import AccuracySpec, DomainBox, GridState, run_pipeline
+from gradkick.algorithm import sample_measurements
+from gradkick.config import (FUNCTION_KINDS, ConfigError, ExperimentConfig,
+                             FunctionSpec, ResultRecord, distribution_entries,
+                             from_tree, grid_geometry, record_json,
+                             sample_summary, to_tree)
 from gradkick.operators import PHASE_VARIANTS
 from gradkick.oracle import GROUP_MODES, FixedPointFormat
 from gradkick.params import AlgorithmParams

@@ -11,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradkick.states as states
-from gradkick import (DomainBox, DomainLabel, FunctionModel,
-                      OracleCallCounter, ResidualEntanglementError,
-                      SparseTripartiteState, apply_phase_rotation, apply_qft,
-                      apply_u_f, apply_u_f_inverse, apply_u_plus,
-                      collapse_to_grid, grid_center, linear_model,
-                      plan_run_format, qft_amplitudes, quadratic_model,
+from gradkick import (DomainBox, FunctionModel, linear_model, quadratic_model,
                       run_pipeline, sinusoidal_model)
-from gradkick.oracle import BASE_CODE
+from gradkick.algorithm import plan_run_format
+from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
+                                apply_phase_rotation, apply_qft, apply_u_f,
+                                apply_u_f_inverse, apply_u_plus,
+                                collapse_to_grid)
+from gradkick.oracle import BASE_CODE, DomainLabel, grid_center
 from gradkick.params import AlgorithmParams
-from gradkick.states import grid_offsets, grid_points, represented_points
+from gradkick.qft import qft_amplitudes
+from gradkick.states import (SparseTripartiteState, grid_offsets, grid_points,
+                             represented_points)
 
 
 def reference_chi(model, x, params, fmt, variant):
@@ -294,13 +296,13 @@ def test_contains_points_rejects_wrong_width():
         DomainBox.cube(2, 1.0).contains_points(np.zeros((3, 3)))
 
 
-def batched_qft(s, direction):
+def batched_qft(s):
     """The multi-sector path on a single-sector state: scatter into a
     (1, size) batch, transform it, then repeat labels and words."""
     size = 1 << (s.n * s.p)
     dense = np.zeros((1, size), dtype=np.complex128)
     dense[0, s.grid] = s.amplitudes
-    out = qft_amplitudes(dense, s.n, s.p, direction)
+    out = qft_amplitudes(dense, s.n, s.p)
     return (np.repeat(s.labels[:1], size), np.repeat(s.words[:1], size),
             np.arange(size, dtype=np.int64), out.reshape(-1))
 
@@ -325,9 +327,8 @@ def test_one_sector_qft_equals_the_batched_path(n, p, data):
     state = SparseTripartiteState.from_arrays(
         n, p, x, np.full(grid.size, label), np.full(grid.size, word), grid, amps,
         normalized=False)
-    direction = data.draw(st.sampled_from(["forward", "inverse"]))
-    out = apply_qft(state, direction)
-    labels, words, out_grid, out_amps = batched_qft(state, direction)
+    out = apply_qft(state)
+    labels, words, out_grid, out_amps = batched_qft(state)
     assert np.array_equal(out.labels, labels) and np.array_equal(out.words, words)
     assert np.array_equal(out.grid, out_grid)
     assert out.amplitudes.tobytes() == out_amps.tobytes()

@@ -7,13 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradkick import (DomainBox, DomainLabel, FixedPointFormat, GridSizeError,
-                      GridState, OracleCallCounter, ResidualEntanglementError,
-                      SparseTerm, SparseTripartiteState, apply_phase_rotation,
-                      apply_qft, apply_u_f, apply_u_f_inverse, apply_u_plus,
-                      apply_u_plus_inverse, collapse_to_grid, linear_model,
+from gradkick import (DomainBox, FixedPointFormat, GridState, linear_model,
                       operators, run_pipeline)
+from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
+                                apply_phase_rotation, apply_qft, apply_u_f,
+                                apply_u_f_inverse, apply_u_plus,
+                                apply_u_plus_inverse, collapse_to_grid)
+from gradkick.oracle import DomainLabel
 from gradkick.params import AlgorithmParams
+from gradkick.states import GridSizeError, SparseTerm, SparseTripartiteState
 
 PARAMS = AlgorithmParams(n=2, nu=0.0625, lam=1.0, mu=0.25)
 FMT = FixedPointFormat(bits=6, a0=-2.0, a1=0.0625)
@@ -109,7 +111,7 @@ def test_apply_qft_acts_within_each_sector_only():
     for term in out:
         assert term.word in by_word
         by_word[term.word][term.grid[0]] = term.amplitude
-    from gradkick import qft_amplitudes
+    from gradkick.qft import qft_amplitudes
     for word, source in ((0, 1), (3, 2)):
         e = np.zeros(4, complex)
         e[source] = a

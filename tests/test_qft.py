@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradkick import (ControlledPhase, GridState, Hadamard, Swap, apply_gates,
-                      qft_amplitudes, qft_gate_circuit, qft_grid)
-from gradkick.qft import PhaseOnBit
+from gradkick.qft import (ControlledPhase, Hadamard, Swap, apply_gates,
+                          qft_amplitudes, qft_gate_circuit)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -27,38 +26,29 @@ def test_forward_matches_explicit_positive_kernel(n):
     rng = np.random.default_rng(n)
     size = 1 << n
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    out = qft_amplitudes(v, n, 1, direction="forward")
+    out = qft_amplitudes(v, n, 1)
     assert np.max(np.abs(out - dft_matrix(n) @ v)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inverse_matches_conjugate_kernel(n):
+    # The package applies only the forward transform; tests undo it with
+    # numpy's orthonormal forward FFT, which must be the conjugate kernel.
     rng = np.random.default_rng(10 + n)
     size = 1 << n
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    out = qft_amplitudes(v, n, 1, direction="inverse")
-    assert np.max(np.abs(out - dft_matrix(n).conj() @ v)) < 1e-12
+    assert np.max(np.abs(np.fft.fft(v, norm="ortho") - dft_matrix(n).conj() @ v)) < 1e-12
+    out = qft_amplitudes(v, n, 1)
+    assert np.max(np.abs(dft_matrix(n).conj() @ out - v)) < 1e-12
 
 
 def test_two_axis_transform_is_kronecker_of_single_axis():
     n, p = 2, 2
     rng = np.random.default_rng(3)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
-    out = qft_amplitudes(v, n, p, direction="forward")
+    out = qft_amplitudes(v, n, p)
     F = dft_matrix(n)
     assert np.max(np.abs(out - np.kron(F, F) @ v)) < 1e-12
-
-
-def test_partial_axes_transform():
-    n = 2
-    rng = np.random.default_rng(4)
-    v = rng.normal(size=16) + 1j * rng.normal(size=16)
-    F = dft_matrix(n)
-    eye = np.eye(4)
-    only_second = qft_amplitudes(v, n, 2, direction="forward", axes=[1])
-    assert np.max(np.abs(only_second - np.kron(eye, F) @ v)) < 1e-12
-    only_first = qft_amplitudes(v, n, 2, direction="forward", axes=[0])
-    assert np.max(np.abs(only_first - np.kron(F, eye) @ v)) < 1e-12
 
 
 @given(n=st.integers(min_value=1, max_value=6), seed=st.integers(0, 2**32 - 1))
@@ -68,15 +58,10 @@ def test_forward_then_inverse_is_identity(n, seed):
     size = 1 << n
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     v /= np.linalg.norm(v)
-    state = GridState(n=n, p=1, amplitudes=v)
-    back = qft_grid(qft_grid(state, "forward"), "inverse")
-    assert np.max(np.abs(back.amplitudes - v)) < 1e-12
-    assert abs(qft_grid(state).norm() - 1.0) < 1e-12
-
-
-def test_qft_amplitudes_rejects_bad_direction():
-    with pytest.raises(ValueError, match="direction"):
-        qft_amplitudes(np.zeros(4, dtype=complex), 2, 1, direction="backward")
+    out = qft_amplitudes(v, n, 1)
+    back = np.fft.fft(out, norm="ortho")
+    assert np.max(np.abs(back - v)) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -106,7 +91,7 @@ def test_gate_circuit_matrix_equals_dense_forward(n):
         e = np.zeros(size, dtype=complex)
         e[column] = 1.0
         via_gates = apply_gates(e, gates)
-        via_dense = qft_amplitudes(e, n, 1, direction="forward")
+        via_dense = qft_amplitudes(e, n, 1)
         assert np.max(np.abs(via_gates - via_dense)) < 1e-10
 
 
@@ -132,15 +117,6 @@ def test_swap_gate_reorders_bits():
     out = apply_gates(v, [Swap(0, 1)])
     expected = np.zeros(4, dtype=complex)
     expected[2] = 1.0  # |10>
-    assert np.allclose(out, expected)
-
-
-def test_phase_on_bit_gate():
-    v = np.ones(4, dtype=complex) / 2.0
-    out = apply_gates(v, [PhaseOnBit(target=1, angle=np.pi)])
-    expected = v.copy()
-    expected[1] *= -1.0
-    expected[3] *= -1.0
     assert np.allclose(out, expected)
 
 
