@@ -173,6 +173,28 @@ def sample_measurements(chi: GridState, shots: int, seed: int,
     cdf = np.cumsum(probs)
     rng = np.random.default_rng(seed)
     draws = rng.random(int(shots))
-    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), probs.size - 1)
+    indices = np.minimum(bucketed_search(cdf, draws), probs.size - 1)
     gradients = axis_decode_values(params)[grid_points(indices, chi.n, chi.p)]
     return MeasurementSamples(chi.n, chi.p, indices, gradients, probs[indices])
+
+
+def bucketed_search(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, draws, side="right") for draws in [0, 1).
+
+    Draw d lies in bucket b = floor(d * 2^k), with 16 to 32 draws per
+    bucket; the product, the floor and the bucket edges b / 2^k are all
+    exact. A draw of bucket b has its index between searchsorted(cdf,
+    b / 2^k, "right") and searchsorted(cdf, (b + 1) / 2^k, "left"), so
+    where those agree it is that index, and only the other draws are
+    searched.
+    """
+    bits = max(0, min(draws.size.bit_length() - 5, cdf.size.bit_length()))
+    scale = float(1 << bits)
+    edges = np.arange((1 << bits) + 1) / scale
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    last = np.searchsorted(cdf, edges[1:], side="left")
+    bucket = (draws * scale).astype(np.intp)
+    indices = first[bucket]
+    open_draws = np.flatnonzero(indices != last[bucket])
+    indices[open_draws] = np.searchsorted(cdf, draws[open_draws], side="right")
+    return indices

@@ -153,6 +153,19 @@ def cmd_plan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def top_rows(column: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the count largest entries, largest first, ties in index
+    order: np.argsort(-column, kind="stable")[:count] without sorting all.
+
+    Only the entries at or above the count-th largest value are sorted.
+    """
+    if column.size <= count:
+        return np.argsort(-column, kind="stable")
+    threshold = np.partition(column, column.size - count)[column.size - count]
+    candidates = np.flatnonzero(column >= threshold)
+    return candidates[np.argsort(-column[candidates], kind="stable")[:count]]
+
+
 def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     model = cfg.resolve_model()
     params = cfg.resolve_params(model)
@@ -181,7 +194,7 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                           samples=samples)
     print(f"pipeline finished in {pipeline_seconds:.3f} s with {calls} oracle calls")
     print(f"true gradient: {list(true_grad)}")
-    top = np.argsort(-entries.column("probability"), kind="stable")[:8]
+    top = top_rows(entries.column("probability"), 8)
     print(f"top outcomes (floor {cfg.prob_floor:g}, {len(entries)} recorded):")
     for i in top.tolist():
         e = entries[i]

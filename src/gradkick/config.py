@@ -35,6 +35,7 @@ import numpy as np
 from .algorithm import MeasurementSamples, axis_decode_values, sampling_radius
 from .analysis import (AccuracySpec, InequalityReport, TheoremReport,
                        select_parameters)
+from .floattext import float_texts
 from .models import (DomainBox, FunctionModel, linear_model, quadratic_model,
                      sinusoidal_model)
 from .oracle import GROUP_MODES, FixedPointFormat
@@ -423,7 +424,9 @@ def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
 
     Outcomes are listed by falling count, ties in grid-index order.
     """
-    outcomes, counts = np.unique(samples.indices, return_counts=True)
+    counts = np.bincount(samples.indices, minlength=1 << (samples.n * samples.p))
+    outcomes = np.flatnonzero(counts)
+    counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
     points = grid_points(outcomes[order], samples.n, samples.p)
     mean = np.mean(samples.gradients, axis=0)
@@ -439,10 +442,12 @@ def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
 def record_json(tree: Any) -> str:
     """The text of json.dumps(tree, indent=2, allow_nan=False) + "\\n", byte for byte.
 
-    Values are written as the json module writes them: floats by
-    float.__repr__, strings ASCII-escaped, tuples as lists; a NaN or an
-    infinity anywhere raises ValueError. Dict keys must be strings. A
-    RowTable is written as its list of row dicts, straight from its columns.
+    Values are written as the json module writes them: floats as
+    float.__repr__ writes them, strings ASCII-escaped, tuples as lists; a NaN
+    or an infinity anywhere raises ValueError. Dict keys must be strings. A
+    RowTable is written as its list of row dicts, straight from its columns;
+    a long float column is formatted by floattext.float_texts, which proves
+    each text equal to float.__repr__'s and calls repr where it cannot.
     """
     out: list[str] = []
     _write(tree, "\n", out)
@@ -560,7 +565,7 @@ def _value_texts(values: np.ndarray, codes: np.ndarray | None) -> list[str]:
     finite = np.isfinite(used)
     if not finite.all():
         _float_text(float(used[~finite][0]))
-    return list(map(float.__repr__, values.tolist()))
+    return float_texts(values)
 
 
 @dataclass

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradkick import (DomainBox, FixedPointFormat, decode_gradient,
                       decompose_state, linear_model, run_pipeline,
                       sinusoidal_model)
-from gradkick.algorithm import (axis_decode_values, plan_run_format,
+from gradkick.algorithm import (axis_decode_values, bucketed_search, plan_run_format,
                                 sample_measurements, sampling_radius)
 from gradkick.oracle import DomainError
 from gradkick.params import AlgorithmParams
@@ -130,3 +132,30 @@ def test_sample_measurements_rejects_bad_inputs():
                          normalized=False)
     with pytest.raises(ValueError, match="not normalized"):
         sample_measurements(lopsided, 4, seed=1, params=EXACT)
+
+
+@given(weights=st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.25, 1.0, 3.0])
+                        | st.floats(0.0, 1.0), min_size=1, max_size=300),
+       end=st.sampled_from(["sum", "below", "above"]), shots=st.integers(1, 5000),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_bucketed_search_equals_searchsorted(weights, end, shots, seed):
+    weights = np.asarray(weights)
+    if not weights.sum() > 0:
+        weights[-1] = 1.0
+    cdf = np.cumsum(weights / weights.sum())
+    # A cdf that ends just short of 1 leaves draws above its last entry;
+    # one that overshoots has entries at or above 1.
+    if end == "below":
+        cdf[-1] = np.nextafter(cdf[-1] if cdf[-1] < 1.0 else 1.0, 0.0)
+    elif end == "above":
+        cdf[-1] = np.nextafter(max(cdf[-1], 1.0), 2.0)
+    cdf = np.maximum.accumulate(cdf)
+    rng = np.random.default_rng(seed)
+    # Draws exactly on the cdf entries and on the bucket edges b / 2^k test
+    # the ties of side="right".
+    edges = np.arange(64) / 64.0
+    draws = np.concatenate([rng.random(shots), cdf[cdf < 1.0], edges,
+                            np.nextafter(edges[1:], 0.0)])
+    assert np.array_equal(bucketed_search(cdf, draws),
+                          np.searchsorted(cdf, draws, side="right"))

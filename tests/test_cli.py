@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gradkick import TheoremReport, verify_theorem
-from gradkick.cli import main
-from gradkick.config import ResultRecord
+from gradkick import cli
+from gradkick.cli import main, top_rows
+from gradkick.config import ResultRecord, RowTable
 
 PLANNED_QUADRATIC = {
     "function": {"kind": "quadratic", "coefficients": [0.0], "hessian": [[1.0]]},
@@ -76,6 +78,35 @@ def test_run_records_are_byte_identical(tmp_path, capsys):
     assert record.samples["shots"] == 12
     top = max(record.distribution, key=lambda e: e["probability"])
     assert top["g"] == [1] and top["gradient"] == [-1.0]
+
+
+@pytest.mark.parametrize("column", [
+    np.full(40, 1 / 40),
+    np.array([0.5, 0.1, 0.1, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.3]),
+    np.array([0.2, 0.7, 0.1]),
+    np.random.default_rng(3).integers(0, 4, 500) / 4.0,
+    np.random.default_rng(4).random(1000),
+])
+def test_top_rows_equal_the_stable_argsort(column):
+    for count in (1, 3, 8, 12):
+        assert np.array_equal(top_rows(column, count),
+                              np.argsort(-column, kind="stable")[:count])
+
+
+def test_run_prints_tied_top_outcomes_in_grid_order(tmp_path, capsys, monkeypatch):
+    # Every outcome at 1/16: the eight printed are the first eight rows.
+    def uniform(chi, params, floor):
+        g = np.arange(16)
+        return RowTable(g=(g, g[:, None]), gradient=(g * 0.5, g[:, None]),
+                        probability=(np.full(16, 1 / 16), None))
+
+    monkeypatch.setattr(cli, "distribution_entries", uniform)
+    assert main(["run", "--config", write_config(tmp_path, EXACT_LINEAR)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("top outcomes (floor 1e-12, 16 recorded):") + 1
+    assert lines[start:start + 8] == [
+        f"  g=({g},)  gradient=[{g * 0.5}]  p=6.250000e-02" for g in range(8)]
+    assert lines[start + 8].startswith("sampled 12 shots")
 
 
 def test_run_flag_overrides_reach_the_record(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradkick import AccuracySpec, DomainBox, GridState, run_pipeline
-from gradkick.algorithm import sample_measurements
+from gradkick.algorithm import MeasurementSamples, sample_measurements
 from gradkick.config import (FUNCTION_KINDS, ConfigError, ExperimentConfig,
                              FunctionSpec, ResultRecord, distribution_entries,
                              from_tree, grid_geometry, record_json,
@@ -18,6 +18,7 @@ from gradkick.config import (FUNCTION_KINDS, ConfigError, ExperimentConfig,
 from gradkick.operators import PHASE_VARIANTS
 from gradkick.oracle import GROUP_MODES, FixedPointFormat
 from gradkick.params import AlgorithmParams
+from gradkick.states import grid_points
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -207,6 +208,22 @@ def test_sample_summary_counts_and_mean():
         (c["count"] for c in counts), reverse=True)
     assert summary["mean_gradient"] == [pytest.approx(
         np.mean([e.gradient[0] for e in estimates]))]
+
+
+@given(n=st.integers(1, 5), p=st.integers(1, 3), shots=st.integers(1, 3000),
+       skew=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sample_summary_counts_equal_np_unique(n, p, shots, skew, seed):
+    rng = np.random.default_rng(seed)
+    size = 1 << (n * p)
+    # Skewed draws leave some outcomes unsampled and tie others.
+    indices = np.minimum((rng.random(shots) ** (1 + skew) * size).astype(np.intp), size - 1)
+    samples = MeasurementSamples(n, p, indices, np.zeros((shots, p)), np.zeros(shots))
+    table = sample_summary(samples, shots, seed)["outcome_counts"]
+    outcomes, counts = np.unique(indices, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    assert np.array_equal(table.column("count"), counts[order])
+    assert np.array_equal(table.column("g"), grid_points(outcomes[order], n, p))
 
 
 def test_grid_geometry():
