@@ -27,25 +27,22 @@ from .states import (GridState, SparseTripartiteState, check_grid_bits,
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """One measurement outcome: grid index, decoded gradient, model weight."""
+    """One measurement outcome: grid index and decoded gradient."""
 
     g: tuple[int, ...]
     gradient: tuple[float, ...]
-    probability: float
 
 
 class MeasurementSamples(Sequence[GradientEstimate]):
     """Outcomes of a run of shots, one row per shot in draw order.
 
-    indices holds each shot's flat grid index, gradients its decoded
-    gradient (shots x p) and probabilities its outcome's model weight.
-    Reading an element builds its GradientEstimate.
+    indices holds each shot's flat grid index and gradients its decoded
+    gradient (shots x p). Reading an element builds its GradientEstimate.
     """
 
-    def __init__(self, n: int, p: int, indices: np.ndarray, gradients: np.ndarray,
-                 probabilities: np.ndarray) -> None:
+    def __init__(self, n: int, p: int, indices: np.ndarray, gradients: np.ndarray) -> None:
         self.n, self.p = n, p
-        self.indices, self.gradients, self.probabilities = indices, gradients, probabilities
+        self.indices, self.gradients = indices, gradients
 
     def __len__(self) -> int:
         return self.indices.size
@@ -55,23 +52,19 @@ class MeasurementSamples(Sequence[GradientEstimate]):
         if not -len(self) <= i < len(self):
             raise IndexError("shot index out of range")
         g = grid_points(self.indices[[i]], self.n, self.p)[0]
-        return GradientEstimate(g=tuple(g.tolist()), gradient=tuple(self.gradients[i].tolist()),
-                                probability=float(self.probabilities[i]))
+        return GradientEstimate(g=tuple(g.tolist()), gradient=tuple(self.gradients[i].tolist()))
 
     def __iter__(self) -> Iterator[GradientEstimate]:
-        rows = zip(grid_points(self.indices, self.n, self.p).tolist(),
-                   self.gradients.tolist(), self.probabilities.tolist())
-        for g, gradient, probability in rows:
-            yield GradientEstimate(g=tuple(g), gradient=tuple(gradient),
-                                   probability=probability)
+        rows = zip(grid_points(self.indices, self.n, self.p).tolist(), self.gradients.tolist())
+        for g, gradient in rows:
+            yield GradientEstimate(g=tuple(g), gradient=tuple(gradient))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MeasurementSamples):
             return NotImplemented
         return ((self.n, self.p) == (other.n, other.p)
                 and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.gradients, other.gradients)
-                and np.array_equal(self.probabilities, other.probabilities))
+                and np.array_equal(self.gradients, other.gradients))
 
     __hash__ = None
 
@@ -141,7 +134,7 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
 
     base = DomainLabel.base(pt)
     counter = OracleCallCounter()
-    state = SparseTripartiteState.initial(params.n, model.p, base, word=0)
+    state = SparseTripartiteState.initial(params.n, model.p, base)
     state = apply_qft(state)
     state = apply_u_plus(state, params)
     state = apply_u_f(state, model, range_format, params, counter)
@@ -149,8 +142,8 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     state = apply_u_f_inverse(state, model, range_format, params, counter)
     state = apply_u_plus_inverse(state, params)
     # The transform acts on the grid register alone, so the other two are
-    # checked and dropped before it: a broken inverse pair raises here, before
-    # a dense grid per stray sector is allocated.
+    # checked and dropped before it: a broken inverse pair raises here and
+    # names a stray term.
     chi = collapse_to_grid(state, base, expected_word=0)
     del state
     chi = GridState(n=chi.n, p=chi.p, amplitudes=qft_amplitudes(chi.amplitudes, chi.n, chi.p))
@@ -175,7 +168,7 @@ def sample_measurements(chi: GridState, shots: int, seed: int,
     draws = rng.random(int(shots))
     indices = np.minimum(bucketed_search(cdf, draws), probs.size - 1)
     gradients = axis_decode_values(params)[grid_points(indices, chi.n, chi.p)]
-    return MeasurementSamples(chi.n, chi.p, indices, gradients, probs[indices])
+    return MeasurementSamples(chi.n, chi.p, indices, gradients)
 
 
 def bucketed_search(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:

@@ -32,8 +32,6 @@ from .qft import qft_amplitudes
 from .states import (DEFAULT_MAX_GRID_BITS, GridState, grid_offsets,
                      grid_point_of, represented_points)
 
-INEQUALITY_ORDER = ("curvature", "precision", "margin", "bandwidth", "leakage")
-
 # Numerical slack applied when deciding whether an inequality "holds": the
 # closed-form parameters make the curvature and precision inequalities
 # algebraically tight, so their float slacks land within an ulp of zero on
@@ -103,12 +101,6 @@ class InequalityReport:
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def get(self, name: str) -> InequalityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
                       max_grid_bits: int | None = None) -> AlgorithmParams:
@@ -150,7 +142,7 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
 
 
 def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M: float,
-                       p: int, tol: float = DEFAULT_CHECK_TOL) -> InequalityReport:
+                       p: int) -> InequalityReport:
     """Evaluate the five planning inequalities and report value/bound/slack."""
     n, lam, mu, nu = params.n, params.lam, params.mu, params.nu
     eps = spec.epsilon
@@ -159,20 +151,20 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
 
     value = 4.0 ** (n - 1) * math.pi * lam * M * mu * mu / math.sqrt(5.0)
     checks.append(_upper("curvature", value, third,
-                         "4^(n-1) pi lam M mu^2 / sqrt(5) <= (1 - eps) / 3", tol))
+                         "4^(n-1) pi lam M mu^2 / sqrt(5) <= (1 - eps) / 3"))
 
     value = 2.0 * math.pi * lam * nu
     checks.append(_upper("precision", value, third,
-                         "2 pi lam nu <= (1 - eps) / 3", tol))
+                         "2 pi lam nu <= (1 - eps) / 3"))
 
     value = 2.0 ** (n - 1) * mu
     checks.append(_upper("margin", value, spec.gamma,
-                         "2^(n-1) mu <= gamma", tol))
+                         "2^(n-1) mu <= gamma"))
 
     value = 1.0 / (2.0 * lam * mu)
     slack = value - (L + spec.delta)
     checks.append(InequalityCheck(name="bandwidth", value=value, bound=L + spec.delta,
-                                  slack=slack, holds=slack >= -tol,
+                                  slack=slack, holds=slack >= -DEFAULT_CHECK_TOL,
                                   note="1 / (2 lam mu) >= L + delta"))
 
     theta = math.pi * lam * mu * spec.delta
@@ -183,7 +175,7 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
         slack = bound - value
         checks.append(InequalityCheck(
             name="leakage", value=value, bound=bound, slack=slack,
-            holds=slack >= -tol,
+            holds=slack >= -DEFAULT_CHECK_TOL,
             note="csc(pi lam mu delta) <= sqrt(2^n (1 - ((2 + eps)/3)^(2/p)))"))
     else:
         checks.append(InequalityCheck(
@@ -191,13 +183,13 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
             note=f"pi lam mu delta = {theta!r} outside (0, pi); "
                  "cosecant bound inapplicable"))
 
-    return InequalityReport(checks=tuple(checks), tol=tol)
+    return InequalityReport(checks=tuple(checks), tol=DEFAULT_CHECK_TOL)
 
 
-def _upper(name: str, value: float, bound: float, note: str, tol: float) -> InequalityCheck:
+def _upper(name: str, value: float, bound: float, note: str) -> InequalityCheck:
     slack = bound - value
     return InequalityCheck(name=name, value=value, bound=bound, slack=slack,
-                           holds=slack >= -tol, note=note)
+                           holds=slack >= -DEFAULT_CHECK_TOL, note=note)
 
 
 @dataclass(eq=False)
@@ -410,15 +402,10 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
     )
 
 
-def classical_baseline(model: FunctionModel, x: Sequence[float], step: float,
-                       scheme: str = "forward") -> tuple[np.ndarray, int]:
-    """Finite-difference reference: p + 1 evaluations one-sided, 2p central.
-
-    The one-sided scheme shares f(x) across axes, which is where the p + 1
-    count comes from; the central scheme is available for error comparisons.
-    """
-    if scheme not in ("forward", "central"):
-        raise ValueError("scheme must be 'forward' or 'central'")
+def classical_baseline(model: FunctionModel, x: Sequence[float],
+                       step: float) -> tuple[np.ndarray, int]:
+    """One-sided finite-difference reference: p + 1 evaluations, since f(x)
+    is shared across the axes."""
     if not step > 0:
         raise ValueError("step must be positive")
     pt = np.asarray(x, dtype=float)
@@ -432,19 +419,11 @@ def classical_baseline(model: FunctionModel, x: Sequence[float], step: float,
         return model.evaluate(point)
 
     est = np.empty(model.p, dtype=float)
-    if scheme == "forward":
-        f0 = evaluate(pt)
-        for m in range(model.p):
-            y = pt.copy()
-            y[m] += step
-            est[m] = (evaluate(y) - f0) / step
-    else:
-        for m in range(model.p):
-            y_plus = pt.copy()
-            y_plus[m] += step
-            y_minus = pt.copy()
-            y_minus[m] -= step
-            est[m] = (evaluate(y_plus) - evaluate(y_minus)) / (2.0 * step)
+    f0 = evaluate(pt)
+    for m in range(model.p):
+        y = pt.copy()
+        y[m] += step
+        est[m] = (evaluate(y) - f0) / step
     return est, calls
 
 
@@ -491,8 +470,7 @@ class TheoremReport:
 def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                    params: AlgorithmParams | None = None, *,
                    group_mode: str = "modular", phase_variant: str = "direct",
-                   max_grid_bits: int | None = None,
-                   tol: float = DEFAULT_CHECK_TOL) -> TheoremReport:
+                   max_grid_bits: int | None = None) -> TheoremReport:
     """Run the pipeline and the full audit, and collect a TheoremReport.
 
     Plans parameters when none are given. The audit always measures
@@ -526,7 +504,7 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     projected_linear, _ = success_projection(chi_L, grad, spec.delta, params)
 
     inequalities = check_inequalities(params, spec, model.grad_bound,
-                                      model.hess_bound, model.p, tol)
+                                      model.hess_bound, model.p)
     # The factorized leakage audit only makes sense for linear objectives and
     # needs the bandwidth condition, which confines the phase angle to where
     # the cosecant estimate is valid. Outside that, it is skipped (None); the
@@ -554,9 +532,9 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     if dual_path_error > DUAL_PATH_TOL:
         failures.append(f"pipeline/reference disagreement {dual_path_error!r} "
                         f"above {DUAL_PATH_TOL}")
-    if psi_D_norm > psi_D_bound + tol:
+    if psi_D_norm > psi_D_bound + DEFAULT_CHECK_TOL:
         failures.append(f"psi_D norm {psi_D_norm!r} above bound {psi_D_bound!r}")
-    if psi_N_asserted and psi_N_norm > psi_N_bound + tol:
+    if psi_N_asserted and psi_N_norm > psi_N_bound + DEFAULT_CHECK_TOL:
         failures.append(f"psi_N norm {psi_N_norm!r} above bound {psi_N_bound!r}")
     if projected_amplitude < triangle_floor - DUAL_PATH_TOL:
         failures.append("triangle chain violated: projected amplitude "
@@ -566,10 +544,10 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     if leakage is not None and not leakage.factorization_ok:
         failures.append("leakage factorization check failed")
     if guarantee_asserted:
-        if projected_linear < linear_floor - tol:
+        if projected_linear < linear_floor - DEFAULT_CHECK_TOL:
             failures.append(f"linear projection {projected_linear!r} below "
                             f"floor {linear_floor!r}")
-        if projected_amplitude < spec.epsilon - tol:
+        if projected_amplitude < spec.epsilon - DEFAULT_CHECK_TOL:
             failures.append(f"projected amplitude {projected_amplitude!r} below "
                             f"epsilon {spec.epsilon!r}")
 

@@ -308,7 +308,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_config(args)
         return COMMANDS[args.command](cfg, args)
-    except (ConfigError, PlannerError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, PlannerError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PIPELINE_ERRORS as exc:

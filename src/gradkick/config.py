@@ -312,7 +312,13 @@ class ExperimentConfig:
         return DomainBox.cube(self.dimension, half, center=tuple(self.x))
 
     def resolve_model(self) -> FunctionModel:
-        return self.function.build(self.resolve_domain())
+        """The objective on its domain; a model the coefficients cannot
+        certify, say one whose derivative bounds overflow, is a ConfigError."""
+        domain = self.resolve_domain()
+        try:
+            return self.function.build(domain)
+        except ValueError as exc:
+            raise ConfigError(f"config.function: {exc}") from exc
 
     def resolve_params(self, model: FunctionModel) -> AlgorithmParams:
         """Explicit params win; otherwise plan from the accuracy targets."""
@@ -332,6 +338,8 @@ class ExperimentConfig:
                 payload = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
         return cls.from_dict(payload)
 
     def merged(self, entry: dict, context: str = "sweep entry") -> ExperimentConfig:

@@ -91,7 +91,6 @@ class FunctionModel:
     grad_bound: float
     hess_bound: float
     domain_box: DomainBox
-    name: str = field(default="custom")
     evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False)
 
@@ -100,8 +99,9 @@ class FunctionModel:
             raise ValueError("p must be at least 1")
         if self.domain_box.dimension != self.p:
             raise ValueError("domain box dimension disagrees with p")
-        if self.grad_bound < 0 or self.hess_bound < 0:
-            raise ValueError("derivative bounds must be nonnegative")
+        if not (0 <= self.grad_bound < np.inf and 0 <= self.hess_bound < np.inf):
+            raise ValueError(f"derivative bounds must be finite and nonnegative, got "
+                             f"L={self.grad_bound!r} and M={self.hess_bound!r}")
 
     def evaluate_points(self, points: np.ndarray) -> np.ndarray:
         """f at each row of a (k, p) array of points, as a float64 array."""
@@ -152,7 +152,6 @@ def linear_model(a: Sequence[float], domain_box: DomainBox) -> FunctionModel:
         grad_bound=float(np.max(np.abs(coeff))),
         hess_bound=0.0,
         domain_box=domain_box,
-        name="linear",
         evaluate_batch=evaluate_batch,
     )
 
@@ -189,16 +188,19 @@ def quadratic_model(a: Sequence[float], hessian: Sequence[Sequence[float]],
 
     center = np.asarray(domain_box.center)
     widths = np.asarray(domain_box.half_width)
-    grad_sup = float(np.max(np.abs(coeff + H @ center) + np.abs(H) @ widths))
+    # Finite coefficients can still overflow a bound. FunctionModel rejects
+    # a bound that is not finite, so the overflow needs no warning of its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_sup = float(np.max(np.abs(coeff + H @ center) + np.abs(H) @ widths))
+        hess_sup = float(np.linalg.norm(H, 2))
 
     return FunctionModel(
         p=coeff.size,
         evaluate=evaluate,
         gradient=gradient,
         grad_bound=grad_sup,
-        hess_bound=float(np.linalg.norm(H, 2)),
+        hess_bound=hess_sup,
         domain_box=domain_box,
-        name="quadratic",
         evaluate_batch=evaluate_batch,
     )
 
@@ -224,13 +226,15 @@ def sinusoidal_model(c: float, b: Sequence[float], domain_box: DomainBox) -> Fun
     def gradient(x: np.ndarray) -> np.ndarray:
         return amp * float(np.cos(np.dot(freq, np.asarray(x, dtype=float)))) * freq
 
+    with np.errstate(over="ignore"):  # as in quadratic_model
+        grad_bound = abs(amp) * float(np.max(np.abs(freq)))
+        hess_bound = abs(amp) * float(np.dot(freq, freq))
     return FunctionModel(
         p=freq.size,
         evaluate=evaluate,
         gradient=gradient,
-        grad_bound=abs(amp) * float(np.max(np.abs(freq))),
-        hess_bound=abs(amp) * float(np.dot(freq, freq)),
+        grad_bound=grad_bound,
+        hess_bound=hess_bound,
         domain_box=domain_box,
-        name="sinusoidal",
         evaluate_batch=evaluate_batch,
     )

@@ -5,11 +5,12 @@ arrays an operator leaves unchanged are shared with its input, which keeps
 run_pipeline's peak near 96 bytes per grid point (tracemalloc, n=8, p=2;
 a state holds 40 bytes per term). The shift and oracle operators are basis
 permutations (amplitudes move, never mix), the phase rotation multiplies
-amplitudes by unit phases, and the grid transform mixes amplitudes within
-each (label, word) sector only, since it acts on the grid register alone.
-That is why run_pipeline can collapse onto the grid register before the
-second transform and verify factorization exactly there: a broken inverse
-pair leaves terms in a wrong sector, and no operator can hide them.
+amplitudes by unit phases, and the grid transform acts on the grid register
+alone, so it could only mix amplitudes within a (label, word) sector; it is
+applied to one-sector states only, as the prepared state is. That is why
+run_pipeline can collapse onto the grid register before the second transform
+and verify factorization exactly there: a broken inverse pair leaves terms
+in a wrong sector, and no operator can hide them.
 
 The arithmetic reproduces, bit for bit, what composing the operators term by
 term with Python complex numbers gives: phases come from the same cos/sin,
@@ -28,9 +29,8 @@ import numpy as np
 from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, oracle_words,
                      range_add, range_sub, shift_codes)
 from .qft import qft_amplitudes
-from .states import (DEFAULT_MAX_GRID_BITS, GridSizeError, GridState,
-                     SparseTripartiteState, is_full_range, label_code,
-                     represented_points)
+from .states import (GridState, SparseTripartiteState, is_full_range,
+                     label_code, represented_points)
 
 if TYPE_CHECKING:
     from .models import FunctionModel
@@ -144,40 +144,25 @@ def apply_phase_rotation(s: SparseTripartiteState, lam: float, fmt: FixedPointFo
     return s.replace(amplitudes=complex_array(re, im))
 
 
-def _sectors(labels: np.ndarray, words: np.ndarray):
-    """Distinct (label, word) pairs in order of first appearance, as label
-    and word arrays, and the position of each term's pair among them."""
-    if labels.size and (labels == labels[0]).all() and (words == words[0]).all():
-        # The pipeline's case; skips the sort and its temporaries.
-        return labels[:1], words[:1], np.zeros(labels.size, dtype=np.intp)
-    pairs, first, inverse = np.unique(np.stack([labels, words], axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return pairs[order, 0], pairs[order, 1], rank[inverse.reshape(-1)]
-
-
 def apply_qft(s: SparseTripartiteState) -> SparseTripartiteState:
-    """Grid-register transform, applied densely within each (label, word) sector.
+    """Grid-register transform of a state that lies in one (label, word) sector.
 
-    Sectors keep the order in which their first term appears, and each
-    contributes every grid index in turn; all are transformed in one batch.
-    Two or more sectors are refused with GridSizeError, before they are allocated,
-    above 2^DEFAULT_MAX_GRID_BITS points; one sector is the caller's guarded grid.
+    The state is scattered into one dense grid and transformed; the result
+    holds every grid index in order, all with that label and word. The
+    pipeline transforms only the prepared basis state this way. A state
+    spread over two or more sectors raises ValueError before anything
+    grid-sized is allocated.
     """
+    in_sector = (s.labels == s.labels[:1]) & (s.words == s.words[:1])
+    if not (in_sector.size and in_sector.all()):
+        raise ValueError("apply_qft transforms a state in exactly one (label, word) "
+                         f"sector; the {len(s)} terms of this one are not")
     size = 1 << (s.n * s.p)
-    labels, words, sector_of = _sectors(s.labels, s.words)
-    if labels.size > 1 and labels.size * size > 1 << DEFAULT_MAX_GRID_BITS:
-        raise GridSizeError(
-            f"transforming {labels.size} (label, word) sectors of {size} grid points "
-            f"each needs over the 2^{DEFAULT_MAX_GRID_BITS} points of the grid guard")
-    dense = np.zeros((labels.size, size), dtype=np.complex128)
-    dense[sector_of, s.grid] = s.amplitudes
-    transformed = qft_amplitudes(dense, s.n, s.p)
-    return s.replace(labels=np.repeat(labels, size), words=np.repeat(words, size),
-                     grid=np.tile(np.arange(size, dtype=np.int64), labels.size),
-                     amplitudes=transformed.reshape(-1))
+    dense = np.zeros(size, dtype=np.complex128)
+    dense[s.grid] = s.amplitudes
+    return s.replace(labels=np.repeat(s.labels[:1], size), words=np.repeat(s.words[:1], size),
+                     grid=np.arange(size, dtype=np.int64),
+                     amplitudes=qft_amplitudes(dense, s.n, s.p))
 
 
 def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,

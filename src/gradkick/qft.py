@@ -24,16 +24,9 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def qft_amplitudes(amplitudes: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Per-axis transform on raw length-2^(pn) arrays; no norm requirement.
-
-    Leading dimensions are a batch: each length-2^(pn) row along the last
-    one is transformed on its own, with the same result as alone.
-    """
-    arr = np.asarray(amplitudes, dtype=complex)
-    batch = arr.shape[:-1]
-    arr = arr.reshape(batch + (1 << n,) * p)
-    out = np.fft.ifftn(arr, axes=tuple(range(len(batch), len(batch) + p)), norm="ortho")
-    return out.reshape(batch + (1 << (n * p),))
+    """Per-axis transform of one raw length-2^(pn) array; no norm requirement."""
+    arr = np.asarray(amplitudes, dtype=complex).reshape((1 << n,) * p)
+    return np.fft.ifftn(arr, norm="ortho").reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -165,22 +165,11 @@ class GridState:
         if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (1 << self.n,) * self.p
-
-    @property
-    def size(self) -> int:
-        return self.amplitudes.size
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def index_of(self, g: Sequence[int]) -> int:
-        return grid_index_of(g, self.n, self.p)
 
     def grid_of(self, index: int) -> tuple[int, ...]:
         return grid_point_of(index, self.n, self.p)
@@ -326,9 +315,9 @@ class SparseTripartiteState:
         return iter(self.terms)
 
     @classmethod
-    def initial(cls, n: int, p: int, label: DomainLabel, word: int = 0) -> SparseTripartiteState:
-        """Preparation state |label> |word> |0...0> with unit amplitude."""
-        return cls.from_arrays(n, p, label.x, [label_code(label, n, p)], [int(word)],
+    def initial(cls, n: int, p: int, label: DomainLabel) -> SparseTripartiteState:
+        """Preparation state |label> |0> |0...0> with unit amplitude."""
+        return cls.from_arrays(n, p, label.x, [label_code(label, n, p)], [0],
                                [0], [1.0 + 0.0j])
 
 

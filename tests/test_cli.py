@@ -284,3 +284,46 @@ def test_infeasible_parameters_are_a_usage_error(commands, override, tmp_path, c
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: "), err
+
+
+NON_FINITE_BOUNDS = [
+    # M = inf from the spectral norm; run exited 0 on this config, and
+    # plan and verify failed writing inf into the record.
+    {"function": {"kind": "quadratic", "coefficients": [0.0, 0.0],
+                  "hessian": [[1e308, 1e308], [1e308, 1e308]]},
+     "x": [0.0, 0.0], "domain": {"center": [0.0, 0.0], "half_width": [1e-300, 1e-300]},
+     "params": {"n": 1, "nu": 0.01, "lambda": 1.0, "mu": 1e-300}},
+    # L = M = inf from |c| max|b| and |c| |b|^2.
+    {"function": {"kind": "sinusoidal", "amplitude": 1e300, "frequencies": [1e10]},
+     "x": [0.0], "params": {"n": 1, "nu": 0.01, "lambda": 1.0, "mu": 0.001}},
+]
+
+
+@pytest.mark.parametrize("override", NON_FINITE_BOUNDS, ids=["quadratic", "sinusoidal"])
+def test_non_finite_model_bounds_are_a_usage_error(override, tmp_path, capsys):
+    cfg = write_config(tmp_path, {**PLANNED_QUADRATIC, **override})
+    out = tmp_path / "record.json"
+    for command in ("plan", "run", "verify"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.function: "), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-is-not-utf8",
+                                  "out-is-a-directory"])
+def test_unreadable_config_or_unwritable_record_path_is_a_usage_error(case, tmp_path, capsys):
+    cfg = write_config(tmp_path, EXACT_LINEAR)
+    argv = ["run", "--config", cfg]
+    if case == "config-is-a-directory":
+        argv[2] = str(tmp_path)
+    elif case == "config-is-not-utf8":
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"x": ["\xe9"]}'.encode("latin-1"))
+        argv[2] = str(bad)
+    else:
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:"), err
+    assert "Traceback" not in err

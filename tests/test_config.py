@@ -218,7 +218,7 @@ def test_sample_summary_counts_equal_np_unique(n, p, shots, skew, seed):
     size = 1 << (n * p)
     # Skewed draws leave some outcomes unsampled and tie others.
     indices = np.minimum((rng.random(shots) ** (1 + skew) * size).astype(np.intp), size - 1)
-    samples = MeasurementSamples(n, p, indices, np.zeros((shots, p)), np.zeros(shots))
+    samples = MeasurementSamples(n, p, indices, np.zeros((shots, p)))
     table = sample_summary(samples, shots, seed)["outcome_counts"]
     outcomes, counts = np.unique(indices, return_counts=True)
     order = np.argsort(-counts, kind="stable")

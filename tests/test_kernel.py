@@ -168,7 +168,7 @@ def test_missing_inverse_shift_leaves_shifted_labels():
     state = apply_u_f(state, model, fmt, params, counter)
     state = apply_phase_rotation(state, params.lam, fmt)
     state = apply_u_f_inverse(state, model, fmt, params, counter)
-    state = apply_qft(state)  # the inverse shift is skipped
+    # The inverse shift is skipped.
     with pytest.raises(ResidualEntanglementError, match="SHIFTED"):
         collapse_to_grid(state, base, expected_word=0)
 
@@ -297,14 +297,14 @@ def test_contains_points_rejects_wrong_width():
 
 
 def batched_qft(s):
-    """The multi-sector path on a single-sector state: scatter into a
-    (1, size) batch, transform it, then repeat labels and words."""
+    """The dense route on a single-sector state: scatter into one grid,
+    transform it, then repeat labels and words."""
     size = 1 << (s.n * s.p)
-    dense = np.zeros((1, size), dtype=np.complex128)
-    dense[0, s.grid] = s.amplitudes
+    dense = np.zeros(size, dtype=np.complex128)
+    dense[s.grid] = s.amplitudes
     out = qft_amplitudes(dense, s.n, s.p)
     return (np.repeat(s.labels[:1], size), np.repeat(s.words[:1], size),
-            np.arange(size, dtype=np.int64), out.reshape(-1))
+            np.arange(size, dtype=np.int64), out)
 
 
 @given(n=st.integers(1, 4), p=st.integers(1, 3), data=st.data())

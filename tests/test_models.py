@@ -104,6 +104,25 @@ def test_model_dimension_validation():
                       grad_bound=-1.0, hess_bound=0.0, domain_box=box)
 
 
+def test_model_rejects_bounds_that_are_not_finite_and_nonnegative():
+    box = DomainBox.cube(1, 1.0)
+    for bound in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            FunctionModel(p=1, evaluate=float, gradient=np.asarray, grad_bound=bound,
+                          hess_bound=0.0, domain_box=box)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            FunctionModel(p=1, evaluate=float, gradient=np.asarray, grad_bound=0.0,
+                          hess_bound=bound, domain_box=box)
+
+
+def test_constructors_let_overflowing_bounds_reach_the_check():
+    huge = DomainBox.cube(2, 10.0)
+    with np.errstate(over="raise"), pytest.raises(ValueError, match="finite"):
+        quadratic_model([0.0, 0.0], [[1e308, 1e308], [1e308, 1e308]], huge)
+    with np.errstate(over="raise"), pytest.raises(ValueError, match="finite"):
+        sinusoidal_model(1.0, [1e200], DomainBox.cube(1, 1.0))
+
+
 VALUES = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
 

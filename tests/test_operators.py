@@ -7,15 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gradkick.states as states
 from gradkick import (DomainBox, FixedPointFormat, GridState, linear_model,
-                      operators, run_pipeline)
+                      run_pipeline)
 from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
                                 apply_phase_rotation, apply_qft, apply_u_f,
                                 apply_u_f_inverse, apply_u_plus,
                                 apply_u_plus_inverse, collapse_to_grid)
 from gradkick.oracle import DomainLabel
 from gradkick.params import AlgorithmParams
-from gradkick.states import GridSizeError, SparseTerm, SparseTripartiteState
+from gradkick.states import SparseTerm, SparseTripartiteState
 
 PARAMS = AlgorithmParams(n=2, nu=0.0625, lam=1.0, mu=0.25)
 FMT = FixedPointFormat(bits=6, a0=-2.0, a1=0.0625)
@@ -25,7 +26,7 @@ MODEL = linear_model([-1.0], BOX)
 
 def uniform_state(n=2, p=1, x=(0.0,)):
     base = DomainLabel.base(x)
-    return apply_qft(SparseTripartiteState.initial(n, p, base, word=0))
+    return apply_qft(SparseTripartiteState.initial(n, p, base))
 
 
 def test_apply_qft_spreads_initial_state_uniformly():
@@ -97,26 +98,19 @@ def test_phase_rotation_rejects_unknown_variant():
         apply_phase_rotation(state, 1.0, FMT, variant="bulk")
 
 
-def test_apply_qft_acts_within_each_sector_only():
-    # Two sectors with different words; the transform must not mix them.
+def test_apply_qft_refuses_more_than_one_sector():
+    # Terms that differ in word, or in label, lie in two sectors.
     label = DomainLabel.base((0.0,))
     a = 1.0 / math.sqrt(2.0)
-    terms = (
-        SparseTerm(label, 0, (1,), a + 0j),
-        SparseTerm(label, 3, (2,), a + 0j),
-    )
-    state = SparseTripartiteState(n=2, p=1, terms=terms)
-    out = apply_qft(state)
-    by_word = {0: np.zeros(4, complex), 3: np.zeros(4, complex)}
-    for term in out:
-        assert term.word in by_word
-        by_word[term.word][term.grid[0]] = term.amplitude
-    from gradkick.qft import qft_amplitudes
-    for word, source in ((0, 1), (3, 2)):
-        e = np.zeros(4, complex)
-        e[source] = a
-        assert np.max(np.abs(by_word[word] - qft_amplitudes(e, 2, 1))) < 1e-12
-    assert abs(out.norm() - 1.0) < 1e-12
+    for second in (SparseTerm(label, 3, (2,), a + 0j),
+                   SparseTerm(DomainLabel.shifted((0.0,), (2,)), 0, (2,), a + 0j)):
+        state = SparseTripartiteState(n=2, p=1, terms=(SparseTerm(label, 0, (1,), a + 0j),
+                                                       second))
+        with pytest.raises(ValueError, match="one .label, word. sector"):
+            apply_qft(state)
+    empty = SparseTripartiteState(n=2, p=1, terms=(), normalized=False)
+    with pytest.raises(ValueError, match="one .label, word. sector"):
+        apply_qft(empty)
 
 
 def test_collapse_to_grid_happy_path():
@@ -145,31 +139,29 @@ def test_collapse_raises_on_any_out_of_sector_term():
         collapse_to_grid(wrong_word, label, expected_word=0)
 
 
-def test_many_sector_qft_is_refused_before_it_allocates():
-    # After the shift every grid point is its own (label, word) sector, so a
-    # second transform would batch 2^14 sectors of 2^14 points: 4 GiB of
-    # complex128, over the 2^26 points the grid guard admits for a pipeline.
-    n, p = 7, 2
-    params = AlgorithmParams(n=n, nu=0.0625, lam=1.0, mu=1e-3)
-    fmt = FixedPointFormat(bits=8, a0=-8.0, a1=0.0625)
-    model = linear_model([0.5, -0.25], DomainBox.cube(2, 1.0))
-    state = apply_qft(SparseTripartiteState.initial(n, p, DomainLabel.base((0.0, 0.0))))
-    state = apply_u_f(apply_u_plus(state, params), model, fmt, params,
-                      OracleCallCounter())
+def test_two_sector_qft_is_refused_before_it_allocates():
+    # Two terms in two sectors on a 2^22-point grid: one dense grid alone
+    # would be 64 MiB of complex128.
+    n, p = 11, 2
+    label = DomainLabel.base((0.0, 0.0))
+    a = 1.0 / math.sqrt(2.0)
+    state = SparseTripartiteState(n=n, p=p, terms=(
+        SparseTerm(label, 0, (0, 0), a + 0j),
+        SparseTerm(DomainLabel.shifted((0.0, 0.0), (5, 7)), 0, (5, 7), a + 0j)))
     tracemalloc.start()
     try:
-        with pytest.raises(GridSizeError, match="16384 .label, word. sectors"):
+        with pytest.raises(ValueError, match="one .label, word. sector"):
             apply_qft(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 1 << 20
 
 
 def test_one_sector_qft_follows_the_callers_grid_guard(monkeypatch):
-    # The pipeline's first transform acts on one term, so it takes the
-    # batched path; a max_grid_bits above the default must still run.
-    monkeypatch.setattr(operators, "DEFAULT_MAX_GRID_BITS", 3)
+    # apply_qft has no guard of its own: run_pipeline's max_grid_bits
+    # decides, even above the default.
+    monkeypatch.setattr(states, "DEFAULT_MAX_GRID_BITS", 3)
     params = AlgorithmParams(n=2, nu=0.0625, lam=1.0, mu=1e-3)
     model = linear_model([0.5, -0.25], DomainBox.cube(2, 1.0))
     chi, calls = run_pipeline(model, [0.0, 0.0], params, max_grid_bits=8)

@@ -44,10 +44,6 @@ def test_grid_state_basis_one_hot():
     expected = np.zeros(16, dtype=complex)
     expected[7] = 1.0
     state = GridState(n=2, p=2, amplitudes=expected)
-    assert state.shape == (4, 4)
-    assert state.size == 16
-    assert state.index_of((1, 3)) == 7
-    assert state.grid_of(7) == (1, 3)
     assert np.array_equal(state.amplitudes, expected)
     assert state.grid_of(7) == (1, 3)
     assert state.norm() == 1.0
@@ -83,7 +79,7 @@ def test_check_grid_bits_guard():
 
 def test_sparse_state_initial():
     label = DomainLabel.base((0.5, 0.5))
-    state = SparseTripartiteState.initial(3, 2, label, word=0)
+    state = SparseTripartiteState.initial(3, 2, label)
     assert len(state) == 1
     term = list(state)[0]
     assert term.label == label
