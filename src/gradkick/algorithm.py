@@ -37,7 +37,9 @@ class MeasurementSamples(Sequence[GradientEstimate]):
     """Outcomes of a run of shots, one row per shot in draw order.
 
     indices holds each shot's flat grid index and gradients its decoded
-    gradient (shots x p). Reading an element builds its GradientEstimate.
+    gradient (shots x p, in either memory order: sample_measurements makes
+    each axis one contiguous column). Reading an element builds its
+    GradientEstimate.
     """
 
     def __init__(self, n: int, p: int, indices: np.ndarray, gradients: np.ndarray) -> None:
@@ -150,12 +152,21 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     return chi, counter.count
 
 
+# Shots are searched and decoded this many at a time, so that every
+# temporary of a block (8 bytes per shot) stays under 128 KiB.
+SHOT_BLOCK = 1 << 13
+
+
 def sample_measurements(chi: GridState, shots: int, seed: int,
                         params: AlgorithmParams) -> MeasurementSamples:
     """Draw i.i.d. outcomes from |chi_g|^2 with a seeded generator.
 
     Inverse-CDF over the row-major outcome order, so identical (chi, shots,
     seed) give identical sequences on any platform with the same generator.
+    All draws come from one rng.random call, written into the first
+    gradient column; the cdf search and the decoding then run SHOT_BLOCK
+    shots at a time, each block overwriting its own draws, so no temporary
+    grows with the number of shots.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -164,28 +175,53 @@ def sample_measurements(chi: GridState, shots: int, seed: int,
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"chi is not normalized: probabilities sum to {total!r}")
     cdf = np.cumsum(probs)
-    rng = np.random.default_rng(seed)
-    draws = rng.random(int(shots))
-    indices = np.minimum(bucketed_search(cdf, draws), probs.size - 1)
-    gradients = axis_decode_values(params)[grid_points(indices, chi.n, chi.p)]
-    return MeasurementSamples(chi.n, chi.p, indices, gradients)
+    del probs
+    shots = int(shots)
+    buckets = bucket_bounds(cdf, shots)
+    decode = axis_decode_values(params)
+    n, p = chi.n, chi.p
+    indices = np.empty(shots, dtype=np.intp)
+    columns = np.empty((p, shots))
+    np.random.default_rng(seed).random(shots, out=columns[0])
+    coord = np.empty(min(shots, SHOT_BLOCK), dtype=np.intp)
+    for start in range(0, shots, SHOT_BLOCK):
+        block = slice(start, min(start + SHOT_BLOCK, shots))
+        found = indices[block]
+        np.minimum(bucketed_search(cdf, columns[0, block], buckets), cdf.size - 1, out=found)
+        axis_coord = coord[:found.size]
+        for axis in range(p):
+            np.right_shift(found, n * (p - 1 - axis), out=axis_coord)
+            np.bitwise_and(axis_coord, (1 << n) - 1, out=axis_coord)
+            np.take(decode, axis_coord, out=columns[axis, block])
+    return MeasurementSamples(n, p, indices, columns.T)
 
 
-def bucketed_search(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, draws, side="right") for draws in [0, 1).
+def bucket_bounds(cdf: np.ndarray, draws: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(2^k, first, last): the buckets bucketed_search sorts draws into,
+    16 to 32 of a run of that many draws per bucket.
 
-    Draw d lies in bucket b = floor(d * 2^k), with 16 to 32 draws per
-    bucket; the product, the floor and the bucket edges b / 2^k are all
-    exact. A draw of bucket b has its index between searchsorted(cdf,
-    b / 2^k, "right") and searchsorted(cdf, (b + 1) / 2^k, "left"), so
-    where those agree it is that index, and only the other draws are
-    searched.
+    Bucket b holds the draws in [b / 2^k, (b + 1) / 2^k); first[b] is
+    searchsorted(cdf, b / 2^k, "right") and last[b] is searchsorted(cdf,
+    (b + 1) / 2^k, "left").
     """
-    bits = max(0, min(draws.size.bit_length() - 5, cdf.size.bit_length()))
+    bits = max(0, min(draws.bit_length() - 5, cdf.size.bit_length()))
     scale = float(1 << bits)
     edges = np.arange((1 << bits) + 1) / scale
-    first = np.searchsorted(cdf, edges[:-1], side="right")
-    last = np.searchsorted(cdf, edges[1:], side="left")
+    return (scale, np.searchsorted(cdf, edges[:-1], side="right"),
+            np.searchsorted(cdf, edges[1:], side="left"))
+
+
+def bucketed_search(cdf: np.ndarray, draws: np.ndarray,
+                    buckets: tuple[float, np.ndarray, np.ndarray]) -> np.ndarray:
+    """np.searchsorted(cdf, draws, side="right") for draws in [0, 1), with
+    buckets = bucket_bounds(cdf, shots) for any shot count.
+
+    Draw d lies in bucket b = floor(d * 2^k); the product, the floor and
+    the bucket edges b / 2^k are all exact. A draw of bucket b has its index
+    between first[b] and last[b], so where those agree it is that index,
+    and only the other draws are searched.
+    """
+    scale, first, last = buckets
     bucket = (draws * scale).astype(np.intp)
     indices = first[bucket]
     open_draws = np.flatnonzero(indices != last[bucket])

@@ -4,6 +4,8 @@ Every subcommand reads one JSON config tree (--config), optionally
 overridden by flags, prints a human summary, and can write the canonical
 record: --out names the file directly; otherwise, when GRADKICK_OUT_DIR is
 set, <command>.json is written there; with neither, nothing is written.
+A record path that names a directory, or a directory that does not exist,
+is refused before the command does any work.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
 failed, 2 for configuration and usage problems. A verify run whose planning
@@ -14,6 +16,7 @@ inequality); only asserted checks decide the status.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -102,9 +105,26 @@ def output_path(args: argparse.Namespace, command: str) -> str | None:
     return None
 
 
+# Characters of record text encoded per write: a 64 KiB slice for ASCII.
+WRITE_BLOCK = 1 << 16
+
+
+def check_record_path(path: str) -> None:
+    """Raise, before any work is done, the OSError that writing a record to
+    path would raise when path names a directory or a directory that does
+    not exist. No file is created."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    """Write text to path as UTF-8, one WRITE_BLOCK slice at a time, so no
+    full-size encoded copy of a large record is ever held."""
+    with open(path, "wb") as handle:
+        for start in range(0, len(text), WRITE_BLOCK):
+            handle.write(text[start:start + WRITE_BLOCK].encode("utf-8"))
     print(f"record written to {path}")
 
 
@@ -125,7 +145,7 @@ def print_inequalities(report) -> None:
               f"{'yes' if c.holds else 'NO'}")
 
 
-def cmd_plan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_plan(cfg: ExperimentConfig, path: str | None) -> int:
     if cfg.accuracy is None:
         raise ConfigError("plan requires an accuracy block (gamma, delta, epsilon)")
     model = cfg.resolve_model()
@@ -147,7 +167,6 @@ def cmd_plan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     record = ResultRecord(command="plan", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,
                           memory_estimate_bytes=mem, inequalities=ineqs)
-    path = output_path(args, "plan")
     if path:
         write_text(path, record.to_json())
     return EXIT_OK
@@ -166,7 +185,7 @@ def top_rows(column: np.ndarray, count: int) -> np.ndarray:
     return candidates[np.argsort(-column[candidates], kind="stable")[:count]]
 
 
-def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
     model = cfg.resolve_model()
     params = cfg.resolve_params(model)
     x = np.asarray(cfg.x, dtype=float)
@@ -203,13 +222,12 @@ def cmd_run(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if samples is not None:
         print(f"sampled {samples['shots']} shots (seed {samples['seed']}): "
               f"mean gradient {samples['mean_gradient']}")
-    path = output_path(args, "run")
     if path:
         write_text(path, record.to_json())
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_verify(cfg: ExperimentConfig, path: str | None) -> int:
     if cfg.accuracy is None:
         raise ConfigError("verify requires an accuracy block (gamma, delta, epsilon)")
     model = cfg.resolve_model()
@@ -260,18 +278,18 @@ def cmd_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             print(f"FAILED: {failure}")
     else:
         print("all asserted checks passed")
-    path = output_path(args, "verify")
     if path:
         write_text(path, record.to_json())
     return EXIT_FAILED if report.failures else EXIT_OK
 
 
-def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+def cmd_bench(cfg: ExperimentConfig, path: str | None) -> int:
     rows = []
     print("index\tp\tn\tnu\tgrid_size\tquantum_calls\tclassical_calls")
     for index, entry in enumerate(cfg.sweep):
-        sub = cfg.merged(entry, f"config.sweep[{index}]")
-        model = sub.resolve_model()
+        context = f"config.sweep[{index}]"
+        sub = cfg.merged(entry, context)
+        model = sub.resolve_model(context)
         params = sub.resolve_params(model)
         bits, size, mem = grid_geometry(params, model.p)
         # The pipeline makes exactly two oracle applications by construction
@@ -292,7 +310,6 @@ def cmd_bench(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "classical_oracle_calls": classical_calls,
         })
     payload = {"command": "bench", "rows": rows}
-    path = output_path(args, "bench")
     if path:
         write_text(path, record_json(payload))
     return EXIT_OK
@@ -307,7 +324,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
-        return COMMANDS[args.command](cfg, args)
+        path = output_path(args, args.command)
+        if path:
+            check_record_path(path)
+        return COMMANDS[args.command](cfg, path)
     except (ConfigError, PlannerError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -311,14 +311,16 @@ class ExperimentConfig:
             half = sampling_radius(self.params)
         return DomainBox.cube(self.dimension, half, center=tuple(self.x))
 
-    def resolve_model(self) -> FunctionModel:
+    def resolve_model(self, context: str = "config") -> FunctionModel:
         """The objective on its domain; a model the coefficients cannot
-        certify, say one whose derivative bounds overflow, is a ConfigError."""
+        certify, say one whose derivative bounds overflow, is a ConfigError
+        naming context.function (context is this config's path, as in
+        merged)."""
         domain = self.resolve_domain()
         try:
             return self.function.build(domain)
         except ValueError as exc:
-            raise ConfigError(f"config.function: {exc}") from exc
+            raise ConfigError(f"{context}.function: {exc}") from exc
 
     def resolve_params(self, model: FunctionModel) -> AlgorithmParams:
         """Explicit params win; otherwise plan from the accuracy targets."""
@@ -430,21 +432,54 @@ def distribution_entries(chi: GridState, params: AlgorithmParams,
 def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
     """Aggregate sampled estimates: counts per outcome plus the sample mean.
 
-    Outcomes are listed by falling count, ties in grid-index order.
+    Outcomes are listed by falling count, ties in grid-index order. The mean
+    has the bits of np.mean(gradients, axis=0) over the C-ordered
+    (shots, p) array, computed from one gradient column at a time and in
+    bounded blocks (see draw_order_sum).
     """
     counts = np.bincount(samples.indices, minlength=1 << (samples.n * samples.p))
     outcomes = np.flatnonzero(counts)
     counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
     points = grid_points(outcomes[order], samples.n, samples.p)
-    mean = np.mean(samples.gradients, axis=0)
+    gradients = samples.gradients
+    if samples.p == 1:
+        # One contiguous column: numpy sums it pairwise, as it did the
+        # C-ordered (shots, 1) array.
+        mean = np.mean(gradients, axis=0).tolist()
+    else:
+        mean = [draw_order_sum(column) / len(samples) for column in gradients.T]
     return {
         "shots": shots,
         "seed": seed,
         "outcome_counts": RowTable(g=(np.arange(1 << samples.n), points),
                                    count=(counts[order], None)),
-        "mean_gradient": [float(v) for v in mean],
+        "mean_gradient": mean,
     }
+
+
+# Values summed per np.cumsum call: 64 KiB of float64.
+SUM_BLOCK = 1 << 13
+
+
+def draw_order_sum(column: np.ndarray) -> float:
+    """((0.0 + c[0]) + c[1]) + ...: the sum np.add.reduce(a, axis=0) makes
+    of each column of a C-ordered (k, p) array with p > 1, which adds the
+    rows one at a time in order.
+
+    np.cumsum performs those additions over one block at a time, carrying
+    the running total into the next block as its first element.
+    """
+    buffer = np.empty(min(column.size, SUM_BLOCK) + 1)
+    total = 0.0
+    for start in range(0, column.size, SUM_BLOCK):
+        block = column[start:start + SUM_BLOCK]
+        window = buffer[:block.size + 1]
+        window[0] = total
+        window[1:] = block
+        np.cumsum(window, out=window)
+        total = window[-1]
+    return float(total)
 
 
 def record_json(tree: Any) -> str:
@@ -453,9 +488,11 @@ def record_json(tree: Any) -> str:
     Values are written as the json module writes them: floats as
     float.__repr__ writes them, strings ASCII-escaped, tuples as lists; a NaN
     or an infinity anywhere raises ValueError. Dict keys must be strings. A
-    RowTable is written as its list of row dicts, straight from its columns;
-    a long float column is formatted by floattext.float_texts, which proves
-    each text equal to float.__repr__'s and calls repr where it cannot.
+    RowTable is written as its list of row dicts, straight from its columns
+    (see _write_table); a long float column is formatted by
+    floattext.float_texts, which proves each text equal to float.__repr__'s
+    and calls repr where it cannot. The text is ASCII: one str joined from
+    the pieces, which write_text writes without a second full-size copy.
     """
     out: list[str] = []
     _write(tree, "\n", out)
@@ -520,10 +557,14 @@ _SLOT_TEXT = encode_basestring_ascii(_SLOT)
 def _write_table(table: RowTable, newline: str, out: list[str]) -> None:
     """Append a RowTable's JSON text: a row template filled from the columns.
 
-    Each distinct value is formatted once and indexed by its codes; the
-    template is one row rendered by _write with a _SLOT in every value
-    position, so its layout is the generic writer's by construction. Row
-    pieces go straight into out, one template position at a time, as a
+    The template is one row rendered by _write with a _SLOT in every value
+    position, so its layout is the generic writer's by construction. Each
+    distinct value of a coded field is formatted once, joined to the
+    template literals on both sides of it, and indexed by its codes; a
+    per-row value and a literal between two per-row values (or after the
+    last) stay pieces of their own. A distribution row is 6 pieces: one per
+    coordinate of g and gradient, the probability and the closing brace.
+    Row pieces go straight into out, one piece position at a time, as a
     strided slice over the rows.
     """
     rows = len(table)
@@ -536,28 +577,48 @@ def _write_table(table: RowTable, newline: str, out: list[str]) -> None:
     template: list[str] = []
     _write(shape, inner, template)
     literals = "".join(template).split(_SLOT_TEXT)
-    # Row i fills out[start + i * width:][:width] with literal, value,
-    # literal, ..., value, literal.
-    width = len(literals) * 2 - 1
+    # Value positions in template order: (texts, codes) for a coded value,
+    # (texts, None) for a per-row one.
+    slots = []
+    for values, codes in table.fields.values():
+        texts = _value_texts(values, codes)
+        if codes is None:
+            slots.append((texts, None))
+        else:
+            slots.extend((texts, column) for column in codes.reshape(rows, -1).T)
+    # A literal joins the coded value after it, else the coded value before
+    # it, else is a piece of its own. Pieces are slots too: a literal is
+    # (str, None), and a coded value's texts carry their literals.
+    pieces = []
+    pending = "," + inner + literals[0]
+    for k, (texts, column) in enumerate(slots):
+        after = literals[k + 1]
+        if column is None:
+            if pending:
+                pieces.append((pending, None))
+            pieces.append((texts, None))
+            pending = after
+            continue
+        next_coded = k + 1 < len(slots) and slots[k + 1][1] is not None
+        suffix = "" if next_coded else after
+        pieces.append((np.array([pending + text + suffix for text in texts], dtype=object),
+                       column))
+        pending = after if next_coded else ""
+    if pending:
+        pieces.append((pending, None))
+    width = len(pieces)
     out.append("[")
     start = len(out)
     out.extend(repeat(None, rows * width))
     stop = len(out)
-    out[start:stop:width] = ["," + inner + literals[0]] * rows
-    out[start] = inner + literals[0]
-    for k, literal in enumerate(literals[1:], 1):
-        out[start + 2 * k:stop:width] = [literal] * rows
-    slot = start + 1
-    for values, codes in table.fields.values():
-        texts = _value_texts(values, codes)
-        if codes is None:
-            out[slot:stop:width] = texts
-            slot += 2
-            continue
-        texts = np.array(texts, dtype=object)
-        for column in codes.reshape(rows, -1).T:
-            out[slot:stop:width] = texts[column].tolist()
-            slot += 2
+    for k, (texts, column) in enumerate(pieces):
+        if column is not None:
+            texts = texts[column].tolist()
+        elif isinstance(texts, str):
+            texts = [texts] * rows
+        out[start + k:stop:width] = texts
+    # The first row has no comma before it.
+    out[start] = out[start][1:]
     out.append(newline + "]")
 
 

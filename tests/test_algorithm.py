@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gradkick import (DomainBox, FixedPointFormat, decode_gradient,
                       decompose_state, linear_model, run_pipeline,
                       sinusoidal_model)
-from gradkick.algorithm import (axis_decode_values, bucketed_search, plan_run_format,
-                                sample_measurements, sampling_radius)
+from gradkick.algorithm import (axis_decode_values, bucket_bounds, bucketed_search,
+                                plan_run_format, sample_measurements, sampling_radius)
 from gradkick.oracle import DomainError
 from gradkick.params import AlgorithmParams
 from gradkick.qft import qft_amplitudes
@@ -137,9 +137,9 @@ def test_sample_measurements_rejects_bad_inputs():
 @given(weights=st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-12, 0.25, 1.0, 3.0])
                         | st.floats(0.0, 1.0), min_size=1, max_size=300),
        end=st.sampled_from(["sum", "below", "above"]), shots=st.integers(1, 5000),
-       seed=st.integers(0, 2 ** 32 - 1))
+       run=st.integers(1, 1 << 17), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_bucketed_search_equals_searchsorted(weights, end, shots, seed):
+def test_bucketed_search_equals_searchsorted(weights, end, shots, run, seed):
     weights = np.asarray(weights)
     if not weights.sum() > 0:
         weights[-1] = 1.0
@@ -157,5 +157,7 @@ def test_bucketed_search_equals_searchsorted(weights, end, shots, seed):
     edges = np.arange(64) / 64.0
     draws = np.concatenate([rng.random(shots), cdf[cdf < 1.0], edges,
                             np.nextafter(edges[1:], 0.0)])
-    assert np.array_equal(bucketed_search(cdf, draws),
+    # The buckets are sized for a whole run of shots, searched a block at a
+    # time, so their count is independent of the draws searched.
+    assert np.array_equal(bucketed_search(cdf, draws, bucket_bounds(cdf, run)),
                           np.searchsorted(cdf, draws, side="right"))

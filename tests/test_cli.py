@@ -327,3 +327,40 @@ def test_unreadable_config_or_unwritable_record_path_is_a_usage_error(case, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error:"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_unwritable_record_path_is_refused_before_any_work(command, where, tmp_path,
+                                                           capsys, monkeypatch):
+    # Both commands used to run the whole computation and fail on the write.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation started")
+
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    monkeypatch.setattr(cli, "verify_theorem", refuse)
+    cfg = write_config(tmp_path, {**EXACT_LINEAR, "accuracy": PLANNED_QUADRATIC["accuracy"]})
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "record.json"
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err, err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_run_leaves_no_record(tmp_path, capsys):
+    payload = dict(EXACT_LINEAR)
+    payload["domain"] = {"center": [0.0], "half_width": [0.25]}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "pipeline failure (DomainError)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_model_error_names_its_sweep_entry(tmp_path, capsys):
+    payload = {**EXACT_LINEAR, "sweep": [{}, NON_FINITE_BOUNDS[1]]}
+    cfg = write_config(tmp_path, payload)
+    assert main(["bench", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.sweep[1].function: "), err

@@ -62,6 +62,31 @@ def row_tables(draw, max_rows=6):
                     probability=(np.array(probs, dtype=float), None))
 
 
+@st.composite
+def mixed_tables(draw, max_rows=6):
+    """A RowTable of 1 to 4 fields in any order, each per-row, coded by a
+    1-D codes array or coded by a (rows, width) one, of ints or floats."""
+    rows = draw(st.integers(0, max_rows))
+    fields = {}
+    for name in draw(st.lists(st.sampled_from(["a", "b", "c", "d"]),
+                              min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["row", "codes", "points"]))
+        size = rows if kind == "row" else draw(st.integers(1, 5))
+        if draw(st.booleans()):
+            values = np.array(draw(st.lists(st.sampled_from(EDGE_INTS[:2]) | st.integers(-9, 9),
+                                            min_size=size, max_size=size)), dtype=np.int64)
+        else:
+            values = np.array(draw(st.lists(finite_floats, min_size=size, max_size=size)))
+        codes = None
+        if kind != "row":
+            shape = (rows,) if kind == "codes" else (rows, draw(st.integers(1, 3)))
+            codes = np.array(draw(st.lists(st.integers(0, size - 1), min_size=math.prod(shape),
+                                           max_size=math.prod(shape))),
+                             dtype=np.int64).reshape(shape)
+        fields[name] = (values, codes)
+    return RowTable(**fields)
+
+
 trees = st.recursive(
     scalars | row_tables(),
     lambda children: (st.lists(children, max_size=4)
@@ -77,7 +102,7 @@ def test_writer_matches_json_dumps(tree):
     assert record_json(tree) == oracle(tree)
 
 
-@given(table=row_tables(max_rows=40))
+@given(table=row_tables(max_rows=40) | mixed_tables(max_rows=40))
 @settings(max_examples=100, deadline=None)
 def test_row_tables_match_json_dumps_at_every_depth(table):
     for tree in (table, [table], {"samples": {"outcome_counts": table, "seed": 3}}):
