@@ -1,11 +1,10 @@
 """Command-line front end: plan, run, verify, bench.
 
-Every subcommand reads one JSON config tree (--config), optionally
-overridden by flags, prints a human summary, and can write the canonical
-record: --out names the file directly; otherwise, when GRADKICK_OUT_DIR is
-set, <command>.json is written there; with neither, nothing is written.
-A record path that names a directory, or a directory that does not exist,
-is refused before the command does any work.
+Every subcommand takes exactly two options. --config names the JSON config
+tree, the only source of the run's values; --out, when given, names the file
+the canonical record is written to. A record path that names a directory,
+or a directory that does not exist, is refused before the command does any
+work.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
 failed, 2 for configuration and usage problems. A verify run whose planning
@@ -21,7 +20,6 @@ import functools
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +34,6 @@ from .config import (ConfigError, ExperimentConfig, ResultRecord,
 from .oracle import DomainError, FormatError, RangeOverflowError
 from .operators import ResidualEntanglementError
 from .states import GridSizeError
-
-OUT_DIR_ENV = "GRADKICK_OUT_DIR"
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -64,45 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override sampling seed")
-        p.add_argument("--shots", type=int, default=None, help="override shot count")
-        p.add_argument("--group-mode", choices=("modular", "xor"), default=None,
-                       help="override range-register group")
-        p.add_argument("--phase-variant", choices=("direct", "per-bit"), default=None,
-                       help="override phase-rotation implementation")
-        p.add_argument("--max-grid-bits", type=int, default=None,
-                       help="override the dense-grid memory guard")
-        p.add_argument("--prob-floor", type=float, default=None,
-                       help="override the distribution probability floor")
         p.add_argument("--out", default=None, help="write the record to this path")
     return parser
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shots is not None:
-        overrides["shots"] = args.shots
-    if args.group_mode is not None:
-        overrides["group_mode"] = args.group_mode
-    if args.phase_variant is not None:
-        overrides["phase_variant"] = args.phase_variant
-    if args.max_grid_bits is not None:
-        overrides["max_grid_bits"] = args.max_grid_bits
-    if args.prob_floor is not None:
-        overrides["prob_floor"] = args.prob_floor
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def output_path(args: argparse.Namespace, command: str) -> str | None:
-    if args.out:
-        return args.out
-    out_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir:
-        return os.path.join(out_dir, command + ".json")
-    return None
+    """The config named by --config, the only source of a run's values. Its
+    own function so that perfbench/tracing.py can time it as a span."""
+    return ExperimentConfig.from_json_file(args.config)
 
 
 # Characters of record text encoded per write: a 64 KiB slice for ASCII.
@@ -324,10 +289,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
-        path = output_path(args, args.command)
-        if path:
-            check_record_path(path)
-        return COMMANDS[args.command](cfg, path)
+        if args.out:
+            check_record_path(args.out)
+        return COMMANDS[args.command](cfg, args.out)
     except (ConfigError, PlannerError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

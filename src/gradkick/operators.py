@@ -154,7 +154,7 @@ def apply_qft(s: SparseTripartiteState) -> SparseTripartiteState:
     grid-sized is allocated.
     """
     in_sector = (s.labels == s.labels[:1]) & (s.words == s.words[:1])
-    if not (in_sector.size and in_sector.all()):
+    if not in_sector.all():
         raise ValueError("apply_qft transforms a state in exactly one (label, word) "
                          f"sector; the {len(s)} terms of this one are not")
     size = 1 << (s.n * s.p)

@@ -24,7 +24,7 @@ per-axis sum rounds differently wherever that kernel fuses multiply-adds.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -141,15 +141,13 @@ class GridState:
     """Normalized amplitudes over the grid register.
 
     Index i encodes (g_1, ..., g_p) in row-major order: the first axis varies
-    slowest. Construction rejects unnormalized input because every producer
-    in this package is unitary; pass normalized=False only for deliberately
-    partial states.
+    slowest. Construction rejects input whose norm is not 1 within NORM_TOL,
+    because every producer in this package is unitary.
     """
 
     n: int
     p: int
     amplitudes: np.ndarray
-    normalized: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
         # The memory guard lives at the allocation entry point (the
@@ -162,7 +160,7 @@ class GridState:
                 f"expected {1 << (self.n * self.p)} amplitudes, got shape {amps.shape}"
             )
         self.amplitudes = amps
-        if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
+        if abs(self.norm() - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
 
     def norm(self) -> float:
@@ -221,11 +219,11 @@ class SparseTripartiteState:
     share the ones an operator leaves unchanged. terms presents the same
     data as SparseTerm objects, built only when read.
 
-    Every constructor ends in __post_init__, which validates the arrays.
+    Every constructor ends in __post_init__, which validates the arrays and
+    checks that the norm is 1 within NORM_TOL.
     """
 
-    def __init__(self, n: int, p: int, terms: Sequence[SparseTerm],
-                 normalized: bool = True) -> None:
+    def __init__(self, n: int, p: int, terms: Sequence[SparseTerm]) -> None:
         terms = tuple(terms)
         points = {t.label.x for t in terms}
         if len(points) > 1:
@@ -235,21 +233,20 @@ class SparseTripartiteState:
             [label_code(t.label, n, p) for t in terms],
             [t.word for t in terms],
             [grid_index_of(t.grid, n, p) for t in terms],
-            [t.amplitude for t in terms],
-            normalized)
+            [t.amplitude for t in terms])
         self.__post_init__()
 
     @classmethod
     def from_arrays(cls, n: int, p: int, x: Sequence[float], labels: np.ndarray,
-                    words: np.ndarray, grid: np.ndarray, amplitudes: np.ndarray,
-                    normalized: bool = True) -> SparseTripartiteState:
+                    words: np.ndarray, grid: np.ndarray,
+                    amplitudes: np.ndarray) -> SparseTripartiteState:
         state = cls.__new__(cls)
-        state._assign(n, p, x, labels, words, grid, amplitudes, normalized)
+        state._assign(n, p, x, labels, words, grid, amplitudes)
         state.__post_init__()
         return state
 
-    def _assign(self, n, p, x, labels, words, grid, amplitudes, normalized) -> None:
-        self.n, self.p, self.normalized = n, p, normalized
+    def _assign(self, n, p, x, labels, words, grid, amplitudes) -> None:
+        self.n, self.p = n, p
         self.x = tuple(float(v) for v in x)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.words = np.asarray(words, dtype=np.int64)
@@ -283,8 +280,7 @@ class SparseTripartiteState:
                 raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
         for name in changed:
             getattr(self, name).flags.writeable = False
-        if ("amplitudes" in changed and self.normalized
-                and abs(self.norm() - 1.0) > NORM_TOL):
+        if "amplitudes" in changed and abs(self.norm() - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
 
     def replace(self, **arrays: np.ndarray) -> SparseTripartiteState:
@@ -297,7 +293,7 @@ class SparseTripartiteState:
                   "amplitudes": self.amplitudes}
         fields.update(arrays)
         state = SparseTripartiteState.__new__(SparseTripartiteState)
-        state._assign(self.n, self.p, self.x, normalized=self.normalized, **fields)
+        state._assign(self.n, self.p, self.x, **fields)
         state.__post_init__(frozenset(arrays))
         return state
 

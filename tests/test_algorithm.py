@@ -127,9 +127,10 @@ def test_sample_measurements_rejects_bad_inputs():
     with pytest.raises(ValueError, match="shots"):
         sample_measurements(chi, 0, seed=1, params=EXACT)
     from gradkick import GridState
-    lopsided = GridState(n=3, p=1,
-                         amplitudes=np.full(8, 0.5, dtype=complex),
-                         normalized=False)
+    lopsided = GridState(n=3, p=1, amplitudes=np.full(8, 8 ** -0.5, dtype=complex))
+    # Construction checks the norm, so break it afterwards to reach the
+    # sampler's own check.
+    lopsided.amplitudes = np.full(8, 0.5, dtype=complex)
     with pytest.raises(ValueError, match="not normalized"):
         sample_measurements(lopsided, 4, seed=1, params=EXACT)
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
                       GridState, TheoremReport, check_inequalities,
@@ -12,8 +14,8 @@ from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
                       linear_model, quadratic_model, select_parameters,
                       success_projection, verify_theorem)
 from gradkick.algorithm import plan_run_format
-from gradkick.analysis import (BoundViolation, PlannerError, psi_D_norm_bound,
-                               psi_N_norm_bound)
+from gradkick.analysis import (BoundViolation, PlannerError, geometric_sum,
+                               psi_D_norm_bound, psi_N_norm_bound)
 from gradkick.config import from_tree, record_json, to_tree
 from gradkick.oracle import DomainError
 from gradkick.params import AlgorithmParams
@@ -152,6 +154,39 @@ def test_leakage_check_bound_holds_on_plain_linear_case():
     assert report.amplitude_ok
     assert report.factorization_ok
     assert all(v <= report.bound + 1e-12 for v in report.per_axis_max)
+
+
+def reduced_sum(d: float, size: int) -> complex:
+    """sum_k exp(2 pi i d k) over k < size, term by term: the geometric sum
+    at any angle an integer away from d."""
+    angles = [2.0 * math.pi * d * k for k in range(size)]
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+
+
+@given(d=st.floats(1e-12, 1e-5), sign=st.sampled_from([-1.0, 1.0]),
+       n=st.integers(2, 8), k=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_geometric_sum_keeps_its_phase_near_an_integer(d, sign, n, k):
+    size = 1 << n
+    theta = k + sign * d
+    exact = reduced_sum(theta - k, size)
+    assert abs(geometric_sum(theta, size) - exact) <= 1e-13 * size
+
+
+@given(d=st.floats(1e-12, 1e-5), sign=st.sampled_from([-1.0, 1.0]),
+       n=st.integers(2, 8), p=st.integers(1, 3), near=st.integers(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_leakage_factorization_holds_near_integer_phases(d, sign, n, p, near):
+    # With lam mu = 2^-n, axis m's phase at grid index g is
+    # (g + c_m) / 2^n; c_m = near + sign d 2^n puts it d from an integer,
+    # at g = 0 (near 0) or g = 2^n - 1 (near 1).
+    n = min(n, 12 // p)
+    size = 1 << n
+    params = AlgorithmParams(n=n, nu=1e-9, lam=1.0, mu=1.0 / size)
+    model = linear_model([near + sign * d * size] * p, DomainBox.cube(p, 1.0))
+    report = leakage_check(model, [0.0] * p, params, delta=0.5)
+    assert report.factorization_error <= 1e-12
+    assert report.factorization_ok
 
 
 def test_classical_baseline_counts_and_linear_exactness():

@@ -109,11 +109,10 @@ def test_run_prints_tied_top_outcomes_in_grid_order(tmp_path, capsys, monkeypatc
     assert lines[start + 8].startswith("sampled 12 shots")
 
 
-def test_run_flag_overrides_reach_the_record(tmp_path):
-    cfg = write_config(tmp_path, EXACT_LINEAR)
+def test_run_config_shots_and_seed_reach_the_record(tmp_path):
+    cfg = write_config(tmp_path, dict(EXACT_LINEAR, shots=5, seed=9))
     out = tmp_path / "run.json"
-    assert main(["run", "--config", cfg, "--out", str(out),
-                 "--shots", "5", "--seed", "9"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     record = ResultRecord.from_json(out.read_text())
     assert record.config.shots == 5
     assert record.config.seed == 9
@@ -121,14 +120,19 @@ def test_run_flag_overrides_reach_the_record(tmp_path):
     assert sum(c["count"] for c in record.samples["outcome_counts"]) == 5
 
 
-def test_run_honors_out_dir_env(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, EXACT_LINEAR)
-    monkeypatch.setenv("GRADKICK_OUT_DIR", str(tmp_path))
-    assert main(["run", "--config", cfg]) == 0
-    assert (tmp_path / "run.json").exists()
-    explicit = tmp_path / "elsewhere.json"
-    assert main(["run", "--config", cfg, "--out", str(explicit)]) == 0
-    assert explicit.read_bytes() == (tmp_path / "run.json").read_bytes()
+@pytest.mark.parametrize("command", ["plan", "run", "verify", "bench"])
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "9"), ("--shots", "5"), ("--group-mode", "xor"),
+    ("--phase-variant", "per-bit"), ("--max-grid-bits", "2"),
+    ("--prob-floor", "0.1")])
+def test_config_fields_have_no_flags(command, flag, value, tmp_path, capsys):
+    # The config file is the only source of a run's values.
+    cfg = write_config(tmp_path, PLANNED_QUADRATIC)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", cfg, flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
 
 def test_verify_quadratic_passes(tmp_path, capsys):
@@ -154,6 +158,19 @@ def test_verify_negative_control_reports_but_exits_zero(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "guarantee NOT asserted" in text
     assert "all asserted checks passed" in text
+
+
+def test_verify_passes_a_linear_run_whose_phase_lies_near_an_integer(tmp_path, capsys):
+    # At g = 5 the phase is 1 + 3.75e-10, where the closed form of the
+    # leakage factor loses its phase and reports a factorization failure.
+    cfg = write_config(tmp_path, {
+        "function": {"kind": "linear", "coefficients": [3.000000003]},
+        "x": [0.0],
+        "accuracy": {"gamma": 1.0, "delta": 0.5, "epsilon": 0.5},
+        "params": {"n": 3, "nu": 1e-9, "lambda": 1.0, "mu": 0.125},
+    })
+    assert main(["verify", "--config", cfg]) == 0
+    assert "all asserted checks passed" in capsys.readouterr().out
 
 
 def test_verify_record_reproduces_the_report(tmp_path):
@@ -196,8 +213,8 @@ def test_domain_violation_is_pipeline_failure(tmp_path, capsys):
 
 
 def test_grid_guard_trips_as_usage_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, PLANNED_QUADRATIC)
-    assert main(["plan", "--config", cfg, "--max-grid-bits", "2"]) == 2
+    cfg = write_config(tmp_path, dict(PLANNED_QUADRATIC, max_grid_bits=2))
+    assert main(["plan", "--config", cfg]) == 2
     assert "max_grid_bits" in capsys.readouterr().err
 
 

@@ -108,9 +108,6 @@ def test_apply_qft_refuses_more_than_one_sector():
                                                        second))
         with pytest.raises(ValueError, match="one .label, word. sector"):
             apply_qft(state)
-    empty = SparseTripartiteState(n=2, p=1, terms=(), normalized=False)
-    with pytest.raises(ValueError, match="one .label, word. sector"):
-        apply_qft(empty)
 
 
 def test_collapse_to_grid_happy_path():

@@ -49,19 +49,20 @@ def test_grid_state_basis_one_hot():
     assert state.norm() == 1.0
 
 
-def test_grid_state_rejects_unnormalized_unless_flagged():
+def test_grid_state_rejects_unnormalized():
     amps = np.ones(4, dtype=complex)
     with pytest.raises(ValueError, match="norm"):
         GridState(n=2, p=1, amplitudes=amps)
-    partial = GridState(n=2, p=1, amplitudes=amps, normalized=False)
-    assert partial.norm() == 2.0
+    with pytest.raises(ValueError, match="norm"):
+        GridState(n=2, p=1, amplitudes=np.zeros(4, dtype=complex))
+    assert GridState(n=2, p=1, amplitudes=amps / 2).norm() == 1.0
 
 
 def test_grid_state_shape_validation():
     with pytest.raises(ValueError):
-        GridState(n=2, p=1, amplitudes=np.zeros(3, dtype=complex), normalized=False)
+        GridState(n=2, p=1, amplitudes=np.full(3, 3 ** -0.5, dtype=complex))
     with pytest.raises(ValueError):
-        GridState(n=0, p=1, amplitudes=np.zeros(1, dtype=complex), normalized=False)
+        GridState(n=0, p=1, amplitudes=np.ones(1, dtype=complex))
 
 
 def test_check_grid_bits_guard():
@@ -92,11 +93,11 @@ def test_sparse_state_initial():
 def test_sparse_state_rejects_duplicate_triples():
     label = DomainLabel.base((0.0,))
     terms = (
-        SparseTerm(label, 0, (1,), 0.5 + 0j),
-        SparseTerm(label, 0, (1,), 0.5 + 0j),
+        SparseTerm(label, 0, (1,), 0.5 ** 0.5 + 0j),
+        SparseTerm(label, 0, (1,), 0.5 ** 0.5 + 0j),
     )
     with pytest.raises(ValueError, match="duplicate"):
-        SparseTripartiteState(n=2, p=1, terms=terms, normalized=False)
+        SparseTripartiteState(n=2, p=1, terms=terms)
 
 
 def test_sparse_state_rejects_bad_grid_and_norm():
@@ -107,11 +108,13 @@ def test_sparse_state_rejects_bad_grid_and_norm():
     with pytest.raises(ValueError, match="norm"):
         SparseTripartiteState(
             n=2, p=1, terms=(SparseTerm(label, 0, (0,), 0.5 + 0j),))
-    # The same term is fine as a deliberately partial state.
-    partial = SparseTripartiteState(
-        n=2, p=1, terms=(SparseTerm(label, 0, (0,), 0.5 + 0j),),
-        normalized=False)
-    assert partial.norm() == 0.5
+    with pytest.raises(ValueError, match="norm"):
+        SparseTripartiteState(n=2, p=1, terms=())
+    # The norm is checked again whenever an operator swaps the amplitudes.
+    state = SparseTripartiteState(
+        n=2, p=1, terms=(SparseTerm(label, 0, (0,), 1.0 + 0j),))
+    with pytest.raises(ValueError, match="norm"):
+        state.replace(amplitudes=np.array([0.5 + 0j]))
 
 
 def test_sparse_state_rejects_mixed_evaluation_points():
