@@ -16,13 +16,12 @@ import numpy as np
 
 from .models import FunctionModel
 from .oracle import DomainError, DomainLabel, FixedPointFormat, plan_format
-from .operators import (OracleCallCounter, apply_phase_rotation, apply_qft,
-                        apply_u_f, apply_u_f_inverse, apply_u_plus,
-                        apply_u_plus_inverse, collapse_to_grid)
+from .operators import (OracleCallCounter, apply_phase_rotation, apply_u_f,
+                        apply_u_f_inverse, apply_u_plus, apply_u_plus_inverse,
+                        collapse_to_grid)
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
-from .states import (GridState, SparseTripartiteState, check_grid_bits,
-                     grid_points)
+from .states import GridAlignedState, GridState, check_grid_bits, grid_points
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,12 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
                  range_format: FixedPointFormat | None = None) -> tuple[GridState, int]:
     """Execute the estimator and return (grid state chi, oracle call count).
 
-    Prepares |base label> |0> |0...0>, applies grid transform, shift, oracle,
-    phase rotation, inverse oracle and inverse shift, then checks and
-    collapses onto the grid register, verifying the domain and range
-    registers returned to their initial basis states, then applies the final
-    grid transform (the same positive-kernel transform both times).
+    Starts from the grid transform of |base label> |0> |0...0>, built in
+    closed form (GridAlignedState.prepared), applies shift, oracle, phase
+    rotation, inverse oracle and inverse shift, then checks and collapses
+    onto the grid register, verifying the domain and range registers
+    returned to their initial basis states, then applies the final grid
+    transform (the same positive-kernel transform as the first).
     """
     pt = np.asarray(x, dtype=float)
     if pt.shape != (model.p,):
@@ -136,8 +136,7 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
 
     base = DomainLabel.base(pt)
     counter = OracleCallCounter()
-    state = SparseTripartiteState.initial(params.n, model.p, base)
-    state = apply_qft(state)
+    state = GridAlignedState.prepared(params.n, model.p, base.x)
     state = apply_u_plus(state, params)
     state = apply_u_f(state, model, range_format, params, counter)
     state = apply_phase_rotation(state, params.lam, range_format, variant=phase_variant)

@@ -25,7 +25,7 @@ import numpy as np
 from .algorithm import (axis_decode_values, plan_run_format, run_pipeline,
                         sampling_radius)
 from .models import FunctionModel, row_dots
-from .operators import complex_array, complex_product, unit_phases
+from .operators import unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
@@ -276,16 +276,40 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
             f"curvature error {float(eps_N[i])!r} above M mu^2 |h-g0|^2 / 2 = "
             f"{float(cap[i])!r} at grid {h}"
         )
+    del cap, rounding_bad, curvature_bad, bad
+    # Each part is written in place and each input dropped once read, so
+    # the split holds little beyond its own six arrays at any time.
+    scratch = np.empty(f_true.size)
     lin_re, lin_im = unit_phases(lam, f_lin)
+    del f_lin
+    psi_L = _scaled_phases(amp, lin_re, lin_im, scratch)
     true_re, true_im = unit_phases(lam, f_true)
+    del f_true
+    np.subtract(true_re, lin_re, out=lin_re)
+    np.subtract(true_im, lin_im, out=lin_im)
+    psi_N = _scaled_phases(amp, lin_re, lin_im, scratch)
+    del lin_re, lin_im
     q_re, q_im = unit_phases(lam, f_q)
-    return ErrorDecomposition(
-        n=n, p=p,
-        psi=complex_array(*complex_product(amp, 0.0, q_re, q_im)),
-        psi_L=complex_array(*complex_product(amp, 0.0, lin_re, lin_im)),
-        psi_N=complex_array(*complex_product(amp, 0.0, true_re - lin_re, true_im - lin_im)),
-        psi_D=complex_array(*complex_product(amp, 0.0, q_re - true_re, q_im - true_im)),
-        eps_N=eps_N, eps_D=eps_D)
+    del f_q
+    psi = _scaled_phases(amp, q_re, q_im, scratch)
+    np.subtract(q_re, true_re, out=q_re)
+    np.subtract(q_im, true_im, out=q_im)
+    del true_re, true_im
+    psi_D = _scaled_phases(amp, q_re, q_im, scratch)
+    return ErrorDecomposition(n=n, p=p, psi=psi, psi_L=psi_L, psi_N=psi_N, psi_D=psi_D,
+                              eps_N=eps_N, eps_D=eps_D)
+
+
+def _scaled_phases(amp: float, re: np.ndarray, im: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """complex_array(*complex_product(amp, 0.0, re, im)), written part by
+    part into one new array with scratch as the only temporary."""
+    out = np.empty(re.size, dtype=np.complex128)
+    np.multiply(amp, re, out=out.real)
+    np.subtract(out.real, np.multiply(0.0, im, out=scratch), out=out.real)
+    np.multiply(amp, im, out=out.imag)
+    np.add(out.imag, np.multiply(0.0, re, out=scratch), out=out.imag)
+    return out
 
 
 def psi_N_norm_bound(params: AlgorithmParams, M: float) -> float:
@@ -503,6 +527,12 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                                    model.p, max_grid_bits)
     fmt = plan_run_format(model, pt, params, group_mode)
     dec = decompose_state(model, pt, params, fmt)
+    # Only psi and psi_L are read after this; the rest is dropped before the
+    # pipeline runs.
+    psi_N_norm, psi_D_norm = dec.psi_N_norm, dec.psi_D_norm
+    reconstruction_error = dec.reconstruction_error
+    psi, psi_L = dec.psi, dec.psi_L
+    del dec
     chi, oracle_calls = run_pipeline(model, pt, params, group_mode,
                                      phase_variant=phase_variant,
                                      max_grid_bits=max_grid_bits, range_format=fmt)
@@ -513,13 +543,13 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
         # restore it before comparing against the reference construction.
         aligned = aligned * cmath.exp(2j * math.pi * params.lam * fmt.a0)
     dual_path_error = float(np.max(np.abs(
-        aligned - qft_amplitudes(dec.psi, params.n, model.p))))
+        aligned - qft_amplitudes(psi, params.n, model.p))))
 
     grad = model.gradient(pt)
     projected_amplitude, success_probability = success_projection(
         chi, grad, spec.delta, params)
     chi_L = GridState(n=params.n, p=model.p,
-                      amplitudes=qft_amplitudes(dec.psi_L, params.n, model.p))
+                      amplitudes=qft_amplitudes(psi_L, params.n, model.p))
     projected_linear, _ = success_projection(chi_L, grad, spec.delta, params)
 
     inequalities = check_inequalities(params, spec, model.grad_bound,
@@ -534,16 +564,13 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     leakage = (leakage_check(model, pt, params, spec.delta)
                if can_leak_check else None)
 
-    psi_D_norm = dec.psi_D_norm
     psi_D_bound = psi_D_norm_bound(params)
-    psi_N_norm = dec.psi_N_norm
     psi_N_bound = psi_N_norm_bound(params, model.hess_bound)
     psi_N_asserted = model.p == 1
     linear_floor = (2.0 + spec.epsilon) / 3.0
     triangle_floor = projected_linear - psi_N_norm - psi_D_norm
     guarantee_asserted = inequalities.all_hold
 
-    reconstruction_error = dec.reconstruction_error
     failures: list[str] = []
     if reconstruction_error > RECONSTRUCTION_TOL:
         failures.append(f"reconstruction error {reconstruction_error!r} "

@@ -1,16 +1,19 @@
-"""Pipeline operators acting on array-backed tripartite states.
+"""Pipeline operators acting on tripartite states in either form.
 
-Each operator returns a new state and works on all terms in one numpy pass;
-arrays an operator leaves unchanged are shared with its input, which keeps
-run_pipeline's peak near 96 bytes per grid point (tracemalloc, n=8, p=2;
-a state holds 40 bytes per term). The shift and oracle operators are basis
-permutations (amplitudes move, never mix), the phase rotation multiplies
-amplitudes by unit phases, and the grid transform acts on the grid register
-alone, so it could only mix amplitudes within a (label, word) sector; it is
-applied to one-sector states only, as the prepared state is. That is why
-run_pipeline can collapse onto the grid register before the second transform
-and verify factorization exactly there: a broken inverse pair leaves terms
-in a wrong sector, and no operator can hide them.
+Each operator returns a new state of its input's form and works on all
+terms in one numpy pass; arrays an operator leaves unchanged are shared with
+its input. On the grid-aligned form the pipeline uses, the shift only flips
+the label mode, and the phase kick starts from the one amplitude all terms
+share, so it kicks each range word once and gathers when the format has no
+more words than the grid has points. That keeps run_pipeline's peak near 80
+bytes per grid point (tracemalloc, n=8, p=2). The shift and oracle operators
+are basis permutations (amplitudes move, never mix), the phase rotation
+multiplies amplitudes by unit phases, and the grid transform acts on the
+grid register alone, so it could only mix amplitudes within a (label, word)
+sector; it is applied to one-sector states only. That is why run_pipeline
+can collapse onto the grid register before the second transform and verify
+factorization exactly there: a broken inverse pair leaves terms in a wrong
+sector, and no operator can hide them.
 
 The arithmetic reproduces, bit for bit, what composing the operators term by
 term with Python complex numbers gives: phases come from the same cos/sin,
@@ -22,14 +25,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, oracle_words,
-                     range_add, range_sub, shift_codes)
+from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, check_words,
+                     oracle_words, range_add, range_sub, shift_codes)
 from .qft import qft_amplitudes
-from .states import (GridState, SparseTripartiteState, is_full_range,
+from .states import (GridAlignedState, GridState, SparseTripartiteState,
                      label_code, represented_points)
 
 if TYPE_CHECKING:
@@ -37,6 +40,9 @@ if TYPE_CHECKING:
     from .params import AlgorithmParams
 
 PHASE_VARIANTS = ("direct", "per-bit")
+
+# The operators take either state form and return the same form.
+PipelineState = Union[GridAlignedState, SparseTripartiteState]
 
 
 class ResidualEntanglementError(RuntimeError):
@@ -81,12 +87,13 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _label_points(s: SparseTripartiteState, params: AlgorithmParams) -> np.ndarray:
+def _label_points(s: PipelineState, params: AlgorithmParams) -> np.ndarray:
     """Represented point of every term's label, as a (terms, p) array:
     x for BASE, x + mu * (g - g0) for SHIFTED(g)."""
-    if is_full_range(s.labels, 1 << (s.n * s.p)):
-        # The pipeline's case: SHIFTED(h) for every grid index h, in order.
-        return represented_points(s.x, params.mu, None, s.n)
+    if isinstance(s, GridAlignedState):
+        if s.shifted:
+            return represented_points(s.x, params.mu, None, s.n)
+        return np.tile(s.x, (len(s), 1))
     points = represented_points(s.x, params.mu, s.labels, s.n)
     base = s.labels == BASE_CODE
     if base.any():
@@ -94,26 +101,33 @@ def _label_points(s: SparseTripartiteState, params: AlgorithmParams) -> np.ndarr
     return points
 
 
-def apply_u_plus(s: SparseTripartiteState, params: AlgorithmParams) -> SparseTripartiteState:
+def _swap_labels(s: PipelineState) -> PipelineState:
+    """label <- c_p(label, g) per term: BASE <-> SHIFTED(g)."""
+    if isinstance(s, GridAlignedState):
+        return s.replace(shifted=not s.shifted)
+    return s.replace(labels=shift_codes(s.labels, s.grid))
+
+
+def apply_u_plus(s: PipelineState, params: AlgorithmParams) -> PipelineState:
     """Shift operator: label <- c_p(label, g) per term, amplitudes unchanged."""
-    return s.replace(labels=shift_codes(s.labels, s.grid))
+    return _swap_labels(s)
 
 
-def apply_u_plus_inverse(s: SparseTripartiteState, params: AlgorithmParams) -> SparseTripartiteState:
+def apply_u_plus_inverse(s: PipelineState, params: AlgorithmParams) -> PipelineState:
     """Inverse shift; the same swap, since the swap is an involution."""
-    return s.replace(labels=shift_codes(s.labels, s.grid))
+    return _swap_labels(s)
 
 
-def apply_u_f(s: SparseTripartiteState, model: FunctionModel, fmt: FixedPointFormat,
-              params: AlgorithmParams, counter: OracleCallCounter) -> SparseTripartiteState:
+def apply_u_f(s: PipelineState, model: FunctionModel, fmt: FixedPointFormat,
+              params: AlgorithmParams, counter: OracleCallCounter) -> PipelineState:
     """Oracle operator: word <- word + c_f(label) in the range group."""
     counter.bump()
     values = oracle_words(model, fmt, _label_points(s, params))
     return s.replace(words=range_add(fmt, s.words, values))
 
 
-def apply_u_f_inverse(s: SparseTripartiteState, model: FunctionModel, fmt: FixedPointFormat,
-                      params: AlgorithmParams, counter: OracleCallCounter) -> SparseTripartiteState:
+def apply_u_f_inverse(s: PipelineState, model: FunctionModel, fmt: FixedPointFormat,
+                      params: AlgorithmParams, counter: OracleCallCounter) -> PipelineState:
     """Uncomputation of the oracle; costs one oracle call like the forward map
     and evaluates f again rather than reusing the forward words."""
     counter.bump()
@@ -121,43 +135,66 @@ def apply_u_f_inverse(s: SparseTripartiteState, model: FunctionModel, fmt: Fixed
     return s.replace(words=range_sub(fmt, s.words, values))
 
 
-def apply_phase_rotation(s: SparseTripartiteState, lam: float, fmt: FixedPointFormat,
-                         variant: str = "direct") -> SparseTripartiteState:
+def _phase_kick(re, im, words: np.ndarray, lam: float, fmt: FixedPointFormat,
+               variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of (re + i im) kicked by each word.
+
+    direct multiplies by e^(2 pi i lam c_r(word)); per-bit multiplies by the
+    gate e^(2 pi i lam a1 2^k) of every set bit k, in order of k. re and im
+    broadcast against words. Words outside the format raise ValueError.
+    """
+    if variant == "direct":
+        return complex_product(re, im, *unit_phases(lam, fmt.decode(words)))
+    check_words(fmt, words)
+    for k in range(fmt.bits):
+        gate = cmath.exp(2j * cmath.pi * lam * fmt.a1 * float(1 << k))
+        bit = ((words >> k) & 1).astype(bool)
+        kicked_re, kicked_im = complex_product(re, im, gate.real, gate.imag)
+        re, im = np.where(bit, kicked_re, re), np.where(bit, kicked_im, im)
+    return re, im
+
+
+def apply_phase_rotation(s: PipelineState, lam: float, fmt: FixedPointFormat,
+                         variant: str = "direct") -> PipelineState:
     """Multiply each term by e^(2 pi i lam c_r(word)).
 
     The per-bit variant routes every set bit k through diag(1, e^(2 pi i lam
     a1 2^k)) instead, exactly what a bank of single-bit phase gates on the
     range register would do. It differs from the direct variant by the global
     phase e^(2 pi i lam a0), since the bits only ever see the a1 part.
+
+    While every term shares one amplitude, a term's kicked amplitude depends
+    on its word alone; when the format has no more words than the state has
+    terms, each word is kicked once and the results are gathered.
     """
     if variant not in PHASE_VARIANTS:
         raise ValueError(f"variant must be one of {PHASE_VARIANTS}")
-    re, im = s.amplitudes.real, s.amplitudes.imag
-    if variant == "direct":
-        re, im = complex_product(re, im, *unit_phases(lam, fmt.decode(s.words)))
-    else:
-        for k in range(fmt.bits):
-            gate = cmath.exp(2j * cmath.pi * lam * fmt.a1 * float(1 << k))
-            bit = ((s.words >> k) & 1).astype(bool)
-            kicked_re, kicked_im = complex_product(re, im, gate.real, gate.imag)
-            re, im = np.where(bit, kicked_re, re), np.where(bit, kicked_im, im)
-    return s.replace(amplitudes=complex_array(re, im))
+    amps = s.amplitudes
+    if amps.ndim == 0 and fmt.num_words <= len(s):
+        check_words(fmt, s.words)
+        table = _phase_kick(amps.real, amps.imag, np.arange(fmt.num_words), lam, fmt, variant)
+        return s.replace(amplitudes=np.take(complex_array(*table), s.words))
+    return s.replace(amplitudes=complex_array(*_phase_kick(amps.real, amps.imag, s.words,
+                                                          lam, fmt, variant)))
 
 
-def apply_qft(s: SparseTripartiteState) -> SparseTripartiteState:
+def apply_qft(s: PipelineState) -> PipelineState:
     """Grid-register transform of a state that lies in one (label, word) sector.
 
     The state is scattered into one dense grid and transformed; the result
-    holds every grid index in order, all with that label and word. The
-    pipeline transforms only the prepared basis state this way. A state
+    holds every grid index in order, all with that label and word. A state
     spread over two or more sectors raises ValueError before anything
     grid-sized is allocated.
     """
-    in_sector = (s.labels == s.labels[:1]) & (s.words == s.words[:1])
-    if not in_sector.all():
+    aligned = isinstance(s, GridAlignedState)
+    one_label = (not s.shifted or len(s) == 1) if aligned else (s.labels == s.labels[:1]).all()
+    if not (one_label and (s.words == s.words[:1]).all()):
         raise ValueError("apply_qft transforms a state in exactly one (label, word) "
                          f"sector; the {len(s)} terms of this one are not")
     size = 1 << (s.n * s.p)
+    if aligned:
+        return s.replace(amplitudes=qft_amplitudes(
+            np.broadcast_to(s.amplitudes, (size,)), s.n, s.p))
     dense = np.zeros(size, dtype=np.complex128)
     dense[s.grid] = s.amplitudes
     return s.replace(labels=np.repeat(s.labels[:1], size), words=np.repeat(s.words[:1], size),
@@ -165,7 +202,7 @@ def apply_qft(s: SparseTripartiteState) -> SparseTripartiteState:
                      amplitudes=qft_amplitudes(dense, s.n, s.p))
 
 
-def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
+def collapse_to_grid(s: PipelineState, expected_label: DomainLabel,
                      expected_word: int) -> GridState:
     """Project the state onto its grid register.
 
@@ -174,9 +211,12 @@ def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
     however small its amplitude, means an inverse pair is broken. The first
     stray term is named in the ResidualEntanglementError.
     """
+    aligned = isinstance(s, GridAlignedState)
     if expected_label.x == s.x:
         code = label_code(expected_label, s.n, s.p)
-        stray = np.flatnonzero((s.labels != code) | (s.words != expected_word))
+        # An aligned state's labels are all BASE or SHIFTED(h) at term h.
+        labels = (np.arange(len(s)) if s.shifted else BASE_CODE) if aligned else s.labels
+        stray = np.flatnonzero((labels != code) | (s.words != expected_word))
     else:
         stray = np.arange(len(s))
     if stray.size:
@@ -186,6 +226,11 @@ def collapse_to_grid(s: SparseTripartiteState, expected_label: DomainLabel,
             f"amplitude={t.amplitude!r}) is outside the expected sector "
             f"(label={expected_label!r}, word={expected_word})"
         )
-    amps = np.zeros(1 << (s.n * s.p), dtype=complex)
-    amps[s.grid] = s.amplitudes
+    size = 1 << (s.n * s.p)
+    if aligned:
+        # Term h already sits at grid index h.
+        amps = np.full(size, s.amplitudes) if s.amplitudes.ndim == 0 else s.amplitudes
+    else:
+        amps = np.zeros(size, dtype=complex)
+        amps[s.grid] = s.amplitudes
     return GridState(n=s.n, p=s.p, amplitudes=amps)

@@ -77,11 +77,12 @@ class FixedPointFormat:
 
     def decode(self, word):
         """a0 + a1 * word, for an int or elementwise for an int array."""
-        _check_word(self, word)
+        check_words(self, word)
         return self.a0 + self.a1 * word
 
 
-def _check_word(fmt: FixedPointFormat, word) -> None:
+def check_words(fmt: FixedPointFormat, word) -> None:
+    """Raise ValueError naming the first word outside [0, 2^N)."""
     words = np.ravel(word)
     bad = np.flatnonzero((words < 0) | (words >= fmt.num_words))
     if bad.size:
@@ -141,8 +142,8 @@ def quantize(fmt: FixedPointFormat, v):
 def range_add(fmt: FixedPointFormat, r1, r2):
     """Group operation on range words (ints or int64 arrays); modular
     addition or XOR per the format."""
-    _check_word(fmt, r1)
-    _check_word(fmt, r2)
+    check_words(fmt, r1)
+    check_words(fmt, r2)
     if fmt.group_mode == "xor":
         return r1 ^ r2
     return (r1 + r2) & (fmt.num_words - 1)
@@ -150,8 +151,8 @@ def range_add(fmt: FixedPointFormat, r1, r2):
 
 def range_sub(fmt: FixedPointFormat, r1, r2):
     """Inverse of range_add in the second argument; in XOR mode the same map."""
-    _check_word(fmt, r1)
-    _check_word(fmt, r2)
+    check_words(fmt, r1)
+    check_words(fmt, r2)
     if fmt.group_mode == "xor":
         return r1 ^ r2
     return (r1 - r2) & (fmt.num_words - 1)

@@ -1,15 +1,27 @@
-"""State containers: dense grid amplitudes and array-backed tripartite terms.
+"""State containers: dense grid amplitudes and the tripartite state in two forms.
 
 The grid register is dense (complex array over {0,...,2^n-1}^p in row-major
 order). The full tripartite system is not: a dense vector over domain labels,
 range words and grid indices would be astronomically large, while the
-pipeline never populates more than 2^(pn) basis terms. Those terms are held
-as parallel numpy arrays (one label code, int64 word, flat grid index and
-complex128 amplitude per term, 40 bytes in all) around one shared evaluation
-point, so every operator is a whole-array pass. Keeping each term's label
-and word explicit makes the uncomputation claim checkable exactly instead of
-assumed. run_pipeline peaks at about 96 bytes per grid point under
-tracemalloc at n=8, p=2 (2^16 points), and at 112 with p=3.
+pipeline never populates more than 2^(pn) basis terms. Those terms share one
+evaluation point and are held in one of two forms, so that every operator is
+a whole-array pass:
+
+- GridAlignedState, the pipeline's form. After the first transform, term h
+  sits at grid index h with label BASE or SHIFTED(h), and only its word and
+  amplitude vary. The state holds that label mode, one int64 word per term
+  and one complex amplitude, shared by all terms until the phase kick tells
+  them apart: 8 bytes per term before the kick, 24 after.
+- SparseTripartiteState, the general form: parallel arrays of label code,
+  int64 word, flat grid index and complex128 amplitude (40 bytes per term)
+  for any set of distinct basis triples. The acceptance gate and the
+  term-level tests drive it.
+
+Every term's label and word are explicit, or in the aligned form fixed
+exactly by its position and mode, which makes the uncomputation claim
+checkable exactly instead of assumed. run_pipeline peaks at about 80 bytes
+per grid point under tracemalloc at n=8, p=2 (2^16 points), and at 96 with
+n=6, p=3.
 
 Arrays of grid points, offsets and represented points are (k, p), one row
 per point, but they are filled one axis at a time and never reduced over
@@ -23,6 +35,7 @@ per-axis sum rounds differently wherever that kernel fuses multiply-adds.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -32,7 +45,7 @@ import numpy as np
 from .oracle import BASE_CODE, DomainLabel, grid_center
 
 # One dense complex vector over 2^26 points is 1 GiB, and run_pipeline peaks
-# near 96-112 bytes per point, 6-7 GiB at this size; refuse anything larger
+# near 80-96 bytes per point, 5-6 GiB at this size; refuse anything larger
 # unless the caller overrides the guard explicitly.
 DEFAULT_MAX_GRID_BITS = 26
 
@@ -77,13 +90,6 @@ def grid_point_of(index: int, n: int, p: int) -> tuple[int, ...]:
         raise ValueError(f"flat index {index} out of range")
     mask = (1 << n) - 1
     return tuple((index >> (n * (p - 1 - axis))) & mask for axis in range(p))
-
-
-def is_full_range(indices: np.ndarray, size: int) -> bool:
-    """True when indices is 0, 1, ..., size - 1 in order, for indices already
-    known to lie in [-1, size)."""
-    return (indices.size == size and indices[0] == 0
-            and bool((indices[1:] > indices[:-1]).all()))
 
 
 def axis_columns(indices: np.ndarray | None, n: int, p: int,
@@ -191,22 +197,17 @@ def label_code(label: DomainLabel, n: int, p: int) -> int:
 class TermView(Sequence[SparseTerm]):
     """Read-only sequence of a state's terms, built as SparseTerm on access."""
 
-    def __init__(self, state: SparseTripartiteState) -> None:
+    def __init__(self, state: SparseTripartiteState | GridAlignedState) -> None:
         self._state = state
 
     def __len__(self) -> int:
-        return self._state.amplitudes.size
+        return len(self._state)
 
     def __getitem__(self, i: int) -> SparseTerm:
-        s = self._state
         i = operator.index(i)
         if not -len(self) <= i < len(self):
             raise IndexError("term index out of range")
-        label = int(s.labels[i])
-        shift = None if label == BASE_CODE else grid_point_of(label, s.n, s.p)
-        return SparseTerm(DomainLabel(x=s.x, shift=shift), int(s.words[i]),
-                          grid_point_of(int(s.grid[i]), s.n, s.p),
-                          complex(s.amplitudes[i]))
+        return self._state.term(i % len(self))
 
 
 class SparseTripartiteState:
@@ -301,6 +302,13 @@ class SparseTripartiteState:
     def terms(self) -> TermView:
         return TermView(self)
 
+    def term(self, i: int) -> SparseTerm:
+        label = int(self.labels[i])
+        shift = None if label == BASE_CODE else grid_point_of(label, self.n, self.p)
+        return SparseTerm(DomainLabel(x=self.x, shift=shift), int(self.words[i]),
+                          grid_point_of(int(self.grid[i]), self.n, self.p),
+                          complex(self.amplitudes[i]))
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -315,6 +323,81 @@ class SparseTripartiteState:
         """Preparation state |label> |0> |0...0> with unit amplitude."""
         return cls.from_arrays(n, p, label.x, [label_code(label, n, p)], [0],
                                [0], [1.0 + 0.0j])
+
+
+class GridAlignedState:
+    """The pipeline's tripartite state: one term per grid index, in order.
+
+    Term h is |label_h> |words[h]> |h>. Either every label is BASE
+    (shifted False) or every label_h is SHIFTED(h), the term's own grid
+    index (shifted True), so neither labels nor grid indices are stored.
+    amplitudes is 0-d while every term has the same amplitude, as after the
+    first transform, and holds one complex128 per term once the phase kick
+    has told them apart. The arrays are read-only, as in
+    SparseTripartiteState, and every constructor checks that the norm is 1
+    within NORM_TOL.
+    """
+
+    def __init__(self, n: int, p: int, x: Sequence[float], shifted: bool,
+                 words: np.ndarray, amplitudes: complex | np.ndarray) -> None:
+        self.n, self.p = n, p
+        self.x = tuple(float(v) for v in x)
+        self.shifted = bool(shifted)
+        self.words = np.asarray(words, dtype=np.int64)
+        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+        size = 1 << (n * p)
+        if len(self.x) != p:
+            raise ValueError(f"evaluation point has {len(self.x)} axes, expected {p}")
+        if self.words.shape != (size,):
+            raise ValueError(f"expected {size} words, got shape {self.words.shape}")
+        if self.amplitudes.shape not in ((), (size,)):
+            raise ValueError(f"expected one amplitude or {size}, got shape "
+                             f"{self.amplitudes.shape}")
+        self.words.flags.writeable = False
+        self.amplitudes.flags.writeable = False
+        if abs(self.norm() - 1.0) > NORM_TOL:
+            raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
+
+    @classmethod
+    def prepared(cls, n: int, p: int, x: Sequence[float]) -> GridAlignedState:
+        """The grid transform of |BASE> |0> |0...0>, in closed form.
+
+        Every term gets 1 / sqrt(2^n) multiplied in once per axis, with
+        imaginary part +0.0, which is what the per-axis transform computes
+        for a basis state at grid index 0. The words are a broadcast zero.
+        """
+        scale = 1.0 / math.sqrt(float(1 << n))
+        amplitude = 1.0
+        for _ in range(p):
+            amplitude *= scale
+        words = np.broadcast_to(np.int64(0), (1 << (n * p),))
+        return cls(n, p, x, False, words, complex(amplitude, 0.0))
+
+    def replace(self, **fields) -> GridAlignedState:
+        """New state with some of shifted/words/amplitudes swapped out; the
+        rest are shared."""
+        values = {"shifted": self.shifted, "words": self.words,
+                  "amplitudes": self.amplitudes}
+        values.update(fields)
+        return GridAlignedState(self.n, self.p, self.x, **values)
+
+    @property
+    def terms(self) -> TermView:
+        return TermView(self)
+
+    def term(self, h: int) -> SparseTerm:
+        g = grid_point_of(h, self.n, self.p)
+        amplitude = self.amplitudes if self.amplitudes.ndim == 0 else self.amplitudes[h]
+        return SparseTerm(DomainLabel(x=self.x, shift=g if self.shifted else None),
+                          int(self.words[h]), g, complex(amplitude))
+
+    def norm(self) -> float:
+        if self.amplitudes.ndim == 0:
+            return abs(complex(self.amplitudes)) * math.sqrt(float(len(self)))
+        return float(np.linalg.norm(self.amplitudes))
+
+    def __len__(self) -> int:
+        return self.words.size
 
 
 def _first_duplicate(labels: np.ndarray, words: np.ndarray,

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gradkick.states as states
-from gradkick import (DomainBox, FunctionModel, linear_model, quadratic_model,
-                      run_pipeline, sinusoidal_model)
+from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
+                      decompose_state, linear_model, quadratic_model,
+                      run_pipeline, sinusoidal_model, verify_theorem)
 from gradkick.algorithm import plan_run_format
 from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
                                 apply_phase_rotation, apply_qft, apply_u_f,
@@ -21,8 +22,8 @@ from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
 from gradkick.oracle import BASE_CODE, DomainLabel, grid_center
 from gradkick.params import AlgorithmParams
 from gradkick.qft import qft_amplitudes
-from gradkick.states import (SparseTripartiteState, grid_offsets, grid_points,
-                             represented_points)
+from gradkick.states import (GridAlignedState, SparseTripartiteState,
+                             grid_offsets, grid_points, represented_points)
 
 
 def reference_chi(model, x, params, fmt, variant):
@@ -157,23 +158,36 @@ def test_drifting_oracle_leaves_residual_entanglement():
         run_pipeline(model, [0.0, 0.0], PARAMS_2D, range_format=fmt)
 
 
-def test_missing_inverse_shift_leaves_shifted_labels():
+def collapse_without_inverse_shift(state):
+    """Run the pipeline's middle on a prepared state, skip the inverse
+    shift, and collapse."""
     params = AlgorithmParams(n=2, nu=1e-3, lam=0.5, mu=0.1)
     model = linear_model([0.6], DomainBox.cube(1, 1.0))
     fmt = plan_run_format(model, [0.0], params)
-    base = DomainLabel.base((0.0,))
     counter = OracleCallCounter()
-    state = apply_qft(SparseTripartiteState.initial(2, 1, base))
     state = apply_u_plus(state, params)
     state = apply_u_f(state, model, fmt, params, counter)
     state = apply_phase_rotation(state, params.lam, fmt)
     state = apply_u_f_inverse(state, model, fmt, params, counter)
-    # The inverse shift is skipped.
+    return collapse_to_grid(state, DomainLabel.base((0.0,)), expected_word=0)
+
+
+def test_missing_inverse_shift_leaves_shifted_labels():
+    state = apply_qft(SparseTripartiteState.initial(2, 1, DomainLabel.base((0.0,))))
     with pytest.raises(ResidualEntanglementError, match="SHIFTED"):
-        collapse_to_grid(state, base, expected_word=0)
+        collapse_without_inverse_shift(state)
 
 
-def test_pipeline_memory_and_no_term_objects(monkeypatch):
+def test_missing_inverse_shift_is_caught_on_the_aligned_form():
+    # The same message as the general form's, naming the first term.
+    with pytest.raises(ResidualEntanglementError, match=r"label=DomainLabel\(x=\(0.0,\), "
+                       r"SHIFTED\(0,\)\), word=0, grid=\(0,\)"):
+        collapse_without_inverse_shift(GridAlignedState.prepared(2, 1, (0.0,)))
+
+
+def pipeline_peak_per_point(monkeypatch, n, p):
+    """tracemalloc peak of run_pipeline per grid point on a p-axis
+    quadratic, asserting that no SparseTerm is built."""
     built = []
 
     class CountingTerm(states.SparseTerm):
@@ -181,18 +195,108 @@ def test_pipeline_memory_and_no_term_objects(monkeypatch):
             built.append(1)
             return super().__new__(cls, *args, **kwargs)
 
-    params = AlgorithmParams(n=8, nu=1e-6, lam=0.3, mu=2.0 ** -9)
-    model = quadratic_model([0.3, -0.2], [[1.0, 0.25], [0.25, 1.0]], DomainBox.cube(2, 1.0))
-    run_pipeline(model, [0.0, 0.0], params)  # warm caches outside the measurement
+    params = AlgorithmParams(n=n, nu=1e-6, lam=0.3, mu=2.0 ** -(n + 1))
+    H = [[1.0, 0.25, -0.1], [0.25, 1.0, 0.2], [-0.1, 0.2, 0.5]]
+    model = quadratic_model([0.3, -0.2, 0.1][:p], [row[:p] for row in H[:p]],
+                            DomainBox.cube(p, 1.0))
+    run_pipeline(model, [0.0] * p, params)  # warm caches outside the measurement
     monkeypatch.setattr(states, "SparseTerm", CountingTerm)
     tracemalloc.start()
     try:
-        run_pipeline(model, [0.0, 0.0], params)
+        run_pipeline(model, [0.0] * p, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / float(1 << 16) <= 100.0
     assert built == []
+    return peak / float(1 << (n * p))
+
+
+def test_pipeline_memory_and_no_term_objects(monkeypatch):
+    assert pipeline_peak_per_point(monkeypatch, 8, 2) <= 88.0
+
+
+def test_pipeline_memory_with_three_axes(monkeypatch):
+    assert pipeline_peak_per_point(monkeypatch, 6, 3) <= 104.0
+
+
+def test_decomposition_and_audit_memory():
+    # verify-sin3d's grid: a p=3 sinusoidal at n=5, xor and per-bit.
+    spec = AccuracySpec(gamma=1.0, delta=0.6, epsilon=0.5)
+    model = sinusoidal_model(2.39, [0.073, 0.418, -0.291], DomainBox.cube(3, 2.0))
+    x = [0.48, 0.2, -0.27]
+    params = AlgorithmParams(n=5, nu=1.99e-4, lam=133.4, mu=2.34e-3)
+    fmt = plan_run_format(model, x, params, "xor")
+    points = float(1 << 15)
+    peaks = []
+    for call in (lambda: decompose_state(model, x, params, fmt),
+                 lambda: verify_theorem(model, x, spec, params, group_mode="xor",
+                                        phase_variant="per-bit")):
+        call()  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] / points)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 144.0 and peaks[1] <= 160.0
+
+
+# Every (n, p) with n p <= 20: the grids the closed form must match.
+SMALL_GRIDS = [(n, p) for p in range(1, 21) for n in range(1, 20 // p + 1)]
+
+
+@pytest.mark.parametrize("n,p", SMALL_GRIDS)
+def test_prepared_state_is_the_transformed_basis_state(n, p):
+    x = (0.25,) * p
+    prepared = GridAlignedState.prepared(n, p, x)
+    transformed = apply_qft(SparseTripartiteState.initial(n, p, DomainLabel.base(x)))
+    assert prepared.amplitudes.ndim == 0
+    assert not prepared.shifted and not prepared.words.any()
+    # Compared as bit patterns, so a -0.0 imaginary part would fail.
+    bits = transformed.amplitudes.view(np.uint64).reshape(-1, 2)
+    assert (bits == prepared.amplitudes.reshape(1).view(np.uint64)).all()
+
+
+@given(n=st.integers(1, 4), p=st.integers(1, 3), bits=st.integers(1, 12),
+       variant=st.sampled_from(["direct", "per-bit"]), shifted=st.booleans(),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_per_word_kick_equals_per_term_kick(n, p, bits, variant, shifted, data):
+    # With 2^bits at most the grid size the aligned state kicks a table of
+    # every word and gathers it; above, it kicks each term. Either way each
+    # term's bits must equal the per-term kick of the general form.
+    size = 1 << (n * p)
+    top = (1 << bits) - 1
+    pool = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+    words = np.array(data.draw(st.lists(st.sampled_from(pool + [0, top]),
+                                        min_size=size, max_size=size)), dtype=np.int64)
+    lam = data.draw(st.floats(min_value=-1e3, max_value=1e3))
+    a1 = data.draw(st.floats(min_value=1e-6, max_value=1.0))
+    fmt = FixedPointFormat(bits=bits, a0=-a1 * float(1 << (bits - 1)), a1=a1)
+    amplitude = cmath.rect(size ** -0.5, data.draw(st.floats(min_value=-4.0, max_value=4.0)))
+    x = (0.5,) * p
+    aligned = GridAlignedState(n, p, x, shifted, words, amplitude)
+    grid = np.arange(size, dtype=np.int64)
+    general = SparseTripartiteState.from_arrays(
+        n, p, x, grid if shifted else np.full(size, BASE_CODE), words, grid,
+        np.full(size, amplitude))
+    kicked = apply_phase_rotation(aligned, lam, fmt, variant)
+    expected = apply_phase_rotation(general, lam, fmt, variant)
+    assert kicked.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert kicked.shifted == shifted and kicked.words is aligned.words
+
+
+def test_aligned_qft_matches_the_general_form_and_refuses_two_sectors():
+    n, p, x = 2, 2, (0.1, -0.3)
+    state = apply_phase_rotation(GridAlignedState.prepared(n, p, x), 0.37,
+                                 FixedPointFormat(bits=4, a0=-1.0, a1=0.125))
+    general = SparseTripartiteState.from_arrays(
+        n, p, x, np.full(16, BASE_CODE), np.zeros(16), np.arange(16),
+        np.broadcast_to(state.amplitudes, (16,)))
+    assert apply_qft(state).amplitudes.tobytes() == apply_qft(general).amplitudes.tobytes()
+    for other in (state.replace(shifted=True), state.replace(words=np.arange(16))):
+        with pytest.raises(ValueError, match="one .label, word. sector"):
+            apply_qft(other)
 
 
 def test_broken_inverse_oracle_raises_before_the_final_transform():

@@ -16,7 +16,7 @@ from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
                                 apply_u_plus_inverse, collapse_to_grid)
 from gradkick.oracle import DomainLabel
 from gradkick.params import AlgorithmParams
-from gradkick.states import SparseTerm, SparseTripartiteState
+from gradkick.states import GridAlignedState, SparseTerm, SparseTripartiteState
 
 PARAMS = AlgorithmParams(n=2, nu=0.0625, lam=1.0, mu=0.25)
 FMT = FixedPointFormat(bits=6, a0=-2.0, a1=0.0625)
@@ -90,6 +90,22 @@ def test_phase_rotation_per_bit_differs_by_global_a0_phase():
         per_bit = apply_phase_rotation(state, lam, FMT, variant="per-bit")
         aligned = per_bit.terms[0].amplitude * cmath.exp(2j * cmath.pi * lam * FMT.a0)
         assert abs(aligned - direct.terms[0].amplitude) < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["direct", "per-bit"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_phase_rotation_rejects_words_above_the_format(variant, n):
+    # Both state forms; at n = 3 the aligned form kicks the 2^3-word table
+    # and gathers by word, at n = 2 it kicks each term.
+    fmt = FixedPointFormat(bits=3, a0=-0.5, a1=0.125)
+    size = 1 << n
+    words = np.arange(size) + 6  # 8 and 9 reach past 3 bits
+    aligned = GridAlignedState(n, 1, (0.0,), True, words, size ** -0.5)
+    general = SparseTripartiteState.from_arrays(
+        n, 1, (0.0,), np.arange(size), words, np.arange(size), np.full(size, size ** -0.5))
+    for state in (aligned, general):
+        with pytest.raises(ValueError, match="word 8 does not fit in 3 bits"):
+            apply_phase_rotation(state, 0.3, fmt, variant=variant)
 
 
 def test_phase_rotation_rejects_unknown_variant():
