@@ -1,17 +1,20 @@
-"""Pipeline operators acting on tripartite states in either form.
+"""Pipeline operators acting on tripartite states.
 
 Each operator returns a new state of its input's form and works on all
 terms in one numpy pass; arrays an operator leaves unchanged are shared with
-its input. On the grid-aligned form the pipeline uses, the shift only flips
-the label mode, and the phase kick starts from the one amplitude all terms
-share, so it kicks each range word once and gathers when the format has no
-more words than the grid has points. That keeps run_pipeline's peak near 80
-bytes per grid point (tracemalloc, n=8, p=2). The shift and oracle operators
-are basis permutations (amplitudes move, never mix), the phase rotation
-multiplies amplitudes by unit phases, and the grid transform acts on the
-grid register alone, so it could only mix amplitudes within a (label, word)
-sector; it is applied to one-sector states only. That is why run_pipeline
-can collapse onto the grid register before the second transform and verify
+its input. The shift, the two oracle passes and the grid transform take the
+grid-aligned form the pipeline carries; the phase rotation and the collapse
+also take the general form, which the acceptance gate builds term by term.
+On the aligned form the shift only flips the label mode, and the phase kick
+starts from the one amplitude all terms share, so it kicks each range word
+once and gathers when the format has no more words than the grid has
+points. That keeps run_pipeline's peak near 80 bytes per grid point
+(tracemalloc, n=8, p=2). The shift and oracle operators are basis
+permutations (amplitudes move, never mix), the phase rotation multiplies
+amplitudes by unit phases, and the grid transform acts on the grid register
+alone, so it could only mix amplitudes within a (label, word) sector; it is
+applied to one-sector states only. That is why run_pipeline can collapse
+onto the grid register before the second transform and verify
 factorization exactly there: a broken inverse pair leaves terms in a wrong
 sector, and no operator can hide them.
 
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, check_words,
-                     oracle_words, range_add, range_sub, shift_codes)
+                     oracle_words, range_add, range_sub)
 from .qft import qft_amplitudes
 from .states import (GridAlignedState, GridState, SparseTripartiteState,
                      label_code, represented_points)
@@ -41,7 +44,7 @@ if TYPE_CHECKING:
 
 PHASE_VARIANTS = ("direct", "per-bit")
 
-# The operators take either state form and return the same form.
+# apply_phase_rotation and collapse_to_grid take either state form.
 PipelineState = Union[GridAlignedState, SparseTripartiteState]
 
 
@@ -87,47 +90,39 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _label_points(s: PipelineState, params: AlgorithmParams) -> np.ndarray:
+def _label_points(s: GridAlignedState, params: AlgorithmParams) -> np.ndarray:
     """Represented point of every term's label, as a (terms, p) array:
     x for BASE, x + mu * (g - g0) for SHIFTED(g)."""
-    if isinstance(s, GridAlignedState):
-        if s.shifted:
-            return represented_points(s.x, params.mu, None, s.n)
-        return np.tile(s.x, (len(s), 1))
-    points = represented_points(s.x, params.mu, s.labels, s.n)
-    base = s.labels == BASE_CODE
-    if base.any():
-        points[base] = s.x
-    return points
+    if s.shifted:
+        return represented_points(s.x, params.mu, None, s.n)
+    return np.tile(s.x, (len(s), 1))
 
 
-def _swap_labels(s: PipelineState) -> PipelineState:
-    """label <- c_p(label, g) per term: BASE <-> SHIFTED(g)."""
-    if isinstance(s, GridAlignedState):
-        return s.replace(shifted=not s.shifted)
-    return s.replace(labels=shift_codes(s.labels, s.grid))
+def apply_u_plus(s: GridAlignedState, params: AlgorithmParams) -> GridAlignedState:
+    """Shift operator: label <- c_p(label, g) per term, amplitudes unchanged.
+
+    Term h has grid index h, so BASE <-> SHIFTED(h) flips the label mode.
+    """
+    return s.replace(shifted=not s.shifted)
 
 
-def apply_u_plus(s: PipelineState, params: AlgorithmParams) -> PipelineState:
-    """Shift operator: label <- c_p(label, g) per term, amplitudes unchanged."""
-    return _swap_labels(s)
+def apply_u_plus_inverse(s: GridAlignedState, params: AlgorithmParams) -> GridAlignedState:
+    """Inverse shift; the same flip, since the shift is an involution. It is
+    a function of its own, not an alias: perfbench's tracer patches by
+    identity, and an alias would merge the two spans."""
+    return s.replace(shifted=not s.shifted)
 
 
-def apply_u_plus_inverse(s: PipelineState, params: AlgorithmParams) -> PipelineState:
-    """Inverse shift; the same swap, since the swap is an involution."""
-    return _swap_labels(s)
-
-
-def apply_u_f(s: PipelineState, model: FunctionModel, fmt: FixedPointFormat,
-              params: AlgorithmParams, counter: OracleCallCounter) -> PipelineState:
+def apply_u_f(s: GridAlignedState, model: FunctionModel, fmt: FixedPointFormat,
+              params: AlgorithmParams, counter: OracleCallCounter) -> GridAlignedState:
     """Oracle operator: word <- word + c_f(label) in the range group."""
     counter.bump()
     values = oracle_words(model, fmt, _label_points(s, params))
     return s.replace(words=range_add(fmt, s.words, values))
 
 
-def apply_u_f_inverse(s: PipelineState, model: FunctionModel, fmt: FixedPointFormat,
-                      params: AlgorithmParams, counter: OracleCallCounter) -> PipelineState:
+def apply_u_f_inverse(s: GridAlignedState, model: FunctionModel, fmt: FixedPointFormat,
+                      params: AlgorithmParams, counter: OracleCallCounter) -> GridAlignedState:
     """Uncomputation of the oracle; costs one oracle call like the forward map
     and evaluates f again rather than reusing the forward words."""
     counter.bump()
@@ -178,28 +173,18 @@ def apply_phase_rotation(s: PipelineState, lam: float, fmt: FixedPointFormat,
                                                           lam, fmt, variant)))
 
 
-def apply_qft(s: PipelineState) -> PipelineState:
+def apply_qft(s: GridAlignedState) -> GridAlignedState:
     """Grid-register transform of a state that lies in one (label, word) sector.
 
-    The state is scattered into one dense grid and transformed; the result
-    holds every grid index in order, all with that label and word. A state
-    spread over two or more sectors raises ValueError before anything
-    grid-sized is allocated.
+    An aligned state holds a term at every grid index, so it lies in one
+    sector only when every label is BASE and every word is the same. Any
+    other state raises ValueError before anything grid-sized is allocated.
     """
-    aligned = isinstance(s, GridAlignedState)
-    one_label = (not s.shifted or len(s) == 1) if aligned else (s.labels == s.labels[:1]).all()
-    if not (one_label and (s.words == s.words[:1]).all()):
+    if s.shifted or s.words.min() != s.words.max():
         raise ValueError("apply_qft transforms a state in exactly one (label, word) "
                          f"sector; the {len(s)} terms of this one are not")
-    size = 1 << (s.n * s.p)
-    if aligned:
-        return s.replace(amplitudes=qft_amplitudes(
-            np.broadcast_to(s.amplitudes, (size,)), s.n, s.p))
-    dense = np.zeros(size, dtype=np.complex128)
-    dense[s.grid] = s.amplitudes
-    return s.replace(labels=np.repeat(s.labels[:1], size), words=np.repeat(s.words[:1], size),
-                     grid=np.arange(size, dtype=np.int64),
-                     amplitudes=qft_amplitudes(dense, s.n, s.p))
+    return s.replace(amplitudes=qft_amplitudes(
+        np.broadcast_to(s.amplitudes, (len(s),)), s.n, s.p))
 
 
 def collapse_to_grid(s: PipelineState, expected_label: DomainLabel,

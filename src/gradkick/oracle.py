@@ -225,12 +225,6 @@ def shift_label(d: DomainLabel, g: Sequence[int], n: int) -> DomainLabel:
     return d
 
 
-def shift_codes(labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """shift_label on label codes, term by term against flat grid indices:
-    BASE_CODE <-> grid, every other code fixed."""
-    return np.where(labels == BASE_CODE, grid, np.where(labels == grid, BASE_CODE, labels))
-
-
 def oracle_value(model: FunctionModel, fmt: FixedPointFormat,
                  params: AlgorithmParams, d: DomainLabel) -> int:
     """Range word for f at the labeled point: quantize(evaluate(point(d))).

@@ -14,8 +14,9 @@ a whole-array pass:
   them apart: 8 bytes per term before the kick, 24 after.
 - SparseTripartiteState, the general form: parallel arrays of label code,
   int64 word, flat grid index and complex128 amplitude (40 bytes per term)
-  for any set of distinct basis triples. The acceptance gate and the
-  term-level tests drive it.
+  for any set of distinct basis triples. The acceptance gate builds it from
+  SparseTerms, phase-rotates it and collapses it; the shift, the oracle and
+  the grid transform take only the aligned form.
 
 Every term's label and word are explicit, or in the aligned form fixed
 exactly by its position and mode, which makes the uncomputation claim
@@ -50,9 +51,6 @@ from .oracle import BASE_CODE, DomainLabel, grid_center
 DEFAULT_MAX_GRID_BITS = 26
 
 NORM_TOL = 1e-12
-
-# The per-term arrays of a SparseTripartiteState.
-ARRAY_FIELDS = frozenset(("labels", "words", "grid", "amplitudes"))
 
 
 class GridSizeError(ValueError):
@@ -254,9 +252,8 @@ class SparseTripartiteState:
         self.grid = np.asarray(grid, dtype=np.int64)
         self.amplitudes = np.asarray(amplitudes, dtype=np.complex128)
 
-    def __post_init__(self, changed: frozenset[str] = ARRAY_FIELDS) -> None:
-        """Validate the arrays named in changed (all four by default) and make
-        them read-only; the others are already validated and read-only."""
+    def __post_init__(self) -> None:
+        """Validate the four arrays and make them read-only."""
         size = 1 << (self.n * self.p)
         arrays = (self.labels, self.words, self.grid, self.amplitudes)
         if any(a.shape != (self.amplitudes.size,) for a in arrays):
@@ -264,39 +261,29 @@ class SparseTripartiteState:
                              "arrays of one length")
         if len(self.x) != self.p:
             raise ValueError(f"evaluation point has {len(self.x)} axes, expected {self.p}")
-        if "grid" in changed:
-            bad = np.flatnonzero((self.grid < 0) | (self.grid >= size))
-            if bad.size:
-                raise ValueError(f"grid index {int(self.grid[bad[0]])} out of range "
-                                 f"for n={self.n}, p={self.p}")
-        if "labels" in changed:
-            bad = np.flatnonzero((self.labels < BASE_CODE) | (self.labels >= size))
-            if bad.size:
-                raise ValueError(f"label code {int(self.labels[bad[0]])} out of range "
-                                 f"for n={self.n}, p={self.p}")
-        if not changed.isdisjoint(("labels", "words", "grid")):
-            dup = _first_duplicate(self.labels, self.words, self.grid)
-            if dup is not None:
-                t = self.terms[dup]
-                raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
-        for name in changed:
-            getattr(self, name).flags.writeable = False
-        if "amplitudes" in changed and abs(self.norm() - 1.0) > NORM_TOL:
+        bad = np.flatnonzero((self.grid < 0) | (self.grid >= size))
+        if bad.size:
+            raise ValueError(f"grid index {int(self.grid[bad[0]])} out of range "
+                             f"for n={self.n}, p={self.p}")
+        bad = np.flatnonzero((self.labels < BASE_CODE) | (self.labels >= size))
+        if bad.size:
+            raise ValueError(f"label code {int(self.labels[bad[0]])} out of range "
+                             f"for n={self.n}, p={self.p}")
+        dup = _first_duplicate(self.labels, self.words, self.grid)
+        if dup is not None:
+            t = self.terms[dup]
+            raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
+        for a in arrays:
+            a.flags.writeable = False
+        if abs(self.norm() - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
 
-    def replace(self, **arrays: np.ndarray) -> SparseTripartiteState:
-        """New state with some of labels/words/grid/amplitudes swapped out.
-
-        The rest are shared, which their read-only flag makes safe, and only
-        the checks the new arrays can break are run again.
-        """
-        fields = {"labels": self.labels, "words": self.words, "grid": self.grid,
-                  "amplitudes": self.amplitudes}
-        fields.update(arrays)
-        state = SparseTripartiteState.__new__(SparseTripartiteState)
-        state._assign(self.n, self.p, self.x, **fields)
-        state.__post_init__(frozenset(arrays))
-        return state
+    def replace(self, amplitudes: np.ndarray) -> SparseTripartiteState:
+        """New state with the amplitudes swapped out, the phase rotation's
+        only change; labels, words and grid are shared, which their read-only
+        flag makes safe."""
+        return SparseTripartiteState.from_arrays(self.n, self.p, self.x, self.labels,
+                                                 self.words, self.grid, amplitudes)
 
     @property
     def terms(self) -> TermView:
@@ -317,12 +304,6 @@ class SparseTripartiteState:
 
     def __iter__(self) -> Iterator[SparseTerm]:
         return iter(self.terms)
-
-    @classmethod
-    def initial(cls, n: int, p: int, label: DomainLabel) -> SparseTripartiteState:
-        """Preparation state |label> |0> |0...0> with unit amplitude."""
-        return cls.from_arrays(n, p, label.x, [label_code(label, n, p)], [0],
-                               [0], [1.0 + 0.0j])
 
 
 class GridAlignedState:
@@ -402,14 +383,7 @@ class GridAlignedState:
 
 def _first_duplicate(labels: np.ndarray, words: np.ndarray,
                      grid: np.ndarray) -> int | None:
-    """Index of a term repeating an earlier (label, word, grid) triple, or None.
-
-    Strictly increasing grid indices rule duplicates out, which is the
-    pipeline's case (one term per grid point, in order); only otherwise are
-    whole triples sorted.
-    """
-    if np.all(grid[1:] > grid[:-1]):
-        return None
+    """Index of a term repeating an earlier (label, word, grid) triple, or None."""
     order = np.lexsort((grid, words, labels))
     sorted_rows = (labels[order], words[order], grid[order])
     same = np.logical_and.reduce([a[1:] == a[:-1] for a in sorted_rows])

@@ -34,22 +34,37 @@ def layer(name: str):
     return importlib.import_module(f"gradkick.{name}")
 
 
+def bound_object(module: str, attr: str):
+    """The object a (layer, attribute) entry of SPANS or COUNTED binds."""
+    if "." in attr:
+        owner, method = attr.split(".")
+        assert method in vars(getattr(layer(module), owner)), attr
+        return vars(getattr(layer(module), owner))[method]
+    assert callable(getattr(layer(module), attr)), attr
+    return getattr(layer(module), attr)
+
+
 def test_traced_spans_and_counters_resolve():
     tracing = module_tree("tracing.py")
     spans = constant(tracing, "SPANS")
     counted = constant(tracing, "COUNTED")
     assert spans and counted
-    for module, attr, _ in spans:
-        if "." in attr:
-            owner, method = attr.split(".")
-            assert method in vars(getattr(layer(module), owner)), attr
-        else:
-            assert callable(getattr(layer(module), attr)), attr
-    for module, attr, _ in counted:
-        assert callable(getattr(layer(module), attr)), attr
+    for module, attr, _ in spans + counted:
+        bound_object(module, attr)
     models = layer("models")
     for attr in constant(tracing, "MODEL_CONSTRUCTORS"):
         assert callable(getattr(models, attr)), attr
+
+
+def test_traced_functions_are_distinct_objects():
+    # The tracer patches every binding of a function by identity, so two
+    # entries naming one object (an alias) would merge their metrics.
+    tracing = module_tree("tracing.py")
+    entries = constant(tracing, "SPANS") + constant(tracing, "COUNTED")
+    seen = {}
+    for module, attr, _ in entries:
+        first = seen.setdefault(id(bound_object(module, attr)), attr)
+        assert first == attr, f"{attr} is {first}"
 
 
 def test_qft_bytes_reads_p_as_the_third_argument():

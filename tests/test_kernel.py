@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradkick.states as states
@@ -172,14 +172,8 @@ def collapse_without_inverse_shift(state):
     return collapse_to_grid(state, DomainLabel.base((0.0,)), expected_word=0)
 
 
-def test_missing_inverse_shift_leaves_shifted_labels():
-    state = apply_qft(SparseTripartiteState.initial(2, 1, DomainLabel.base((0.0,))))
-    with pytest.raises(ResidualEntanglementError, match="SHIFTED"):
-        collapse_without_inverse_shift(state)
-
-
 def test_missing_inverse_shift_is_caught_on_the_aligned_form():
-    # The same message as the general form's, naming the first term.
+    # The message names the first stray term, label, word and grid.
     with pytest.raises(ResidualEntanglementError, match=r"label=DomainLabel\(x=\(0.0,\), "
                        r"SHIFTED\(0,\)\), word=0, grid=\(0,\)"):
         collapse_without_inverse_shift(GridAlignedState.prepared(2, 1, (0.0,)))
@@ -249,11 +243,13 @@ SMALL_GRIDS = [(n, p) for p in range(1, 21) for n in range(1, 20 // p + 1)]
 def test_prepared_state_is_the_transformed_basis_state(n, p):
     x = (0.25,) * p
     prepared = GridAlignedState.prepared(n, p, x)
-    transformed = apply_qft(SparseTripartiteState.initial(n, p, DomainLabel.base(x)))
+    basis = np.zeros(1 << (n * p), dtype=np.complex128)
+    basis[0] = 1.0
+    transformed = qft_amplitudes(basis, n, p)
     assert prepared.amplitudes.ndim == 0
     assert not prepared.shifted and not prepared.words.any()
     # Compared as bit patterns, so a -0.0 imaginary part would fail.
-    bits = transformed.amplitudes.view(np.uint64).reshape(-1, 2)
+    bits = transformed.view(np.uint64).reshape(-1, 2)
     assert (bits == prepared.amplitudes.reshape(1).view(np.uint64)).all()
 
 
@@ -287,13 +283,19 @@ def test_per_word_kick_equals_per_term_kick(n, p, bits, variant, shifted, data):
 
 
 def test_aligned_qft_matches_the_general_form_and_refuses_two_sectors():
+    # The general form's terms, in any order, scattered into one dense grid
+    # and transformed: the aligned form must give the same bits.
     n, p, x = 2, 2, (0.1, -0.3)
     state = apply_phase_rotation(GridAlignedState.prepared(n, p, x), 0.37,
                                  FixedPointFormat(bits=4, a0=-1.0, a1=0.125))
+    grid = np.random.default_rng(5).permutation(16)
     general = SparseTripartiteState.from_arrays(
-        n, p, x, np.full(16, BASE_CODE), np.zeros(16), np.arange(16),
-        np.broadcast_to(state.amplitudes, (16,)))
-    assert apply_qft(state).amplitudes.tobytes() == apply_qft(general).amplitudes.tobytes()
+        n, p, x, np.full(16, BASE_CODE), np.zeros(16), grid, state.amplitudes[grid])
+    dense = np.zeros(16, dtype=np.complex128)
+    dense[general.grid] = general.amplitudes
+    out = apply_qft(state)
+    assert out.amplitudes.tobytes() == qft_amplitudes(dense, n, p).tobytes()
+    assert not out.shifted and out.words is state.words
     for other in (state.replace(shifted=True), state.replace(words=np.arange(16))):
         with pytest.raises(ValueError, match="one .label, word. sector"):
             apply_qft(other)
@@ -400,99 +402,33 @@ def test_contains_points_rejects_wrong_width():
         DomainBox.cube(2, 1.0).contains_points(np.zeros((3, 3)))
 
 
-def batched_qft(s):
-    """The dense route on a single-sector state: scatter into one grid,
-    transform it, then repeat labels and words."""
-    size = 1 << (s.n * s.p)
-    dense = np.zeros(size, dtype=np.complex128)
-    dense[s.grid] = s.amplitudes
-    out = qft_amplitudes(dense, s.n, s.p)
-    return (np.repeat(s.labels[:1], size), np.repeat(s.words[:1], size),
-            np.arange(size, dtype=np.int64), out)
-
-
-@given(n=st.integers(1, 4), p=st.integers(1, 3), data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_one_sector_qft_equals_the_batched_path(n, p, data):
-    size = 1 << (n * p)
-    layout = data.draw(st.sampled_from(["in order", "permuted", "partial"]))
-    grid = np.arange(size, dtype=np.int64)
-    if layout == "permuted":
-        grid = np.array(data.draw(st.permutations(grid.tolist())), dtype=np.int64)
-    elif layout == "partial":
-        grid = np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1,
-                                                 max_size=size - 1))), dtype=np.int64)
-        grid = np.array(data.draw(st.permutations(grid.tolist())), dtype=np.int64)
-    parts = st.floats(min_value=-1.0, max_value=1.0)
-    amps = np.array([complex(data.draw(parts), data.draw(parts)) for _ in grid])
-    # Normalize the real and imaginary parts as reals: complex division
-    # overflows on subnormal inputs.
-    parts_of = amps.view(float)
-    assume(np.any(parts_of))
-    parts_of = parts_of / np.max(np.abs(parts_of))
-    amps = (parts_of / np.linalg.norm(parts_of)).view(complex)
-    label = data.draw(st.sampled_from([BASE_CODE, 0, size - 1]))
-    word = data.draw(st.integers(0, 7))
-    x = (0.5,) * p
-    state = SparseTripartiteState.from_arrays(
-        n, p, x, np.full(grid.size, label), np.full(grid.size, word), grid, amps)
-    out = apply_qft(state)
-    labels, words, out_grid, out_amps = batched_qft(state)
-    assert np.array_equal(out.labels, labels) and np.array_equal(out.words, words)
-    assert np.array_equal(out.grid, out_grid)
-    assert out.amplitudes.tobytes() == out_amps.tobytes()
-
-
 @pytest.mark.parametrize("group_mode", ["modular", "xor"])
 def test_u_f_on_base_and_partial_labels_matches_term_oracle(group_mode):
-    # The pipeline's labels are SHIFTED(h) for every grid index h in order;
-    # any other label set, BASE included, takes the general point gather.
+    # Both label modes of the aligned form, from words the oracle has not
+    # written: BASE reads f at x for every term, SHIFTED(h) at term h's
+    # represented point.
     n, p = 3, 2
     params = AlgorithmParams(n=n, nu=1e-3, lam=0.5, mu=0.05)
     model = quadratic_model([0.3, -0.2], [[1.0, 0.25], [0.25, 1.0]], DomainBox.cube(2, 1.0))
     x = [0.1, -0.2]
     fmt = plan_run_format(model, x, params, group_mode)
-    labels = np.array([BASE_CODE, 5, 63, BASE_CODE, 0, 17, 5])
-    words = np.array([0, 1, 2, 3, 0, 7, 4])
-    grid = np.array([0, 1, 2, 3, 4, 5, 1])
-    state = SparseTripartiteState.from_arrays(n, p, x, labels, words, grid,
-                                              np.full(labels.size, labels.size ** -0.5))
-    counter = OracleCallCounter()
-    out = apply_u_f(state, model, fmt, params, counter)
+    size = 1 << (n * p)
+    words = np.random.default_rng(11).integers(0, fmt.num_words, size)
     g0 = float(1 << (n - 1)) - 0.5
-    expected = []
-    for label, word in zip(labels.tolist(), words.tolist()):
-        point = np.asarray(x, dtype=float)
-        if label != BASE_CODE:
-            g = np.array(states.grid_point_of(label, n, p), dtype=float)
-            point = point + params.mu * (g - g0)
-        w = round((float(model.evaluate(point)) - fmt.a0) / fmt.a1)
-        expected.append(word ^ w if group_mode == "xor" else (word + w) & (fmt.num_words - 1))
-    assert out.words.tolist() == expected
-    back = apply_u_f_inverse(out, model, fmt, params, counter)
-    assert back.words.tolist() == words.tolist()
-
-
-def test_replace_checks_only_the_replaced_arrays(monkeypatch):
-    base = DomainLabel.base((0.0,))
-    state = apply_qft(SparseTripartiteState.initial(2, 1, base))
-    scans = []
-    real = states._first_duplicate
-    monkeypatch.setattr(states, "_first_duplicate",
-                        lambda *a: scans.append(1) or real(*a))
-    state.replace(amplitudes=state.amplitudes[::-1].copy())
-    assert scans == []
-    state.replace(words=np.array([0, 1, 2, 3]))
-    assert scans == [1]
-    # Each replaced array is still checked in full.
-    with pytest.raises(ValueError, match="duplicate"):
-        state.replace(grid=np.array([0, 1, 1, 3]))
-    with pytest.raises(ValueError, match="grid index 4 out of range"):
-        state.replace(grid=np.array([0, 1, 2, 4]))
-    with pytest.raises(ValueError, match="label code 4 out of range"):
-        state.replace(labels=np.array([0, 1, 2, 4]))
-    with pytest.raises(ValueError, match="norm"):
-        state.replace(amplitudes=np.full(4, 0.6 + 0j))
-    fresh = state.replace(words=np.array([0, 1, 2, 3]))
-    assert not fresh.words.flags.writeable and fresh.labels is state.labels
-
+    counter = OracleCallCounter()
+    for shifted in (False, True):
+        state = GridAlignedState(n, p, x, shifted, words, size ** -0.5)
+        out = apply_u_f(state, model, fmt, params, counter)
+        expected = []
+        for h, word in enumerate(words.tolist()):
+            point = np.asarray(x, dtype=float)
+            if shifted:
+                g = np.array(states.grid_point_of(h, n, p), dtype=float)
+                point = point + params.mu * (g - g0)
+            w = round((float(model.evaluate(point)) - fmt.a0) / fmt.a1)
+            expected.append(word ^ w if group_mode == "xor"
+                            else (word + w) & (fmt.num_words - 1))
+        assert out.words.tolist() == expected and out.shifted == shifted
+        back = apply_u_f_inverse(out, model, fmt, params, counter)
+        assert back.words.tolist() == words.tolist()
+    assert counter.count == 4

@@ -25,14 +25,17 @@ MODEL = linear_model([-1.0], BOX)
 
 
 def uniform_state(n=2, p=1, x=(0.0,)):
-    base = DomainLabel.base(x)
-    return apply_qft(SparseTripartiteState.initial(n, p, base))
+    """The grid transform of |BASE> |0> |0...0>."""
+    size = 1 << (n * p)
+    basis = np.zeros(size, dtype=complex)
+    basis[0] = 1.0
+    return apply_qft(GridAlignedState(n, p, x, False, np.zeros(size), basis))
 
 
 def test_apply_qft_spreads_initial_state_uniformly():
     state = uniform_state()
     assert len(state) == 4
-    for term in state:
+    for term in state.terms:
         assert term.label == DomainLabel.base((0.0,))
         assert term.word == 0
         assert term.amplitude == pytest.approx(0.5, abs=1e-15)
@@ -40,14 +43,14 @@ def test_apply_qft_spreads_initial_state_uniformly():
 
 def test_u_plus_swaps_base_to_shifted_per_grid():
     state = apply_u_plus(uniform_state(), PARAMS)
-    for term in state:
+    for term in state.terms:
         assert term.label == DomainLabel.shifted((0.0,), term.grid)
 
 
 def test_u_plus_inverse_undoes_u_plus():
     state = uniform_state()
     back = apply_u_plus_inverse(apply_u_plus(state, PARAMS), PARAMS)
-    assert tuple(back) == tuple(state)
+    assert tuple(back.terms) == tuple(state.terms)
 
 
 def test_oracle_counter_bumps_once_per_application():
@@ -65,10 +68,10 @@ def test_u_f_inverse_restores_words(mode):
     state = apply_u_plus(uniform_state(), PARAMS)
     counter = OracleCallCounter()
     forward = apply_u_f(state, MODEL, fmt, PARAMS, counter)
-    assert any(t.word != 0 for t in forward)  # the oracle actually wrote
+    assert any(t.word != 0 for t in forward.terms)  # the oracle actually wrote
     back = apply_u_f_inverse(forward, MODEL, fmt, PARAMS, counter)
-    assert all(t.word == 0 for t in back)
-    assert tuple(back) == tuple(state)
+    assert all(t.word == 0 for t in back.terms)
+    assert tuple(back.terms) == tuple(state.terms)
 
 
 def test_phase_rotation_direct_values():
@@ -115,15 +118,13 @@ def test_phase_rotation_rejects_unknown_variant():
 
 
 def test_apply_qft_refuses_more_than_one_sector():
-    # Terms that differ in word, or in label, lie in two sectors.
-    label = DomainLabel.base((0.0,))
-    a = 1.0 / math.sqrt(2.0)
-    for second in (SparseTerm(label, 3, (2,), a + 0j),
-                   SparseTerm(DomainLabel.shifted((0.0,), (2,)), 0, (2,), a + 0j)):
-        state = SparseTripartiteState(n=2, p=1, terms=(SparseTerm(label, 0, (1,), a + 0j),
-                                                       second))
+    # Terms that differ in word, or in label, lie in two sectors; SHIFTED(h)
+    # labels differ from term to term.
+    state = uniform_state()
+    for other in (state.replace(words=np.array([0, 0, 3, 0])),
+                  state.replace(shifted=True)):
         with pytest.raises(ValueError, match="one .label, word. sector"):
-            apply_qft(state)
+            apply_qft(other)
 
 
 def test_collapse_to_grid_happy_path():
@@ -153,22 +154,22 @@ def test_collapse_raises_on_any_out_of_sector_term():
 
 
 def test_two_sector_qft_is_refused_before_it_allocates():
-    # Two terms in two sectors on a 2^22-point grid: one dense grid alone
-    # would be 64 MiB of complex128.
+    # Two sectors on a 2^22-point grid: one dense grid alone would be
+    # 64 MiB of complex128.
     n, p = 11, 2
-    label = DomainLabel.base((0.0, 0.0))
-    a = 1.0 / math.sqrt(2.0)
-    state = SparseTripartiteState(n=n, p=p, terms=(
-        SparseTerm(label, 0, (0, 0), a + 0j),
-        SparseTerm(DomainLabel.shifted((0.0, 0.0), (5, 7)), 0, (5, 7), a + 0j)))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="one .label, word. sector"):
-            apply_qft(state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    size = 1 << (n * p)
+    words = np.zeros(size, dtype=np.int64)
+    words[5 << n | 7] = 1
+    for state in (GridAlignedState(n, p, (0.0, 0.0), False, words, size ** -0.5),
+                  GridAlignedState(n, p, (0.0, 0.0), True, np.zeros(size), size ** -0.5)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="one .label, word. sector"):
+                apply_qft(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_one_sector_qft_follows_the_callers_grid_guard(monkeypatch):

@@ -78,18 +78,6 @@ def test_check_grid_bits_guard():
         check_grid_bits(0, 1)
 
 
-def test_sparse_state_initial():
-    label = DomainLabel.base((0.5, 0.5))
-    state = SparseTripartiteState.initial(3, 2, label)
-    assert len(state) == 1
-    term = list(state)[0]
-    assert term.label == label
-    assert term.word == 0
-    assert term.grid == (0, 0)
-    assert term.amplitude == 1.0 + 0.0j
-    assert state.norm() == 1.0
-
-
 def test_sparse_state_rejects_duplicate_triples():
     label = DomainLabel.base((0.0,))
     terms = (
@@ -138,3 +126,21 @@ def test_sparse_state_terms_round_trip_through_arrays():
     assert state.labels.tolist() == [-1, 12] and state.grid.tolist() == [6, 12]
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0  # arrays are shared between states, so frozen
+
+
+def test_from_arrays_checks_every_array():
+    def build(labels=(0, 1, 2, 3), grid=(0, 1, 2, 3), amplitudes=np.full(4, 0.5 + 0j)):
+        return SparseTripartiteState.from_arrays(2, 1, (0.0,), np.array(labels),
+                                                 np.zeros(4), np.array(grid), amplitudes)
+
+    with pytest.raises(ValueError, match="label code 4 out of range"):
+        build(labels=(0, 1, 2, 4))
+    with pytest.raises(ValueError, match="grid index 4 out of range"):
+        build(grid=(0, 1, 2, 4))
+    with pytest.raises(ValueError, match="duplicate"):
+        build(labels=(0, 1, 1, 3), grid=(0, 1, 1, 3))
+    with pytest.raises(ValueError, match="norm"):
+        build(amplitudes=np.full(4, 0.6 + 0j))
+    state = build()
+    rotated = state.replace(amplitudes=state.amplitudes[::-1] * 1j)
+    assert rotated.labels is state.labels and not rotated.amplitudes.flags.writeable
