@@ -29,8 +29,9 @@ from .operators import unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
-from .states import (DEFAULT_MAX_GRID_BITS, GridState, grid_offsets,
-                     grid_point_of, represented_points)
+from .states import (DEFAULT_MAX_GRID_BITS, GridState, grid_offset_norms,
+                     grid_offsets, grid_point_of, probabilities,
+                     represented_points)
 
 # Numerical slack applied when deciding whether an inequality "holds": the
 # closed-form parameters make the curvature and precision inequalities
@@ -238,6 +239,15 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     Raises BoundViolation if a rounding error exceeds nu or a curvature error
     exceeds M mu^2 |h - g0|^2 / 2; both hold by construction for truthful
     models, so a violation means a bug (or a lying hess_bound).
+
+    psi comes from the range words: when the format has no more words than
+    the grid has points, unit_phases and the amplitude scaling run once over
+    every decoded word and each point gathers its word's value. decode,
+    unit_phases and the scaling are elementwise, so each point gets the bits
+    of the direct construction. The words come from quantize and the model,
+    never from an operator, so psi stays an independent reference for the
+    pipeline. The curvature cap sums squared half-integer offsets, which is
+    exact in any order (grid_offset_norms).
     """
     pt = np.asarray(x, dtype=float)
     n, p = params.n, model.p
@@ -255,13 +265,13 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     # builds an array of the same size.
     off = grid_offsets(None, n, p)
     f_lin = fx + mu * row_dots(off, grad)
-    cap = 0.5 * model.hess_bound * mu * mu * row_dots(off, off)
     del off
+    cap = 0.5 * model.hess_bound * mu * mu * grid_offset_norms(n, p)
     f_true = model.evaluate_points(represented_points(pt, mu, None, n))
     amp = 1.0 / math.sqrt(f_true.size)
-    f_q = fmt.decode(quantize(fmt, f_true))
+    words = quantize(fmt, f_true)
     eps_N = f_true - f_lin
-    eps_D = f_q - f_true
+    eps_D = fmt.decode(words) - f_true
     rounding_bad = np.abs(eps_D) > params.nu
     curvature_bad = np.abs(eps_N) > cap + 1e-12 * np.maximum(1.0, cap)
     bad = np.flatnonzero(rounding_bad | curvature_bad)
@@ -277,38 +287,43 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
             f"{float(cap[i])!r} at grid {h}"
         )
     del cap, rounding_bad, curvature_bad, bad
-    # Each part is written in place and each input dropped once read, so
-    # the split holds little beyond its own six arrays at any time.
-    scratch = np.empty(f_true.size)
+    # Each part is written in place and each input dropped once read. psi
+    # comes last: gathered by word from its table, it needs no grid-sized
+    # input beyond the words.
     lin_re, lin_im = unit_phases(lam, f_lin)
     del f_lin
-    psi_L = _scaled_phases(amp, lin_re, lin_im, scratch)
+    psi_L = _scaled_phases(amp, lin_re, lin_im, np.empty(f_true.size))
     true_re, true_im = unit_phases(lam, f_true)
     del f_true
     np.subtract(true_re, lin_re, out=lin_re)
     np.subtract(true_im, lin_im, out=lin_im)
-    psi_N = _scaled_phases(amp, lin_re, lin_im, scratch)
+    psi_N = _scaled_phases(amp, lin_re, lin_im)
     del lin_re, lin_im
-    q_re, q_im = unit_phases(lam, f_q)
-    del f_q
-    psi = _scaled_phases(amp, q_re, q_im, scratch)
-    np.subtract(q_re, true_re, out=q_re)
-    np.subtract(q_im, true_im, out=q_im)
+    table = fmt.num_words <= words.size
+    q_re, q_im = unit_phases(lam, fmt.decode(np.arange(fmt.num_words) if table else words))
+    np.subtract(q_re.take(words) if table else q_re, true_re, out=true_re)
+    np.subtract(q_im.take(words) if table else q_im, true_im, out=true_im)
+    psi_D = _scaled_phases(amp, true_re, true_im)
     del true_re, true_im
-    psi_D = _scaled_phases(amp, q_re, q_im, scratch)
+    psi = _scaled_phases(amp, q_re, q_im)
+    if table:
+        psi = psi.take(words)
     return ErrorDecomposition(n=n, p=p, psi=psi, psi_L=psi_L, psi_N=psi_N, psi_D=psi_D,
                               eps_N=eps_N, eps_D=eps_D)
 
 
 def _scaled_phases(amp: float, re: np.ndarray, im: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """complex_array(*complex_product(amp, 0.0, re, im)), written part by
-    part into one new array with scratch as the only temporary."""
+    part into one new array. The two products with 0.0 go to scratch or,
+    without one, over im and re, whose values are then lost."""
     out = np.empty(re.size, dtype=np.complex128)
-    np.multiply(amp, re, out=out.real)
-    np.subtract(out.real, np.multiply(0.0, im, out=scratch), out=out.real)
     np.multiply(amp, im, out=out.imag)
-    np.add(out.imag, np.multiply(0.0, re, out=scratch), out=out.imag)
+    zero_im = np.multiply(0.0, im, out=im if scratch is None else scratch)
+    np.multiply(amp, re, out=out.real)
+    np.subtract(out.real, zero_im, out=out.real)
+    zero_re = np.multiply(0.0, re, out=re if scratch is None else scratch)
+    np.add(out.imag, zero_re, out=out.imag)
     return out
 
 
@@ -327,7 +342,9 @@ def success_projection(chi: GridState, true_grad: Sequence[float], delta: float,
     """Amplitude norm and probability inside the strict delta window.
 
     The projector factors per axis, so the window mask is the outer product
-    of per-axis masks |decode(g_m) - grad_m| < delta (strict).
+    of per-axis masks |decode(g_m) - grad_m| < delta (strict). Only the
+    window's amplitudes are squared, in index order, so the sum equals that
+    of chi.probabilities() over the window bit for bit.
     """
     tg = np.asarray(true_grad, dtype=float)
     if tg.shape != (chi.p,):
@@ -336,7 +353,7 @@ def success_projection(chi: GridState, true_grad: Sequence[float], delta: float,
     mask = np.abs(vals - tg[0]) < delta
     for m in range(1, chi.p):
         mask = np.logical_and.outer(mask, np.abs(vals - tg[m]) < delta)
-    probability = float(np.sum(chi.probabilities()[mask.reshape(-1)]))
+    probability = float(np.sum(probabilities(chi.amplitudes[mask.reshape(-1)])))
     return math.sqrt(probability), probability
 
 
@@ -542,14 +559,15 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
         # The per-bit rotation omits the constant a0 phase, a global factor;
         # restore it before comparing against the reference construction.
         aligned = aligned * cmath.exp(2j * math.pi * params.lam * fmt.a0)
+    # psi and psi_L belong to the audit, so each is transformed in place.
     dual_path_error = float(np.max(np.abs(
-        aligned - qft_amplitudes(psi, params.n, model.p))))
+        aligned - qft_amplitudes(psi, params.n, model.p, out=psi))))
 
     grad = model.gradient(pt)
     projected_amplitude, success_probability = success_projection(
         chi, grad, spec.delta, params)
     chi_L = GridState(n=params.n, p=model.p,
-                      amplitudes=qft_amplitudes(psi_L, params.n, model.p))
+                      amplitudes=qft_amplitudes(psi_L, params.n, model.p, out=psi_L))
     projected_linear, _ = success_projection(chi_L, grad, spec.delta, params)
 
     inequalities = check_inequalities(params, spec, model.grad_bound,

@@ -8,15 +8,19 @@ also take the general form, which the acceptance gate builds term by term.
 On the aligned form the shift only flips the label mode, and the phase kick
 starts from the one amplitude all terms share, so it kicks each range word
 once and gathers when the format has no more words than the grid has
-points. That keeps run_pipeline's peak near 80 bytes per grid point
-(tracemalloc, n=8, p=2). The shift and oracle operators are basis
-permutations (amplitudes move, never mix), the phase rotation multiplies
-amplitudes by unit phases, and the grid transform acts on the grid register
-alone, so it could only mix amplitudes within a (label, word) sector; it is
-applied to one-sector states only. That is why run_pipeline can collapse
-onto the grid register before the second transform and verify
-factorization exactly there: a broken inverse pair leaves terms in a wrong
-sector, and no operator can hide them.
+points. The per-bit variant builds that table by doubling: a word's last
+gate is the one of its highest bit, so the kick of 2^k + w is the kick of w
+times gate k, one product per word. That keeps run_pipeline's peak near
+80 bytes per grid point (tracemalloc, n=8, p=2); the audit
+(analysis.verify_theorem) adds its two reference arrays, which it
+transforms in place through the same qft_amplitudes. The shift and oracle
+operators are basis permutations (amplitudes move, never mix), the phase
+rotation multiplies amplitudes by unit phases, and the grid transform acts
+on the grid register alone, so it could only mix amplitudes within a
+(label, word) sector; it is applied to one-sector states only. That is why
+run_pipeline can collapse onto the grid register before the second
+transform and verify factorization exactly there: a broken inverse pair
+leaves terms in a wrong sector, and no operator can hide them.
 
 The arithmetic reproduces, bit for bit, what composing the operators term by
 term with Python complex numbers gives: phases come from the same cos/sin,
@@ -142,11 +146,35 @@ def _phase_kick(re, im, words: np.ndarray, lam: float, fmt: FixedPointFormat,
         return complex_product(re, im, *unit_phases(lam, fmt.decode(words)))
     check_words(fmt, words)
     for k in range(fmt.bits):
-        gate = cmath.exp(2j * cmath.pi * lam * fmt.a1 * float(1 << k))
+        gate = _bit_gate(lam, fmt, k)
         bit = ((words >> k) & 1).astype(bool)
         kicked_re, kicked_im = complex_product(re, im, gate.real, gate.imag)
         re, im = np.where(bit, kicked_re, re), np.where(bit, kicked_im, im)
     return re, im
+
+
+def _bit_gate(lam: float, fmt: FixedPointFormat, k: int) -> complex:
+    """Phase e^(2 pi i lam a1 2^k) of the single-bit gate on range bit k."""
+    return cmath.exp(2j * cmath.pi * lam * fmt.a1 * float(1 << k))
+
+
+def _per_bit_table(re, im, lam: float, fmt: FixedPointFormat) -> tuple[np.ndarray, np.ndarray]:
+    """_phase_kick(re, im, np.arange(2^N), lam, fmt, "per-bit"), by doubling.
+
+    Gate k is the last gate the per-bit loop applies to any word in
+    [2^k, 2^(k+1)), after the gates of the word's lower bits in order, so
+    T[2^k + w] is T[w] times gate k: 2^N - 1 products with the loop's
+    rounding, instead of N passes over all 2^N words.
+    """
+    table_re = np.empty(fmt.num_words)
+    table_im = np.empty(fmt.num_words)
+    table_re[0], table_im[0] = re, im
+    for k in range(fmt.bits):
+        gate = _bit_gate(lam, fmt, k)
+        low = 1 << k
+        table_re[low:2 * low], table_im[low:2 * low] = complex_product(
+            table_re[:low], table_im[:low], gate.real, gate.imag)
+    return table_re, table_im
 
 
 def apply_phase_rotation(s: PipelineState, lam: float, fmt: FixedPointFormat,
@@ -160,14 +188,19 @@ def apply_phase_rotation(s: PipelineState, lam: float, fmt: FixedPointFormat,
 
     While every term shares one amplitude, a term's kicked amplitude depends
     on its word alone; when the format has no more words than the state has
-    terms, each word is kicked once and the results are gathered.
+    terms, each word is kicked once and the results are gathered. The
+    per-bit table is built by doubling (_per_bit_table).
     """
     if variant not in PHASE_VARIANTS:
         raise ValueError(f"variant must be one of {PHASE_VARIANTS}")
     amps = s.amplitudes
     if amps.ndim == 0 and fmt.num_words <= len(s):
         check_words(fmt, s.words)
-        table = _phase_kick(amps.real, amps.imag, np.arange(fmt.num_words), lam, fmt, variant)
+        if variant == "direct":
+            table = _phase_kick(amps.real, amps.imag, np.arange(fmt.num_words), lam, fmt,
+                                variant)
+        else:
+            table = _per_bit_table(amps.real, amps.imag, lam, fmt)
         return s.replace(amplitudes=np.take(complex_array(*table), s.words))
     return s.replace(amplitudes=complex_array(*_phase_kick(amps.real, amps.imag, s.words,
                                                           lam, fmt, variant)))

@@ -23,10 +23,23 @@ MAX_GATE_QUBITS = 12  # dense verification guard
 _SQRT2 = math.sqrt(2.0)
 
 
-def qft_amplitudes(amplitudes: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Per-axis transform of one raw length-2^(pn) array; no norm requirement."""
-    arr = np.asarray(amplitudes, dtype=complex).reshape((1 << n,) * p)
-    return np.fft.ifftn(arr, norm="ortho").reshape(-1)
+def qft_amplitudes(amplitudes: np.ndarray, n: int, p: int, *,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Per-axis transform of one raw length-2^(pn) array; no norm requirement.
+
+    out, a contiguous complex128 array of 2^(pn) values, receives the result
+    and is returned; it may be amplitudes itself, which is then transformed in
+    place with the bits of the copying call (tests/test_qft.py checks both).
+    numpy's ifftn takes out from numpy 2.0 on.
+    """
+    shape = (1 << n,) * p
+    arr = np.asarray(amplitudes, dtype=complex).reshape(shape)
+    if out is None:
+        return np.fft.ifftn(arr, norm="ortho").reshape(-1)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous, so that its grid view is not a copy")
+    np.fft.ifftn(arr, norm="ortho", out=out.reshape(shape))
+    return out
 
 
 @dataclass(frozen=True)

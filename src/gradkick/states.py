@@ -32,6 +32,9 @@ pass runs over all k. Each axis takes only 2^n values, so a column is a
 gather from a table of them. models.row_dots is the exception: it must
 multiply rows through numpy's dot kernel to match np.dot bit for bit, and a
 per-axis sum rounds differently wherever that kernel fuses multiply-adds.
+Squared offset norms need no such care: every partial sum of squared
+half-integers is exact, so grid_offset_norms adds per-axis squares as an
+outer sum.
 """
 
 from __future__ import annotations
@@ -131,6 +134,22 @@ def grid_offsets(indices: np.ndarray | None, n: int, p: int) -> np.ndarray:
     return axis_columns(indices, n, p, [axis_offsets(n)] * p)
 
 
+def grid_offset_norms(n: int, p: int) -> np.ndarray:
+    """|g - g0|^2 for every flat index in order, from per-axis squares.
+
+    Each squared offset is a multiple of 1/4, and so is every partial sum of
+    p of them; below 2^51 (p 4^n < 2^53, far beyond any grid that fits in
+    memory) all of these are exact, so any summation order, np.dot's fused
+    multiply-adds included, gives the same bits as row_dots(off, off).
+    """
+    sq = axis_offsets(n)
+    sq = sq * sq
+    norms = sq
+    for _ in range(1, p):
+        norms = np.add.outer(norms, sq)
+    return norms.reshape(-1)
+
+
 def represented_points(x: Sequence[float], mu: float, indices: np.ndarray | None,
                        n: int) -> np.ndarray:
     """x + mu * (g - g0) for the grid point g of each flat index (None: the
@@ -171,10 +190,16 @@ class GridState:
         return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return probabilities(self.amplitudes)
 
     def grid_of(self, index: int) -> tuple[int, ...]:
         return grid_point_of(index, self.n, self.p)
+
+
+def probabilities(amplitudes: np.ndarray) -> np.ndarray:
+    """|z|^2 of each amplitude: the one expression behind every outcome
+    probability, whether of a whole grid or of a window of it."""
+    return np.abs(amplitudes) ** 2
 
 
 class SparseTerm(NamedTuple):

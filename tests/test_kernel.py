@@ -3,6 +3,7 @@ evaluation-count and memory contracts."""
 
 import cmath
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,15 +15,20 @@ import gradkick.states as states
 from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
                       decompose_state, linear_model, quadratic_model,
                       run_pipeline, sinusoidal_model, verify_theorem)
-from gradkick.algorithm import plan_run_format
+from gradkick.algorithm import axis_decode_values, plan_run_format
+from gradkick.analysis import success_projection
+from gradkick.models import row_dots
 from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
+                                _per_bit_table, _phase_kick,
                                 apply_phase_rotation, apply_qft, apply_u_f,
                                 apply_u_f_inverse, apply_u_plus,
-                                collapse_to_grid)
-from gradkick.oracle import BASE_CODE, DomainLabel, grid_center
+                                collapse_to_grid, complex_array,
+                                complex_product, unit_phases)
+from gradkick.oracle import BASE_CODE, DomainLabel, grid_center, quantize
 from gradkick.params import AlgorithmParams
 from gradkick.qft import qft_amplitudes
-from gradkick.states import (GridAlignedState, SparseTripartiteState,
+from gradkick.states import (GridAlignedState, GridState,
+                             SparseTripartiteState, grid_offset_norms,
                              grid_offsets, grid_points, represented_points)
 
 
@@ -232,7 +238,7 @@ def test_decomposition_and_audit_memory():
             peaks.append(tracemalloc.get_traced_memory()[1] / points)
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 144.0 and peaks[1] <= 160.0
+    assert peaks[0] <= 112.0 and peaks[1] <= 112.0
 
 
 # Every (n, p) with n p <= 20: the grids the closed form must match.
@@ -251,6 +257,66 @@ def test_prepared_state_is_the_transformed_basis_state(n, p):
     # Compared as bit patterns, so a -0.0 imaginary part would fail.
     bits = transformed.view(np.uint64).reshape(-1, 2)
     assert (bits == prepared.amplitudes.reshape(1).view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("n,p", SMALL_GRIDS)
+def test_offset_norms_equal_row_dots(n, p):
+    # Sums of squared half-integers are exact, so the per-axis outer sum
+    # must give the bits of the per-row dot product the cap used before.
+    off = grid_offsets(None, n, p)
+    assert grid_offset_norms(n, p).tobytes() == row_dots(off, off).tobytes()
+
+
+@given(bits=st.integers(1, 14), lam=st.floats(min_value=-1e3, max_value=1e3),
+       a1=st.floats(min_value=1e-6, max_value=1.0),
+       modulus=st.floats(min_value=1e-3, max_value=1.0),
+       angle=st.floats(min_value=-4.0, max_value=4.0))
+@settings(max_examples=200, deadline=None)
+def test_doubled_per_bit_table_equals_the_per_bit_loop(bits, lam, a1, modulus, angle):
+    # apply_phase_rotation passes the shared amplitude's parts as 0-d arrays.
+    fmt = FixedPointFormat(bits=bits, a0=-a1 * float(1 << (bits - 1)), a1=a1)
+    amp = np.asarray(cmath.rect(modulus, angle))
+    table = _per_bit_table(amp.real, amp.imag, lam, fmt)
+    loop = _phase_kick(amp.real, amp.imag, np.arange(fmt.num_words), lam, fmt, "per-bit")
+    for got, want in zip(table, loop):
+        assert got.shape == (fmt.num_words,)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bits", [5, 6, 7])
+def test_decomposition_psi_equals_the_direct_phase_construction(bits):
+    # 64 grid points: the format has fewer, as many and more words, so psi's
+    # phases come from the gathered word table twice and directly once.
+    n, p = 3, 2
+    model = quadratic_model([0.3, -0.2], [[0.5, 0.1], [0.1, -0.4]], DomainBox.cube(2, 1.0))
+    x = [0.05, -0.1]
+    params = AlgorithmParams(n=n, nu=0.01, lam=7.3, mu=0.05)
+    fmt = FixedPointFormat(bits=bits, a0=-0.01 * float(1 << (bits - 1)), a1=0.01)
+    dec = decompose_state(model, x, params, fmt)
+    f_true = model.evaluate_points(represented_points(x, params.mu, None, n))
+    words = quantize(fmt, f_true)
+    assert len(set(words.tolist())) > 8
+    re, im = unit_phases(params.lam, fmt.decode(words))
+    amp = 1.0 / math.sqrt(1 << (n * p))
+    assert dec.psi.tobytes() == complex_array(*complex_product(amp, 0.0, re, im)).tobytes()
+
+
+@pytest.mark.parametrize("delta,inside", [(1e-9, 0), (0.7, 2), (1e9, 64)])
+def test_window_projection_equals_the_full_probability_sum(delta, inside):
+    # Only the window's amplitudes are squared; the sum must equal the one
+    # over the whole grid's probabilities, masked, for empty and full
+    # windows too.
+    n, p = 2, 3
+    params = AlgorithmParams(n=n, nu=1e-3, lam=0.5, mu=0.5)
+    amps = np.random.default_rng(7).normal(size=(64, 2)) @ np.array([1.0, 1j])
+    chi = GridState(n, p, amps / np.linalg.norm(amps))
+    grad = np.array([0.15, -0.4, 0.9])
+    vals = axis_decode_values(params)
+    mask = np.logical_and.outer(np.abs(vals - grad[0]) < delta, np.abs(vals - grad[1]) < delta)
+    mask = np.logical_and.outer(mask, np.abs(vals - grad[2]) < delta).reshape(-1)
+    assert mask.sum() == inside
+    expected = float(np.sum(chi.probabilities()[mask]))
+    assert success_projection(chi, grad, delta, params) == (math.sqrt(expected), expected)
 
 
 @given(n=st.integers(1, 4), p=st.integers(1, 3), bits=st.integers(1, 12),

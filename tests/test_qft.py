@@ -64,6 +64,17 @@ def test_forward_then_inverse_is_identity(n, seed):
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n,p", [(1, 1), (5, 1), (3, 2), (5, 3), (2, 7)])
+def test_in_place_transform_equals_the_copying_call(n, p):
+    v = np.random.default_rng(n * 10 + p).normal(size=(1 << (n * p), 2)) @ np.array([1.0, 1j])
+    expected = qft_amplitudes(v, n, p)
+    out = qft_amplitudes(v, n, p, out=v)
+    assert out is v
+    assert v.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        qft_amplitudes(expected, n, p, out=np.empty(2 * v.size, dtype=complex)[::2])
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gate_circuit_counts(n):
     gates = qft_gate_circuit(n)
