@@ -75,6 +75,14 @@ def sampling_radius(params: AlgorithmParams) -> float:
     return float(1 << (params.n - 1)) * params.mu
 
 
+def check_sampling_box(model: FunctionModel, pt: np.ndarray, params: AlgorithmParams) -> None:
+    """Raise DomainError unless the box the grid reaches around pt lies in the domain."""
+    radius = sampling_radius(params)
+    if not model.domain_box.contains_box(pt, radius):
+        raise DomainError(
+            f"sampling box of half-width {radius} around {pt.tolist()} exits the domain")
+
+
 def axis_decode_values(params: AlgorithmParams) -> np.ndarray:
     """Decoded gradient component of every single-axis index g, as one array
     of length 2^n: -g / (2^n lam mu), folding g >= 2^(n-1) positive."""
@@ -124,11 +132,7 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     if pt.shape != (model.p,):
         raise ValueError(f"x must have {model.p} components")
     check_grid_bits(params.n, model.p, max_grid_bits)
-    radius = sampling_radius(params)
-    if not model.domain_box.contains_box(pt, radius):
-        raise DomainError(
-            f"sampling box of half-width {radius} around {pt.tolist()} exits the domain"
-        )
+    check_sampling_box(model, pt, params)
     if range_format is None:
         range_format = plan_run_format(model, pt, params, group_mode)
     elif range_format.group_mode != group_mode:

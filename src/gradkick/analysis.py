@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithm import (axis_decode_values, plan_run_format, run_pipeline,
-                        sampling_radius)
+from .algorithm import (axis_decode_values, check_sampling_box, plan_run_format,
+                        run_pipeline)
 from .models import FunctionModel, row_dots
 from .operators import unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
@@ -49,8 +49,8 @@ NEAR_INTEGER = 2.0 ** -16
 
 
 class PlannerError(ValueError):
-    """Parameter planning failed: the grid would exceed the memory guard, or
-    no grid meets the targets."""
+    """Parameter planning failed: the grid would exceed the memory guard, no
+    grid meets the targets, or a planning inequality cannot be evaluated."""
 
 
 class BoundViolation(RuntimeError):
@@ -92,6 +92,11 @@ class InequalityCheck:
     slack: float | None
     holds: bool
     note: str = ""
+
+    def __post_init__(self) -> None:
+        for field, number in (("value", self.value), ("bound", self.bound), ("slack", self.slack)):
+            if number is not None and not math.isfinite(number):
+                raise PlannerError(f"the {self.name} inequality's {field} is {number!r}")
 
 
 @dataclass(frozen=True)
@@ -147,46 +152,47 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
 
 def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M: float,
                        p: int) -> InequalityReport:
-    """Evaluate the five planning inequalities and report value/bound/slack."""
+    """Evaluate the five planning inequalities and report value/bound/slack;
+    a row that overflows, divides by zero or is not finite raises PlannerError."""
     n, lam, mu, nu = params.n, params.lam, params.mu, params.nu
     eps = spec.epsilon
     third = (1.0 - eps) / 3.0
     checks = []
+    try:
+        value = 4.0 ** (n - 1) * math.pi * lam * M * mu * mu / math.sqrt(5.0)
+        checks.append(_upper("curvature", value, third,
+                             "4^(n-1) pi lam M mu^2 / sqrt(5) <= (1 - eps) / 3"))
 
-    value = 4.0 ** (n - 1) * math.pi * lam * M * mu * mu / math.sqrt(5.0)
-    checks.append(_upper("curvature", value, third,
-                         "4^(n-1) pi lam M mu^2 / sqrt(5) <= (1 - eps) / 3"))
+        value = 2.0 * math.pi * lam * nu
+        checks.append(_upper("precision", value, third, "2 pi lam nu <= (1 - eps) / 3"))
 
-    value = 2.0 * math.pi * lam * nu
-    checks.append(_upper("precision", value, third,
-                         "2 pi lam nu <= (1 - eps) / 3"))
+        value = 2.0 ** (n - 1) * mu
+        checks.append(_upper("margin", value, spec.gamma, "2^(n-1) mu <= gamma"))
 
-    value = 2.0 ** (n - 1) * mu
-    checks.append(_upper("margin", value, spec.gamma,
-                         "2^(n-1) mu <= gamma"))
+        value = 1.0 / (2.0 * lam * mu)
+        slack = value - (L + spec.delta)
+        checks.append(InequalityCheck(name="bandwidth", value=value, bound=L + spec.delta,
+                                      slack=slack, holds=slack >= -DEFAULT_CHECK_TOL,
+                                      note="1 / (2 lam mu) >= L + delta"))
 
-    value = 1.0 / (2.0 * lam * mu)
-    slack = value - (L + spec.delta)
-    checks.append(InequalityCheck(name="bandwidth", value=value, bound=L + spec.delta,
-                                  slack=slack, holds=slack >= -DEFAULT_CHECK_TOL,
-                                  note="1 / (2 lam mu) >= L + delta"))
-
-    theta = math.pi * lam * mu * spec.delta
-    window = 1.0 - ((2.0 + eps) / 3.0) ** (2.0 / p)
-    bound = math.sqrt(2.0 ** n * window)
-    if 0.0 < theta < math.pi:
-        value = 1.0 / math.sin(theta)
-        slack = bound - value
-        checks.append(InequalityCheck(
-            name="leakage", value=value, bound=bound, slack=slack,
-            holds=slack >= -DEFAULT_CHECK_TOL,
-            note="csc(pi lam mu delta) <= sqrt(2^n (1 - ((2 + eps)/3)^(2/p)))"))
-    else:
-        checks.append(InequalityCheck(
-            name="leakage", value=None, bound=bound, slack=None, holds=False,
-            note=f"pi lam mu delta = {theta!r} outside (0, pi); "
-                 "cosecant bound inapplicable"))
-
+        theta = math.pi * lam * mu * spec.delta
+        window = 1.0 - ((2.0 + eps) / 3.0) ** (2.0 / p)
+        bound = math.sqrt(2.0 ** n * window)
+        if 0.0 < theta < math.pi:
+            value = 1.0 / math.sin(theta)
+            slack = bound - value
+            checks.append(InequalityCheck(
+                name="leakage", value=value, bound=bound, slack=slack,
+                holds=slack >= -DEFAULT_CHECK_TOL,
+                note="csc(pi lam mu delta) <= sqrt(2^n (1 - ((2 + eps)/3)^(2/p)))"))
+        else:
+            checks.append(InequalityCheck(
+                name="leakage", value=None, bound=bound, slack=None, holds=False,
+                note=f"pi lam mu delta = {theta!r} outside (0, pi); "
+                     "cosecant bound inapplicable"))
+    except (OverflowError, ZeroDivisionError) as exc:
+        row = ("curvature", "precision", "margin", "bandwidth", "leakage")[len(checks)]
+        raise PlannerError(f"the {row} inequality cannot be evaluated: {exc.args[-1]}") from None
     return InequalityReport(checks=tuple(checks), tol=DEFAULT_CHECK_TOL)
 
 
@@ -253,11 +259,7 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     n, p = params.n, model.p
     if fmt.a1 > params.nu:
         raise ValueError("format step exceeds nu; plan the format from params")
-    radius = sampling_radius(params)
-    if not model.domain_box.contains_box(pt, radius):
-        raise DomainError(
-            f"sampling box of half-width {radius} around {pt.tolist()} exits the domain"
-        )
+    check_sampling_box(model, pt, params)
     grad = model.gradient(pt)
     fx = model.evaluate(pt)
     lam, mu = params.lam, params.mu
@@ -411,8 +413,7 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
     if model.hess_bound != 0.0:
         raise ValueError("leakage check requires a linear model (hess_bound 0)")
     pt = np.asarray(x, dtype=float)
-    if not model.domain_box.contains_box(pt, sampling_radius(params)):
-        raise DomainError("sampling box exits the domain")
+    check_sampling_box(model, pt, params)
     n, p, lam, mu = params.n, model.p, params.lam, params.mu
     if 1.0 / (2.0 * lam * mu) < model.grad_bound + delta:
         raise ValueError("bandwidth precondition 1 / (2 lam mu) >= L + delta fails")
@@ -542,6 +543,9 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     if params is None:
         params = select_parameters(spec, model.grad_bound, model.hess_bound,
                                    model.p, max_grid_bits)
+    # Refused here, before any grid work, if a row cannot be evaluated.
+    inequalities = check_inequalities(params, spec, model.grad_bound,
+                                      model.hess_bound, model.p)
     fmt = plan_run_format(model, pt, params, group_mode)
     dec = decompose_state(model, pt, params, fmt)
     # Only psi and psi_L are read after this; the rest is dropped before the
@@ -570,8 +574,6 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                       amplitudes=qft_amplitudes(psi_L, params.n, model.p, out=psi_L))
     projected_linear, _ = success_projection(chi_L, grad, spec.delta, params)
 
-    inequalities = check_inequalities(params, spec, model.grad_bound,
-                                      model.hess_bound, model.p)
     # The factorized leakage audit only makes sense for linear objectives and
     # needs the bandwidth condition, which confines the phase angle to where
     # the cosecant estimate is valid. Outside that, it is skipped (None); the

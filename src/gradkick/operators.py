@@ -4,7 +4,8 @@ Each operator returns a new state of its input's form and works on all
 terms in one numpy pass; arrays an operator leaves unchanged are shared with
 its input. The shift, the two oracle passes and the grid transform take the
 grid-aligned form the pipeline carries; the phase rotation and the collapse
-also take the general form, which the acceptance gate builds term by term.
+also take the general form, which the acceptance gate builds from a few
+SparseTerms, and read the arrays it derives from them.
 On the aligned form the shift only flips the label mode, and the phase kick
 starts from the one amplitude all terms share, so it kicks each range word
 once and gathers when the format has no more words than the grid has

@@ -12,10 +12,10 @@ a whole-array pass:
   amplitude vary. The state holds that label mode, one int64 word per term
   and one complex amplitude, shared by all terms until the phase kick tells
   them apart: 8 bytes per term before the kick, 24 after.
-- SparseTripartiteState, the general form: parallel arrays of label code,
-  int64 word, flat grid index and complex128 amplitude (40 bytes per term)
-  for any set of distinct basis triples. The acceptance gate builds it from
-  SparseTerms, phase-rotates it and collapses it; the shift, the oracle and
+- SparseTripartiteState, the general form: the SparseTerms it is given, any
+  distinct basis triples, with their label codes, words, flat grid indices
+  and amplitudes derived once as arrays. The acceptance gate builds it from
+  a few terms, phase-rotates it and collapses it; the shift, the oracle and
   the grid transform take only the aligned form.
 
 Every term's label and word are explicit, or in the aligned form fixed
@@ -218,9 +218,9 @@ def label_code(label: DomainLabel, n: int, p: int) -> int:
 
 
 class TermView(Sequence[SparseTerm]):
-    """Read-only sequence of a state's terms, built as SparseTerm on access."""
+    """Read-only sequence of an aligned state's terms, built on access."""
 
-    def __init__(self, state: SparseTripartiteState | GridAlignedState) -> None:
+    def __init__(self, state: GridAlignedState) -> None:
         self._state = state
 
     def __len__(self) -> int:
@@ -236,96 +236,54 @@ class TermView(Sequence[SparseTerm]):
 class SparseTripartiteState:
     """Finite superposition over distinct (label, word, grid) basis triples.
 
-    Term i is |label_i> |words[i]> |grid[i]> with amplitude amplitudes[i].
-    Every label shares the evaluation point x; labels[i] is BASE_CODE (-1)
-    for the BASE label or the flat grid index h for SHIFTED(h), and grid[i]
-    is a flat row-major grid index. The arrays are read-only, so states may
-    share the ones an operator leaves unchanged. terms presents the same
-    data as SparseTerm objects, built only when read.
-
-    Every constructor ends in __post_init__, which validates the arrays and
-    checks that the norm is 1 within NORM_TOL.
+    terms holds the SparseTerms the state was built from, all at one
+    evaluation point x. Every construction ends in __post_init__, which
+    derives one read-only array per field: labels[i] is BASE_CODE (-1) for
+    BASE or the flat grid index h for SHIFTED(h), and grid[i] is a flat
+    row-major grid index (label_code and grid_index_of refuse either off the
+    grid). It also refuses a repeated triple and a norm not 1 within NORM_TOL.
     """
 
     def __init__(self, n: int, p: int, terms: Sequence[SparseTerm]) -> None:
-        terms = tuple(terms)
-        points = {t.label.x for t in terms}
-        if len(points) > 1:
-            raise ValueError(f"terms mix evaluation points {sorted(points)}")
-        self._assign(
-            n, p, points.pop() if points else (0.0,) * p,
-            [label_code(t.label, n, p) for t in terms],
-            [t.word for t in terms],
-            [grid_index_of(t.grid, n, p) for t in terms],
-            [t.amplitude for t in terms])
+        self.n, self.p = n, p
+        self.terms = tuple(terms)
         self.__post_init__()
 
-    @classmethod
-    def from_arrays(cls, n: int, p: int, x: Sequence[float], labels: np.ndarray,
-                    words: np.ndarray, grid: np.ndarray,
-                    amplitudes: np.ndarray) -> SparseTripartiteState:
-        state = cls.__new__(cls)
-        state._assign(n, p, x, labels, words, grid, amplitudes)
-        state.__post_init__()
-        return state
-
-    def _assign(self, n, p, x, labels, words, grid, amplitudes) -> None:
-        self.n, self.p = n, p
-        self.x = tuple(float(v) for v in x)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.words = np.asarray(words, dtype=np.int64)
-        self.grid = np.asarray(grid, dtype=np.int64)
-        self.amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-
     def __post_init__(self) -> None:
-        """Validate the four arrays and make them read-only."""
-        size = 1 << (self.n * self.p)
-        arrays = (self.labels, self.words, self.grid, self.amplitudes)
-        if any(a.shape != (self.amplitudes.size,) for a in arrays):
-            raise ValueError("labels, words, grid and amplitudes must be 1-d "
-                             "arrays of one length")
-        if len(self.x) != self.p:
-            raise ValueError(f"evaluation point has {len(self.x)} axes, expected {self.p}")
-        bad = np.flatnonzero((self.grid < 0) | (self.grid >= size))
-        if bad.size:
-            raise ValueError(f"grid index {int(self.grid[bad[0]])} out of range "
-                             f"for n={self.n}, p={self.p}")
-        bad = np.flatnonzero((self.labels < BASE_CODE) | (self.labels >= size))
-        if bad.size:
-            raise ValueError(f"label code {int(self.labels[bad[0]])} out of range "
-                             f"for n={self.n}, p={self.p}")
-        dup = _first_duplicate(self.labels, self.words, self.grid)
-        if dup is not None:
-            t = self.terms[dup]
-            raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
-        for a in arrays:
+        """Derive the four arrays from the terms, once, and validate them."""
+        n, p = self.n, self.p
+        points = {t.label.x for t in self.terms}
+        if len(points) > 1:
+            raise ValueError(f"terms mix evaluation points {sorted(points)}")
+        self.x = tuple(float(v) for v in (points.pop() if points else (0.0,) * p))
+        if len(self.x) != p:
+            raise ValueError(f"evaluation point has {len(self.x)} axes, expected {p}")
+        self.labels = np.array([label_code(t.label, n, p) for t in self.terms], dtype=np.int64)
+        self.words = np.array([t.word for t in self.terms], dtype=np.int64)
+        self.grid = np.array([grid_index_of(t.grid, n, p) for t in self.terms], dtype=np.int64)
+        self.amplitudes = np.array([t.amplitude for t in self.terms], dtype=np.complex128)
+        seen = set()
+        for t, triple in zip(self.terms, zip(self.labels.tolist(), self.words.tolist(),
+                                            self.grid.tolist())):
+            if triple in seen:
+                raise ValueError(f"duplicate basis triple {(t.label, t.word, t.grid)}")
+            seen.add(triple)
+        for a in (self.labels, self.words, self.grid, self.amplitudes):
             a.flags.writeable = False
         if abs(self.norm() - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {self.norm()!r} is not 1 within {NORM_TOL}")
 
     def replace(self, amplitudes: np.ndarray) -> SparseTripartiteState:
-        """New state with the amplitudes swapped out, the phase rotation's
-        only change; labels, words and grid are shared, which their read-only
-        flag makes safe."""
-        return SparseTripartiteState.from_arrays(self.n, self.p, self.x, self.labels,
-                                                 self.words, self.grid, amplitudes)
-
-    @property
-    def terms(self) -> TermView:
-        return TermView(self)
-
-    def term(self, i: int) -> SparseTerm:
-        label = int(self.labels[i])
-        shift = None if label == BASE_CODE else grid_point_of(label, self.n, self.p)
-        return SparseTerm(DomainLabel(x=self.x, shift=shift), int(self.words[i]),
-                          grid_point_of(int(self.grid[i]), self.n, self.p),
-                          complex(self.amplitudes[i]))
+        """The state rebuilt from its terms with the amplitudes swapped out,
+        the phase rotation's only change."""
+        return SparseTripartiteState(self.n, self.p, [t._replace(amplitude=a) for t, a in zip(
+            self.terms, np.asarray(amplitudes, dtype=np.complex128).tolist(), strict=True)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
     def __len__(self) -> int:
-        return self.amplitudes.size
+        return len(self.terms)
 
     def __iter__(self) -> Iterator[SparseTerm]:
         return iter(self.terms)
@@ -405,12 +363,3 @@ class GridAlignedState:
     def __len__(self) -> int:
         return self.words.size
 
-
-def _first_duplicate(labels: np.ndarray, words: np.ndarray,
-                     grid: np.ndarray) -> int | None:
-    """Index of a term repeating an earlier (label, word, grid) triple, or None."""
-    order = np.lexsort((grid, words, labels))
-    sorted_rows = (labels[order], words[order], grid[order])
-    same = np.logical_and.reduce([a[1:] == a[:-1] for a in sorted_rows])
-    hits = np.flatnonzero(same)
-    return int(order[hits[0] + 1]) if hits.size else None

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
                       GridState, TheoremReport, check_inequalities,
                       classical_baseline, decompose_state, leakage_check,
-                      linear_model, quadratic_model, select_parameters,
-                      success_projection, verify_theorem)
+                      linear_model, quadratic_model, run_pipeline,
+                      select_parameters, success_projection, verify_theorem)
 from gradkick.algorithm import plan_run_format
 from gradkick.analysis import (BoundViolation, PlannerError, geometric_sum,
                                psi_D_norm_bound, psi_N_norm_bound)
@@ -144,6 +144,18 @@ def test_leakage_check_preconditions():
     cramped = linear_model([1.0], DomainBox.cube(1, 0.1))
     with pytest.raises(DomainError):
         leakage_check(cramped, [0.0], params, delta=0.5)
+
+
+def test_every_sampling_box_refusal_names_the_half_width_and_the_point():
+    params = AlgorithmParams(n=3, nu=1e-9, lam=1.0, mu=0.125)
+    cramped = linear_model([1.0], DomainBox.cube(1, 0.1))
+    fmt = plan_run_format(cramped, [0.0], params)
+    message = r"^sampling box of half-width 0\.5 around \[0\.0\] exits the domain$"
+    for check in (lambda: leakage_check(cramped, [0.0], params, delta=0.5),
+                  lambda: decompose_state(cramped, [0.0], params, fmt),
+                  lambda: run_pipeline(cramped, [0.0], params)):
+        with pytest.raises(DomainError, match=message):
+            check()
 
 
 def test_leakage_check_bound_holds_on_plain_linear_case():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradkick import TheoremReport, verify_theorem
-from gradkick import cli
+from gradkick import analysis, cli
 from gradkick.cli import main, top_rows
 from gradkick.config import ResultRecord, RowTable
 
@@ -324,6 +324,39 @@ def test_non_finite_model_bounds_are_a_usage_error(override, tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config.function: "), err
+        assert not out.exists()
+
+
+UNEVALUABLE_INEQUALITIES = [
+    # 4.0 ** (n - 1) overflows; verify refuses the range format first.
+    ({"n": 600, "nu": 1e-3, "lambda": 1.5, "mu": 0.25},
+     "error: the curvature inequality cannot be evaluated",
+     "error: range format would need more than 62 bits"),
+    # The curvature value is inf * M = nan, which no record can hold.
+    ({"n": 3, "nu": 10.0, "lambda": 1e308, "mu": 0.25},
+     "error: the curvature inequality's value is nan", None),
+    # lam * mu underflows to 0, and the bandwidth row divides by it.
+    ({"n": 3, "nu": 1e-3, "lambda": 1e-200, "mu": 1e-200},
+     "error: the bandwidth inequality cannot be evaluated", None),
+]
+
+
+@pytest.mark.parametrize("params, plan_error, verify_error", UNEVALUABLE_INEQUALITIES,
+                         ids=["overflow", "nan", "zero-division"])
+def test_unevaluable_inequalities_are_a_usage_error(params, plan_error, verify_error,
+                                                    tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose_state ran")
+
+    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    cfg = write_config(tmp_path, {"function": {"kind": "linear", "coefficients": [0.5]},
+                                  "x": [0.0], "accuracy": PLANNED_QUADRATIC["accuracy"],
+                                  "params": params})
+    out = tmp_path / "record.json"
+    for command, error in (("plan", plan_error), ("verify", verify_error or plan_error)):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "Traceback" not in err, err
         assert not out.exists()
 
 

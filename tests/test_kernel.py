@@ -24,7 +24,7 @@ from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
                                 apply_u_f_inverse, apply_u_plus,
                                 collapse_to_grid, complex_array,
                                 complex_product, unit_phases)
-from gradkick.oracle import BASE_CODE, DomainLabel, grid_center, quantize
+from gradkick.oracle import DomainLabel, grid_center, quantize
 from gradkick.params import AlgorithmParams
 from gradkick.qft import qft_amplitudes
 from gradkick.states import (GridAlignedState, GridState,
@@ -338,10 +338,7 @@ def test_per_word_kick_equals_per_term_kick(n, p, bits, variant, shifted, data):
     amplitude = cmath.rect(size ** -0.5, data.draw(st.floats(min_value=-4.0, max_value=4.0)))
     x = (0.5,) * p
     aligned = GridAlignedState(n, p, x, shifted, words, amplitude)
-    grid = np.arange(size, dtype=np.int64)
-    general = SparseTripartiteState.from_arrays(
-        n, p, x, grid if shifted else np.full(size, BASE_CODE), words, grid,
-        np.full(size, amplitude))
+    general = SparseTripartiteState(n, p, aligned.terms)
     kicked = apply_phase_rotation(aligned, lam, fmt, variant)
     expected = apply_phase_rotation(general, lam, fmt, variant)
     assert kicked.amplitudes.tobytes() == expected.amplitudes.tobytes()
@@ -355,8 +352,7 @@ def test_aligned_qft_matches_the_general_form_and_refuses_two_sectors():
     state = apply_phase_rotation(GridAlignedState.prepared(n, p, x), 0.37,
                                  FixedPointFormat(bits=4, a0=-1.0, a1=0.125))
     grid = np.random.default_rng(5).permutation(16)
-    general = SparseTripartiteState.from_arrays(
-        n, p, x, np.full(16, BASE_CODE), np.zeros(16), grid, state.amplitudes[grid])
+    general = SparseTripartiteState(n, p, [state.terms[h] for h in grid])
     dense = np.zeros(16, dtype=np.complex128)
     dense[general.grid] = general.amplitudes
     out = apply_qft(state)

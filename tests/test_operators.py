@@ -104,8 +104,7 @@ def test_phase_rotation_rejects_words_above_the_format(variant, n):
     size = 1 << n
     words = np.arange(size) + 6  # 8 and 9 reach past 3 bits
     aligned = GridAlignedState(n, 1, (0.0,), True, words, size ** -0.5)
-    general = SparseTripartiteState.from_arrays(
-        n, 1, (0.0,), np.arange(size), words, np.arange(size), np.full(size, size ** -0.5))
+    general = SparseTripartiteState(n, 1, aligned.terms)
     for state in (aligned, general):
         with pytest.raises(ValueError, match="word 8 does not fit in 3 bits"):
             apply_phase_rotation(state, 0.3, fmt, variant=variant)
@@ -151,6 +150,28 @@ def test_collapse_raises_on_any_out_of_sector_term():
         n=2, p=1, terms=(SparseTerm(label, 1, (0,), 1.0 + 0j),))
     with pytest.raises(ResidualEntanglementError, match="word=1"):
         collapse_to_grid(wrong_word, label, expected_word=0)
+
+
+def test_general_form_collapses_like_the_aligned_form():
+    # The general form built from an aligned state's terms gives the same
+    # grid bits, and names the same stray term once one term leaves the
+    # sector.
+    n, p, x = 2, 2, (0.1, -0.3)
+    base = DomainLabel.base(x)
+    aligned = apply_phase_rotation(GridAlignedState.prepared(n, p, x), 0.37, FMT)
+    general = SparseTripartiteState(n, p, aligned.terms)
+    assert (collapse_to_grid(general, base, 0).amplitudes.tobytes()
+            == collapse_to_grid(aligned, base, 0).amplitudes.tobytes())
+    words = np.zeros(1 << (n * p), dtype=np.int64)
+    words[9] = 3
+    for broken, stray in ((aligned.replace(words=words), "word=3, grid=(2, 1)"),
+                          (aligned.replace(shifted=True), "SHIFTED(0, 0)), word=0")):
+        messages = []
+        for state in (broken, SparseTripartiteState(n, p, broken.terms)):
+            with pytest.raises(ResidualEntanglementError, match="outside the expected") as err:
+                collapse_to_grid(state, base, 0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and stray in messages[0]
 
 
 def test_two_sector_qft_is_refused_before_it_allocates():

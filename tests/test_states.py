@@ -128,19 +128,33 @@ def test_sparse_state_terms_round_trip_through_arrays():
         state.amplitudes[0] = 0.0  # arrays are shared between states, so frozen
 
 
-def test_from_arrays_checks_every_array():
-    def build(labels=(0, 1, 2, 3), grid=(0, 1, 2, 3), amplitudes=np.full(4, 0.5 + 0j)):
-        return SparseTripartiteState.from_arrays(2, 1, (0.0,), np.array(labels),
-                                                 np.zeros(4), np.array(grid), amplitudes)
+def test_sparse_state_refuses_bad_terms():
+    # Every refusal comes from the terms as given: the arrays are derived
+    # from them once and checked nowhere else.
+    def build(shifts=(0, 1, 2, 3), grid=(0, 1, 2, 3), xs=((0.0,),) * 4,
+              amplitudes=(0.5,) * 4):
+        return SparseTripartiteState(2, 1, [
+            SparseTerm(DomainLabel.shifted(x, (h,)), 0, (g,), complex(a))
+            for h, g, x, a in zip(shifts, grid, xs, amplitudes)])
 
-    with pytest.raises(ValueError, match="label code 4 out of range"):
-        build(labels=(0, 1, 2, 4))
-    with pytest.raises(ValueError, match="grid index 4 out of range"):
-        build(grid=(0, 1, 2, 4))
-    with pytest.raises(ValueError, match="duplicate"):
-        build(labels=(0, 1, 1, 3), grid=(0, 1, 1, 3))
+    with pytest.raises(ValueError, match=r"grid index \(4,\) out of range"):
+        build(shifts=(0, 1, 2, 4))
+    with pytest.raises(ValueError, match=r"grid index \(-1,\) out of range"):
+        build(grid=(0, 1, 2, -1))
+    with pytest.raises(ValueError, match="duplicate basis triple"):
+        build(shifts=(0, 1, 1, 3), grid=(0, 1, 1, 3))
+    with pytest.raises(ValueError, match="mix evaluation points"):
+        build(xs=((0.0,),) * 3 + ((0.5,),))
     with pytest.raises(ValueError, match="norm"):
-        build(amplitudes=np.full(4, 0.6 + 0j))
+        build(amplitudes=(0.6,) * 4)
     state = build()
+    arrays = (state.labels, state.words, state.grid, state.amplitudes)
+    assert [a.tolist() for a in arrays[:3]] == [[0, 1, 2, 3], [0] * 4, [0, 1, 2, 3]]
     rotated = state.replace(amplitudes=state.amplitudes[::-1] * 1j)
-    assert rotated.labels is state.labels and not rotated.amplitudes.flags.writeable
+    assert rotated.terms[0] == state.terms[0]._replace(amplitude=0.5j)
+    for a in arrays + (rotated.labels, rotated.amplitudes):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="norm"):
+        state.replace(amplitudes=np.full(4, 0.6 + 0j))
+    with pytest.raises(ValueError):
+        state.replace(amplitudes=np.full(3, 0.5 + 0j))
