@@ -23,15 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from .algorithm import (axis_decode_values, check_sampling_box, plan_run_format,
-                        run_pipeline)
+                        run_pipeline, sampling_radius)
 from .models import FunctionModel, row_dots
 from .operators import unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
-from .params import AlgorithmParams
+from .params import AlgorithmParams, PlannerError
 from .qft import qft_amplitudes
-from .states import (DEFAULT_MAX_GRID_BITS, GridState, grid_offset_norms,
-                     grid_offsets, grid_point_of, probabilities,
-                     represented_points)
+from .states import (GridState, check_grid_bits, grid_offset_norms, grid_offsets,
+                     grid_point_of, probabilities, represented_points)
 
 # Numerical slack applied when deciding whether an inequality "holds": the
 # closed-form parameters make the curvature and precision inequalities
@@ -46,11 +45,6 @@ LEAKAGE_AMPLITUDE_TOL = 1e-12
 
 # Distance from an integer within which geometric_sum uses the half-angle form.
 NEAR_INTEGER = 2.0 ** -16
-
-
-class PlannerError(ValueError):
-    """Parameter planning failed: the grid would exceed the memory guard, no
-    grid meets the targets, or a planning inequality cannot be evaluated."""
 
 
 class BoundViolation(RuntimeError):
@@ -134,12 +128,7 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
             "sin^2(pi delta / (2 (L + delta))) w underflows to 0")
     n = math.ceil(-math.log2(s * s * window))
     assert n >= 1  # the argument of log2 is strictly below 1
-    limit = DEFAULT_MAX_GRID_BITS if max_grid_bits is None else int(max_grid_bits)
-    if n * p > limit:
-        raise PlannerError(
-            f"planning needs {n} bits per axis ({n * p} total, guard {limit}); "
-            "try a looser delta or epsilon, or raise max_grid_bits"
-        )
+    check_grid_bits(n, p, max_grid_bits)
     lam = max(
         2.0 ** (n - 2) / (spec.gamma * (L + spec.delta)),
         3.0 * 4.0 ** (n - 2) * math.pi * M
@@ -154,7 +143,7 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
                        p: int) -> InequalityReport:
     """Evaluate the five planning inequalities and report value/bound/slack;
     a row that overflows, divides by zero or is not finite raises PlannerError."""
-    n, lam, mu, nu = params.n, params.lam, params.mu, params.nu
+    n, lam, mu = params.n, params.lam, params.mu
     eps = spec.epsilon
     third = (1.0 - eps) / 3.0
     checks = []
@@ -163,11 +152,11 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
         checks.append(_upper("curvature", value, third,
                              "4^(n-1) pi lam M mu^2 / sqrt(5) <= (1 - eps) / 3"))
 
-        value = 2.0 * math.pi * lam * nu
-        checks.append(_upper("precision", value, third, "2 pi lam nu <= (1 - eps) / 3"))
+        checks.append(_upper("precision", psi_D_norm_bound(params), third,
+                             "2 pi lam nu <= (1 - eps) / 3"))
 
-        value = 2.0 ** (n - 1) * mu
-        checks.append(_upper("margin", value, spec.gamma, "2^(n-1) mu <= gamma"))
+        checks.append(_upper("margin", sampling_radius(params), spec.gamma,
+                             "2^(n-1) mu <= gamma"))
 
         value = 1.0 / (2.0 * lam * mu)
         slack = value - (L + spec.delta)
@@ -294,7 +283,7 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     # input beyond the words.
     lin_re, lin_im = unit_phases(lam, f_lin)
     del f_lin
-    psi_L = _scaled_phases(amp, lin_re, lin_im, np.empty(f_true.size))
+    psi_L = _scaled_phases(amp, lin_re, lin_im)
     true_re, true_im = unit_phases(lam, f_true)
     del f_true
     np.subtract(true_re, lin_re, out=lin_re)
@@ -314,18 +303,11 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
                               eps_N=eps_N, eps_D=eps_D)
 
 
-def _scaled_phases(amp: float, re: np.ndarray, im: np.ndarray,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-    """complex_array(*complex_product(amp, 0.0, re, im)), written part by
-    part into one new array. The two products with 0.0 go to scratch or,
-    without one, over im and re, whose values are then lost."""
+def _scaled_phases(amp: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """amp * (re + i im), written part by part into one new array."""
     out = np.empty(re.size, dtype=np.complex128)
-    np.multiply(amp, im, out=out.imag)
-    zero_im = np.multiply(0.0, im, out=im if scratch is None else scratch)
     np.multiply(amp, re, out=out.real)
-    np.subtract(out.real, zero_im, out=out.real)
-    zero_re = np.multiply(0.0, re, out=re if scratch is None else scratch)
-    np.add(out.imag, zero_re, out=out.imag)
+    np.multiply(amp, im, out=out.imag)
     return out
 
 
@@ -543,9 +525,11 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     if params is None:
         params = select_parameters(spec, model.grad_bound, model.hess_bound,
                                    model.p, max_grid_bits)
-    # Refused here, before any grid work, if a row cannot be evaluated.
+    # Refused here, before any grid work and in plan's order, if a row cannot
+    # be evaluated or the grid is over the guard.
     inequalities = check_inequalities(params, spec, model.grad_bound,
                                       model.hess_bound, model.p)
+    check_grid_bits(params.n, model.p, max_grid_bits)
     fmt = plan_run_format(model, pt, params, group_mode)
     dec = decompose_state(model, pt, params, fmt)
     # Only psi and psi_L are read after this; the rest is dropped before the

@@ -7,9 +7,12 @@ or a directory that does not exist, is refused before the command does any
 work.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
-failed, 2 for configuration and usage problems. A verify run whose planning
-inequalities fail is not by itself an error (the report records the broken
-inequality); only asserted checks decide the status.
+failed, 2 for configuration and usage problems, among them a grid over
+max_grid_bits, planned or explicit, in plan, run and verify. plan and verify
+refuse in one order before any grid work: an unevaluable planning
+inequality, the grid guard, then (verify) the range format. A verify run whose planning inequalities
+fail is not by itself an error (the report records the broken inequality);
+only asserted checks decide the status.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ import numpy as np
 
 from . import __version__
 from .algorithm import plan_run_format, run_pipeline, sample_measurements
-from .analysis import (BoundViolation, PlannerError, check_inequalities,
-                       classical_baseline, verify_theorem)
+from .analysis import (BoundViolation, check_inequalities, classical_baseline,
+                       verify_theorem)
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
                      distribution_entries, grid_geometry, record_json,
                      sample_summary, to_tree)
 from .oracle import DomainError, FormatError, RangeOverflowError
 from .operators import ResidualEntanglementError
-from .states import GridSizeError
+from .params import PlannerError
+from .states import check_grid_bits
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -41,7 +45,7 @@ EXIT_USAGE = 2
 
 # Failures the harness asserts against: these exit 1, not 2.
 PIPELINE_ERRORS = (DomainError, RangeOverflowError, ResidualEntanglementError,
-                   GridSizeError, BoundViolation)
+                   BoundViolation)
 
 
 @functools.cache
@@ -117,6 +121,7 @@ def cmd_plan(cfg: ExperimentConfig, path: str | None) -> int:
     params = cfg.resolve_params(model)
     ineqs = check_inequalities(params, cfg.accuracy, model.grad_bound,
                                model.hess_bound, model.p)
+    check_grid_bits(params.n, model.p, cfg.max_grid_bits)
     bits, size, mem = grid_geometry(params, model.p)
     source = "explicit" if cfg.params is not None else "planned"
     print(f"parameters ({source}) for p={model.p}, L={model.grad_bound!r}, "
@@ -198,13 +203,13 @@ def cmd_verify(cfg: ExperimentConfig, path: str | None) -> int:
     model = cfg.resolve_model()
     params = cfg.resolve_params(model)
     x = np.asarray(cfg.x, dtype=float)
-    fmt = plan_run_format(model, x, params, cfg.group_mode)
     started = time.perf_counter()
     report = verify_theorem(model, x, cfg.accuracy, params,
                             group_mode=cfg.group_mode,
                             phase_variant=cfg.phase_variant,
                             max_grid_bits=cfg.max_grid_bits)
     verify_seconds = time.perf_counter() - started
+    fmt = plan_run_format(model, x, params, cfg.group_mode)
     bits, size, mem = grid_geometry(params, model.p)
     record = ResultRecord(command="verify", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,

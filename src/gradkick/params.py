@@ -1,9 +1,14 @@
-"""Algorithm parameter tuple shared across the package."""
+"""Algorithm parameter tuple and the planning error, shared across the package."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+class PlannerError(ValueError):
+    """Parameter planning failed: the grid would exceed the memory guard, no
+    grid meets the targets, or a planning inequality cannot be evaluated."""
 
 
 @dataclass(frozen=True)

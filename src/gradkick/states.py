@@ -47,6 +47,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .oracle import BASE_CODE, DomainLabel, grid_center
+from .params import PlannerError
 
 # One dense complex vector over 2^26 points is 1 GiB, and run_pipeline peaks
 # near 80-96 bytes per point, 5-6 GiB at this size; refuse anything larger
@@ -56,11 +57,12 @@ DEFAULT_MAX_GRID_BITS = 26
 NORM_TOL = 1e-12
 
 
-class GridSizeError(ValueError):
-    """Grid would exceed the dense-memory guard."""
+class GridSizeError(PlannerError):
+    """Grid would exceed the dense-memory guard, with n planned or given."""
 
 
 def check_grid_bits(n: int, p: int, max_grid_bits: int | None = None) -> None:
+    """The one grid-size guard, checked by plan, run and verify alike."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     limit = DEFAULT_MAX_GRID_BITS if max_grid_bits is None else int(max_grid_bits)

@@ -13,12 +13,14 @@ from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
                       classical_baseline, decompose_state, leakage_check,
                       linear_model, quadratic_model, run_pipeline,
                       select_parameters, success_projection, verify_theorem)
+from gradkick import analysis
 from gradkick.algorithm import plan_run_format
 from gradkick.analysis import (BoundViolation, PlannerError, geometric_sum,
                                psi_D_norm_bound, psi_N_norm_bound)
 from gradkick.config import from_tree, record_json, to_tree
 from gradkick.oracle import DomainError
 from gradkick.params import AlgorithmParams
+from gradkick.states import GridSizeError
 
 WORKED = AccuracySpec(gamma=1.0, delta=0.5, epsilon=0.5)
 
@@ -60,6 +62,18 @@ def test_planner_rejects_oversized_grid():
     with pytest.raises(PlannerError, match="max_grid_bits"):
         select_parameters(AccuracySpec(1.0, 1e-6, 0.99), 1.0, 1.0, 3,
                           max_grid_bits=8)
+
+
+def test_verify_theorem_refuses_a_grid_over_the_guard_before_grid_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose_state ran")
+
+    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    model = linear_model([0.5, 0.25], DomainBox.cube(2, 1.0))
+    params = AlgorithmParams(n=3, nu=1e-3, lam=1.0, mu=0.05)
+    with pytest.raises(GridSizeError, match="max_grid_bits") as caught:
+        verify_theorem(model, [0.0, 0.0], WORKED, params, max_grid_bits=4)
+    assert isinstance(caught.value, PlannerError)
 
 
 def test_planner_handles_linear_objectives():

@@ -10,6 +10,7 @@ from gradkick import TheoremReport, verify_theorem
 from gradkick import analysis, cli
 from gradkick.cli import main, top_rows
 from gradkick.config import ResultRecord, RowTable
+from gradkick.states import GridAlignedState
 
 PLANNED_QUADRATIC = {
     "function": {"kind": "quadratic", "coefficients": [0.0], "hessian": [[1.0]]},
@@ -328,10 +329,10 @@ def test_non_finite_model_bounds_are_a_usage_error(override, tmp_path, capsys):
 
 
 UNEVALUABLE_INEQUALITIES = [
-    # 4.0 ** (n - 1) overflows; verify refuses the range format first.
+    # 4.0 ** (n - 1) overflows; verify refuses it too, before the grid guard
+    # and the range format.
     ({"n": 600, "nu": 1e-3, "lambda": 1.5, "mu": 0.25},
-     "error: the curvature inequality cannot be evaluated",
-     "error: range format would need more than 62 bits"),
+     "error: the curvature inequality cannot be evaluated", None),
     # The curvature value is inf * M = nan, which no record can hold.
     ({"n": 3, "nu": 10.0, "lambda": 1e308, "mu": 0.25},
      "error: the curvature inequality's value is nan", None),
@@ -357,6 +358,39 @@ def test_unevaluable_inequalities_are_a_usage_error(params, plan_error, verify_e
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(error) and "Traceback" not in err, err
+        assert not out.exists()
+
+
+OVER_GUARD_LINEAR = {"function": {"kind": "linear", "coefficients": [0.5, 0.25]},
+                     "x": [0.0, 0.0], "accuracy": PLANNED_QUADRATIC["accuracy"],
+                     "max_grid_bits": 4}
+OVER_GUARD = [
+    # The planner picks n = 4 per axis, an 8-bit grid.
+    ({}, "error: grid needs 8 bits (2 axes of 4 bits), over the 4-bit guard"),
+    # Explicit params skip the planner: plan exited 0, and run and verify
+    # exited 1 at run_pipeline's guard, verify after decompose_state had
+    # built the grid.
+    ({"params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
+     "error: grid needs 6 bits (2 axes of 3 bits), over the 4-bit guard"),
+]
+
+
+@pytest.mark.parametrize("override, error", OVER_GUARD, ids=["planned", "explicit"])
+def test_a_grid_over_the_guard_is_a_usage_error(override, error, tmp_path, capsys,
+                                                monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid work ran")
+
+    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    monkeypatch.setattr(analysis, "run_pipeline", refuse)
+    monkeypatch.setattr(GridAlignedState, "prepared", refuse)
+    cfg = write_config(tmp_path, {**OVER_GUARD_LINEAR, **override})
+    out = tmp_path / "record.json"
+    for command in ("plan", "run", "verify"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(error) and "max_grid_bits" in err, err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not out.exists()
 
 
