@@ -8,11 +8,13 @@ work.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
 failed, 2 for configuration and usage problems, among them a grid over
-max_grid_bits, planned or explicit, in plan, run and verify. plan and verify
-refuse in one order before any grid work: an unevaluable planning
-inequality, the grid guard, then (verify) the range format. A verify run whose planning inequalities
-fail is not by itself an error (the report records the broken inequality);
-only asserted checks decide the status.
+max_grid_bits, planned or explicit. All four commands check that guard, and
+take the record's grid size from it, before the range format, the
+classical baseline or any grid work; plan and verify check the planning
+inequalities first, so an unevaluable one is refused ahead of the guard.
+bench names the sweep entry, config.sweep[i], in these errors. A verify run
+whose planning inequalities fail is not by itself an error (the report
+records the broken inequality); only asserted checks decide the status.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .algorithm import plan_run_format, run_pipeline, sample_measurements
 from .analysis import (BoundViolation, check_inequalities, classical_baseline,
                        verify_theorem)
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
-                     distribution_entries, grid_geometry, record_json,
-                     sample_summary, to_tree)
+                     distribution_entries, record_json, sample_summary,
+                     to_tree)
 from .oracle import DomainError, FormatError, RangeOverflowError
 from .operators import ResidualEntanglementError
 from .params import PlannerError
@@ -121,8 +123,7 @@ def cmd_plan(cfg: ExperimentConfig, path: str | None) -> int:
     params = cfg.resolve_params(model)
     ineqs = check_inequalities(params, cfg.accuracy, model.grad_bound,
                                model.hess_bound, model.p)
-    check_grid_bits(params.n, model.p, cfg.max_grid_bits)
-    bits, size, mem = grid_geometry(params, model.p)
+    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
     source = "explicit" if cfg.params is not None else "planned"
     print(f"parameters ({source}) for p={model.p}, L={model.grad_bound!r}, "
           f"M={model.hess_bound!r}:")
@@ -158,6 +159,7 @@ def top_rows(column: np.ndarray, count: int) -> np.ndarray:
 def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
     model = cfg.resolve_model()
     params = cfg.resolve_params(model)
+    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
     x = np.asarray(cfg.x, dtype=float)
     fmt = plan_run_format(model, x, params, cfg.group_mode)
     started = time.perf_counter()
@@ -173,7 +175,6 @@ def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
         # record is written.
         samples = sample_summary(sample_measurements(chi, cfg.shots, cfg.seed, params),
                                  cfg.shots, cfg.seed)
-    bits, size, mem = grid_geometry(params, model.p)
     true_grad = tuple(float(v) for v in model.gradient(x))
     record = ResultRecord(command="run", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,
@@ -209,8 +210,8 @@ def cmd_verify(cfg: ExperimentConfig, path: str | None) -> int:
                             phase_variant=cfg.phase_variant,
                             max_grid_bits=cfg.max_grid_bits)
     verify_seconds = time.perf_counter() - started
+    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
     fmt = plan_run_format(model, x, params, cfg.group_mode)
-    bits, size, mem = grid_geometry(params, model.p)
     record = ResultRecord(command="verify", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,
                           memory_estimate_bytes=mem, format=fmt,
@@ -260,8 +261,11 @@ def cmd_bench(cfg: ExperimentConfig, path: str | None) -> int:
         context = f"config.sweep[{index}]"
         sub = cfg.merged(entry, context)
         model = sub.resolve_model(context)
-        params = sub.resolve_params(model)
-        bits, size, mem = grid_geometry(params, model.p)
+        try:
+            params = sub.resolve_params(model)
+            bits, size, mem = check_grid_bits(params.n, model.p, sub.max_grid_bits)
+        except PlannerError as exc:
+            raise type(exc)(f"{context}: {exc}") from None
         # The pipeline makes exactly two oracle applications by construction
         # (forward and inverse); the classical count is measured by running
         # the one-sided baseline at step mu.

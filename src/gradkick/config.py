@@ -667,10 +667,3 @@ class ResultRecord:
     @classmethod
     def from_json(cls, text: str) -> ResultRecord:
         return from_tree(cls, json.loads(text), "record")
-
-
-def grid_geometry(params: AlgorithmParams, p: int) -> tuple[int, int, int]:
-    """(total bits, grid size, bytes for one dense complex sector)."""
-    bits = params.n * p
-    size = 1 << bits
-    return bits, size, size * 16

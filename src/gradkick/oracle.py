@@ -200,16 +200,6 @@ def grid_center(n: int) -> float:
     return float(1 << (n - 1)) - 0.5
 
 
-def _check_grid_index(g: Sequence[int], n: int, p: int) -> tuple[int, ...]:
-    idx = tuple(int(v) for v in g)
-    if len(idx) != p:
-        raise ValueError(f"grid index has {len(idx)} axes, expected {p}")
-    size = 1 << n
-    if any(not 0 <= v < size for v in idx):
-        raise ValueError(f"grid index {idx} out of range for n={n}")
-    return idx
-
-
 def shift_label(d: DomainLabel, g: Sequence[int], n: int) -> DomainLabel:
     """The swap construction: BASE <-> SHIFTED(g), all other labels fixed.
 
@@ -217,7 +207,9 @@ def shift_label(d: DomainLabel, g: Sequence[int], n: int) -> DomainLabel:
     SHIFTED(g) represents x + mu * (g - g0) exactly: the second oracle
     accuracy axiom holds with zero left-hand side.
     """
-    idx = _check_grid_index(g, n, d.p)
+    from .states import grid_index_of  # states imports this module
+    idx = tuple(int(v) for v in g)
+    grid_index_of(idx, n, d.p)  # refuses g off the grid
     if d.shift is None:
         return DomainLabel(x=d.x, shift=idx)
     if d.shift == idx:

@@ -61,16 +61,22 @@ class GridSizeError(PlannerError):
     """Grid would exceed the dense-memory guard, with n planned or given."""
 
 
-def check_grid_bits(n: int, p: int, max_grid_bits: int | None = None) -> None:
-    """The one grid-size guard, checked by plan, run and verify alike."""
+def check_grid_bits(n: int, p: int,
+                    max_grid_bits: int | None = None) -> tuple[int, int, int]:
+    """The one grid-size guard, checked by every command before any format,
+    baseline or grid work. Returns the record's grid block: (total bits,
+    grid size, bytes for one dense complex sector)."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
+    bits = n * p
     limit = DEFAULT_MAX_GRID_BITS if max_grid_bits is None else int(max_grid_bits)
-    if n * p > limit:
+    if bits > limit:
         raise GridSizeError(
-            f"grid needs {n * p} bits ({p} axes of {n} bits), over the "
+            f"grid needs {bits} bits ({p} axes of {n} bits), over the "
             f"{limit}-bit guard; pass a larger max_grid_bits to override"
         )
+    size = 1 << bits
+    return bits, size, size * 16
 
 
 def grid_index_of(g: Sequence[int], n: int, p: int) -> int:

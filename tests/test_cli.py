@@ -364,32 +364,59 @@ def test_unevaluable_inequalities_are_a_usage_error(params, plan_error, verify_e
 OVER_GUARD_LINEAR = {"function": {"kind": "linear", "coefficients": [0.5, 0.25]},
                      "x": [0.0, 0.0], "accuracy": PLANNED_QUADRATIC["accuracy"],
                      "max_grid_bits": 4}
+ALL_COMMANDS = ("plan", "run", "verify", "bench")
 OVER_GUARD = [
     # The planner picks n = 4 per axis, an 8-bit grid.
-    ({}, "error: grid needs 8 bits (2 axes of 4 bits), over the 4-bit guard"),
+    ({}, "grid needs 8 bits (2 axes of 4 bits), over the 4-bit guard", ALL_COMMANDS),
     # Explicit params skip the planner: plan exited 0, and run and verify
     # exited 1 at run_pipeline's guard, verify after decompose_state had
     # built the grid.
     ({"params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
-     "error: grid needs 6 bits (2 axes of 3 bits), over the 4-bit guard"),
+     "grid needs 6 bits (2 axes of 3 bits), over the 4-bit guard", ALL_COMMANDS),
+    # bench exited 0 and recorded a 2^80-point grid.
+    ({"params": {"n": 40, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
+     "grid needs 80 bits (2 axes of 40 bits), over the 4-bit guard", ALL_COMMANDS),
+    # bench ended in a ValueError traceback writing the 12,042-digit grid
+    # size, and run in an OverflowError from plan_run_format. plan and verify
+    # refuse this config's curvature inequality first.
+    ({"params": {"n": 20000, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
+     "grid needs 40000 bits (2 axes of 20000 bits), over the 4-bit guard",
+     ("run", "bench")),
+    # At the default guard, with a range format that would need more than
+    # 62 bits: run named the format while plan and verify named the grid.
+    ({"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0],
+      "params": {"n": 30, "nu": 1e-30, "lambda": 1e-3, "mu": 1e-12},
+      "max_grid_bits": None},
+     "grid needs 30 bits (1 axes of 30 bits), over the 26-bit guard", ALL_COMMANDS),
 ]
 
 
-@pytest.mark.parametrize("override, error", OVER_GUARD, ids=["planned", "explicit"])
-def test_a_grid_over_the_guard_is_a_usage_error(override, error, tmp_path, capsys,
-                                                monkeypatch):
+@pytest.mark.parametrize("override, error, commands", OVER_GUARD,
+                         ids=["planned", "explicit", "explicit-n40", "explicit-n20000",
+                              "explicit-format-over-62-bits"])
+def test_a_grid_over_the_guard_is_a_usage_error(override, error, commands, tmp_path,
+                                                capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("grid work ran")
+        raise AssertionError("format, baseline or grid work ran")
 
     monkeypatch.setattr(analysis, "decompose_state", refuse)
     monkeypatch.setattr(analysis, "run_pipeline", refuse)
+    monkeypatch.setattr(analysis, "plan_run_format", refuse)
+    monkeypatch.setattr(cli, "plan_run_format", refuse)
+    monkeypatch.setattr(cli, "classical_baseline", refuse)
     monkeypatch.setattr(GridAlignedState, "prepared", refuse)
     cfg = write_config(tmp_path, {**OVER_GUARD_LINEAR, **override})
+    # bench reads the same override as its one sweep entry.
+    bench_cfg = write_config(tmp_path, {**OVER_GUARD_LINEAR, "sweep": [override]},
+                             name="bench.json")
     out = tmp_path / "record.json"
-    for command in ("plan", "run", "verify"):
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    for command in commands:
+        bench = command == "bench"
+        argv = [command, "--config", bench_cfg if bench else cfg, "--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(error) and "max_grid_bits" in err, err
+        expected = f"error: {'config.sweep[0]: ' if bench else ''}{error}"
+        assert err.startswith(expected) and "max_grid_bits" in err, err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert not out.exists()
 

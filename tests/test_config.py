@@ -13,12 +13,11 @@ from gradkick import AccuracySpec, DomainBox, GridState, run_pipeline
 from gradkick.algorithm import MeasurementSamples, sample_measurements
 from gradkick.config import (FUNCTION_KINDS, ConfigError, ExperimentConfig,
                              FunctionSpec, ResultRecord, distribution_entries,
-                             from_tree, grid_geometry, record_json,
-                             sample_summary, to_tree)
+                             from_tree, record_json, sample_summary, to_tree)
 from gradkick.operators import PHASE_VARIANTS
 from gradkick.oracle import GROUP_MODES, FixedPointFormat
 from gradkick.params import AlgorithmParams
-from gradkick.states import grid_points
+from gradkick.states import check_grid_bits, grid_points
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -227,8 +226,9 @@ def test_sample_summary_counts_equal_np_unique(n, p, shots, skew, seed):
 
 
 def test_grid_geometry():
+    # The record's grid block: bits, grid size, bytes for one dense sector.
     params = AlgorithmParams(n=3, nu=1e-9, lam=1.0, mu=0.125)
-    bits, size, mem = grid_geometry(params, 2)
+    bits, size, mem = check_grid_bits(params.n, 2)
     assert (bits, size, mem) == (6, 64, 1024)
 
 
