@@ -21,7 +21,7 @@ from .operators import (OracleCallCounter, apply_phase_rotation, apply_u_f,
                         collapse_to_grid)
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
-from .states import GridAlignedState, GridState, check_grid_bits, grid_points
+from .states import GridAlignedState, GridState, axis_columns, blocks, check_grid_bits, grid_points
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,6 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     return chi, counter.count
 
 
-# Shots are searched and decoded this many at a time, so that every
-# temporary of a block (8 bytes per shot) stays under 128 KiB.
-SHOT_BLOCK = 1 << 13
-
-
 def sample_measurements(chi: GridState, shots: int, seed: int,
                         params: AlgorithmParams) -> MeasurementSamples:
     """Draw i.i.d. outcomes from |chi_g|^2 with a seeded generator.
@@ -167,7 +162,7 @@ def sample_measurements(chi: GridState, shots: int, seed: int,
     Inverse-CDF over the row-major outcome order, so identical (chi, shots,
     seed) give identical sequences on any platform with the same generator.
     All draws come from one rng.random call, written into the first
-    gradient column; the cdf search and the decoding then run SHOT_BLOCK
+    gradient column; the cdf search and the decoding then run one block of
     shots at a time, each block overwriting its own draws, so no temporary
     grows with the number of shots.
     """
@@ -181,22 +176,15 @@ def sample_measurements(chi: GridState, shots: int, seed: int,
     del probs
     shots = int(shots)
     buckets = bucket_bounds(cdf, shots)
-    decode = axis_decode_values(params)
-    n, p = chi.n, chi.p
+    tables = [axis_decode_values(params)] * chi.p
     indices = np.empty(shots, dtype=np.intp)
-    columns = np.empty((p, shots))
+    columns = np.empty((chi.p, shots))
     np.random.default_rng(seed).random(shots, out=columns[0])
-    coord = np.empty(min(shots, SHOT_BLOCK), dtype=np.intp)
-    for start in range(0, shots, SHOT_BLOCK):
-        block = slice(start, min(start + SHOT_BLOCK, shots))
+    for block in blocks(shots, indices.itemsize):
         found = indices[block]
         np.minimum(bucketed_search(cdf, columns[0, block], buckets), cdf.size - 1, out=found)
-        axis_coord = coord[:found.size]
-        for axis in range(p):
-            np.right_shift(found, n * (p - 1 - axis), out=axis_coord)
-            np.bitwise_and(axis_coord, (1 << n) - 1, out=axis_coord)
-            np.take(decode, axis_coord, out=columns[axis, block])
-    return MeasurementSamples(n, p, indices, columns.T)
+        columns[:, block] = axis_columns(found, chi.n, chi.p, tables).T
+    return MeasurementSamples(chi.n, chi.p, indices, columns.T)
 
 
 def bucket_bounds(cdf: np.ndarray, draws: int) -> tuple[float, np.ndarray, np.ndarray]:

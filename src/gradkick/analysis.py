@@ -29,8 +29,9 @@ from .operators import unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams, PlannerError
 from .qft import qft_amplitudes
-from .states import (GridState, check_grid_bits, grid_offset_norms, grid_offsets,
-                     grid_point_of, probabilities, represented_points)
+from .states import (GridState, axis_offsets, check_grid_bits, grid_offset_norms,
+                     grid_offsets, grid_outer, grid_point_of, probabilities,
+                     represented_points)
 
 # Numerical slack applied when deciding whether an inequality "holds": the
 # closed-form parameters make the curvature and precision inequalities
@@ -334,10 +335,8 @@ def success_projection(chi: GridState, true_grad: Sequence[float], delta: float,
     if tg.shape != (chi.p,):
         raise ValueError(f"true gradient must have {chi.p} components")
     vals = axis_decode_values(params)
-    mask = np.abs(vals - tg[0]) < delta
-    for m in range(1, chi.p):
-        mask = np.logical_and.outer(mask, np.abs(vals - tg[m]) < delta)
-    probability = float(np.sum(probabilities(chi.amplitudes[mask.reshape(-1)])))
+    mask = grid_outer(np.logical_and, [np.abs(vals - v) < delta for v in tg])
+    probability = float(np.sum(probabilities(chi.amplitudes[mask])))
     return math.sqrt(probability), probability
 
 
@@ -412,19 +411,14 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
         factors.append(phi / size)
 
     # Independent dense route: transform the linear-phase state directly.
-    axes = [np.exp(2j * math.pi * lam * mu * float(grad[m]) * (np.arange(size) - g0))
-            / math.sqrt(size) for m in range(p)]
-    psi_L = axes[0]
-    for m in range(1, p):
-        psi_L = np.multiply.outer(psi_L, axes[m])
-    psi_L = cmath.exp(2j * math.pi * lam * fx) * psi_L.reshape(-1)
+    offsets = axis_offsets(n)
+    axes = [np.exp(2j * math.pi * lam * mu * float(grad[m]) * offsets) / math.sqrt(size)
+            for m in range(p)]
+    psi_L = cmath.exp(2j * math.pi * lam * fx) * grid_outer(np.multiply, axes)
     chi_L = qft_amplitudes(psi_L, n, p)
 
     global_phase = cmath.exp(2j * math.pi * lam * (fx - mu * float(np.sum(grad)) * g0))
-    predicted = factors[0]
-    for m in range(1, p):
-        predicted = np.multiply.outer(predicted, factors[m])
-    predicted = global_phase * predicted.reshape(-1)
+    predicted = global_phase * grid_outer(np.multiply, factors)
     factorization_error = float(np.max(np.abs(chi_L - predicted)))
 
     theta0 = math.pi * lam * mu * delta

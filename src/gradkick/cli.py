@@ -39,7 +39,7 @@ from .config import (ConfigError, ExperimentConfig, ResultRecord,
 from .oracle import DomainError, FormatError, RangeOverflowError
 from .operators import ResidualEntanglementError
 from .params import PlannerError
-from .states import check_grid_bits
+from .states import blocks, check_grid_bits
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -76,10 +76,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_json_file(args.config)
 
 
-# Characters of record text encoded per write: a 64 KiB slice for ASCII.
-WRITE_BLOCK = 1 << 16
-
-
 def check_record_path(path: str) -> None:
     """Raise, before any work is done, the OSError that writing a record to
     path would raise when path names a directory or a directory that does
@@ -91,11 +87,11 @@ def check_record_path(path: str) -> None:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write text to path as UTF-8, one WRITE_BLOCK slice at a time, so no
+    """Write text to path as UTF-8, one block of characters at a time, so no
     full-size encoded copy of a large record is ever held."""
     with open(path, "wb") as handle:
-        for start in range(0, len(text), WRITE_BLOCK):
-            handle.write(text[start:start + WRITE_BLOCK].encode("utf-8"))
+        for block in blocks(len(text), 1):
+            handle.write(text[block].encode("utf-8"))
     print(f"record written to {path}")
 
 
@@ -260,8 +256,8 @@ def cmd_bench(cfg: ExperimentConfig, path: str | None) -> int:
     for index, entry in enumerate(cfg.sweep):
         context = f"config.sweep[{index}]"
         sub = cfg.merged(entry, context)
-        model = sub.resolve_model(context)
         try:
+            model = sub.resolve_model(context)
             params = sub.resolve_params(model)
             bits, size, mem = check_grid_bits(params.n, model.p, sub.max_grid_bits)
         except PlannerError as exc:

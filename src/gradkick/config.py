@@ -41,7 +41,7 @@ from .models import (DomainBox, FunctionModel, linear_model, quadratic_model,
 from .oracle import GROUP_MODES, FixedPointFormat
 from .operators import PHASE_VARIANTS
 from .params import AlgorithmParams
-from .states import GridState, grid_points
+from .states import MAX_INDEX_BITS, GridState, blocks, check_grid_bits, grid_points
 
 DEFAULT_PROB_FLOOR = 1e-12
 
@@ -292,8 +292,8 @@ class ExperimentConfig:
             raise ConfigError(f"group_mode must be one of {GROUP_MODES}")
         if self.phase_variant not in PHASE_VARIANTS:
             raise ConfigError(f"phase_variant must be one of {PHASE_VARIANTS}")
-        if self.max_grid_bits is not None and self.max_grid_bits < 1:
-            raise ConfigError("max_grid_bits must be positive")
+        if self.max_grid_bits is not None and not 1 <= self.max_grid_bits <= MAX_INDEX_BITS:
+            raise ConfigError(f"max_grid_bits must be in 1..{MAX_INDEX_BITS}")
         if not 0.0 <= self.prob_floor < 1.0:
             raise ConfigError("prob_floor must lie in [0, 1)")
 
@@ -302,12 +302,14 @@ class ExperimentConfig:
         return self.function.dimension
 
     def resolve_domain(self) -> DomainBox:
-        """Explicit domain, or the default cube centered at x."""
+        """Explicit domain, or the default cube centered at x; its half-width
+        2^(n-1) mu from explicit params only for a grid within the guard."""
         if self.domain is not None:
             return self.domain
         if self.accuracy is not None:
             half = self.accuracy.gamma
         else:
+            check_grid_bits(self.params.n, self.dimension, self.max_grid_bits)
             half = sampling_radius(self.params)
         return DomainBox.cube(self.dimension, half, center=tuple(self.x))
 
@@ -458,10 +460,6 @@ def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
     }
 
 
-# Values summed per np.cumsum call: 64 KiB of float64.
-SUM_BLOCK = 1 << 13
-
-
 def draw_order_sum(column: np.ndarray) -> float:
     """((0.0 + c[0]) + c[1]) + ...: the sum np.add.reduce(a, axis=0) makes
     of each column of a C-ordered (k, p) array with p > 1, which adds the
@@ -470,15 +468,10 @@ def draw_order_sum(column: np.ndarray) -> float:
     np.cumsum performs those additions over one block at a time, carrying
     the running total into the next block as its first element.
     """
-    buffer = np.empty(min(column.size, SUM_BLOCK) + 1)
     total = 0.0
-    for start in range(0, column.size, SUM_BLOCK):
-        block = column[start:start + SUM_BLOCK]
-        window = buffer[:block.size + 1]
-        window[0] = total
-        window[1:] = block
-        np.cumsum(window, out=window)
-        total = window[-1]
+    for block in blocks(column.size, column.itemsize):
+        window = np.concatenate(([total], column[block]))
+        total = np.cumsum(window, out=window)[-1]
     return float(total)
 
 

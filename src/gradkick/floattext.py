@@ -30,7 +30,9 @@ import numpy as np
 # sits well above that, and keeps the tables of grids up to 2^8 points,
 # at most 256 values, on repr.
 VECTOR_MIN_VALUES = 512
-# Values formatted per pass: bounds the temporaries at about 0.5 MB.
+# Values formatted per pass, not states.blocks' 8,192: a value's temporaries
+# take about 20 times its 8 bytes, and on 16,383 outcome probabilities 8,192
+# values a pass raise float_texts' peak from 2.0 to 2.7 MB.
 BLOCK_VALUES = 1 << 12
 
 # Magnitudes written by the vectorized path. In this range the scaled value

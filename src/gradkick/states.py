@@ -35,6 +35,10 @@ per-axis sum rounds differently wherever that kernel fuses multiply-adds.
 Squared offset norms need no such care: every partial sum of squared
 half-integers is exact, so grid_offset_norms adds per-axis squares as an
 outer sum.
+
+The row-major layout lives here alone: grid_index_of, grid_point_of,
+axis_columns and grid_outer, the per-axis outer product. A loop whose
+temporaries must not grow with its input takes its slices from blocks.
 """
 
 from __future__ import annotations
@@ -54,7 +58,13 @@ from .params import PlannerError
 # unless the caller overrides the guard explicitly.
 DEFAULT_MAX_GRID_BITS = 26
 
+# Flat grid indices are int64: no max_grid_bits may admit more bits than this.
+MAX_INDEX_BITS = 62
+
 NORM_TOL = 1e-12
+
+# Working set of one pass of every blocked loop: 64 KiB per temporary array.
+BLOCK_BYTES = 1 << 16
 
 
 class GridSizeError(PlannerError):
@@ -70,6 +80,8 @@ def check_grid_bits(n: int, p: int,
         raise ValueError("n and p must be positive")
     bits = n * p
     limit = DEFAULT_MAX_GRID_BITS if max_grid_bits is None else int(max_grid_bits)
+    if not 1 <= limit <= MAX_INDEX_BITS:
+        raise ValueError(f"max_grid_bits must be in 1..{MAX_INDEX_BITS}, got {limit}")
     if bits > limit:
         raise GridSizeError(
             f"grid needs {bits} bits ({p} axes of {n} bits), over the "
@@ -77,6 +89,14 @@ def check_grid_bits(n: int, p: int,
         )
     size = 1 << bits
     return bits, size, size * 16
+
+
+def blocks(total: int, itemsize: int) -> Iterator[slice]:
+    """Consecutive slices covering range(total) in order, each of at most
+    BLOCK_BYTES // itemsize items."""
+    step = BLOCK_BYTES // itemsize
+    for start in range(0, total, step):
+        yield slice(start, min(start + step, total))
 
 
 def grid_index_of(g: Sequence[int], n: int, p: int) -> int:
@@ -126,6 +146,16 @@ def axis_columns(indices: np.ndarray | None, n: int, p: int,
     return out
 
 
+def grid_outer(ufunc: np.ufunc, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """ufunc(...ufunc(tables[0][g_1], tables[1][g_2])..., tables[p-1][g_p])
+    for every grid point g, as one flat array in row-major order: the outer
+    product of one table per axis, combined from the first axis on."""
+    out = tables[0]
+    for table in tables[1:]:
+        out = ufunc.outer(out, table)
+    return out.reshape(-1)
+
+
 def axis_offsets(n: int) -> np.ndarray:
     """g - g0 for every single-axis coordinate g, as floats."""
     return np.arange(1 << n, dtype=np.int64).astype(float) - grid_center(n)
@@ -150,12 +180,7 @@ def grid_offset_norms(n: int, p: int) -> np.ndarray:
     memory) all of these are exact, so any summation order, np.dot's fused
     multiply-adds included, gives the same bits as row_dots(off, off).
     """
-    sq = axis_offsets(n)
-    sq = sq * sq
-    norms = sq
-    for _ in range(1, p):
-        norms = np.add.outer(norms, sq)
-    return norms.reshape(-1)
+    return grid_outer(np.add, [np.square(axis_offsets(n))] * p)
 
 
 def represented_points(x: Sequence[float], mu: float, indices: np.ndarray | None,

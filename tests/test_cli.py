@@ -388,12 +388,18 @@ OVER_GUARD = [
       "params": {"n": 30, "nu": 1e-30, "lambda": 1e-3, "mu": 1e-12},
       "max_grid_bits": None},
      "grid needs 30 bits (1 axes of 30 bits), over the 26-bit guard", ALL_COMMANDS),
+    # No accuracy block, so the default domain's half-width is the sampling
+    # radius, and 2^(n-1) overflowed a float before the guard: run and bench
+    # ended in an OverflowError traceback. plan and verify need accuracy.
+    ({"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0], "accuracy": None,
+      "params": {"n": 1100, "nu": 1e-3, "lambda": 1.5, "mu": 0.25}, "max_grid_bits": None},
+     "grid needs 1100 bits (1 axes of 1100 bits), over the 26-bit guard", ("run", "bench")),
 ]
 
 
 @pytest.mark.parametrize("override, error, commands", OVER_GUARD,
                          ids=["planned", "explicit", "explicit-n40", "explicit-n20000",
-                              "explicit-format-over-62-bits"])
+                              "explicit-format-over-62-bits", "explicit-default-domain-n1100"])
 def test_a_grid_over_the_guard_is_a_usage_error(override, error, commands, tmp_path,
                                                 capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -418,6 +424,22 @@ def test_a_grid_over_the_guard_is_a_usage_error(override, error, commands, tmp_p
         expected = f"error: {'config.sweep[0]: ' if bench else ''}{error}"
         assert err.startswith(expected) and "max_grid_bits" in err, err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not out.exists()
+
+
+def test_a_guard_wider_than_a_flat_index_is_a_usage_error(tmp_path, capsys):
+    # Flat grid indices are int64. With this guard, run ended in an
+    # OverflowError traceback from the range format, and bench in a
+    # ValueError writing the 6,021-digit grid size.
+    over = {**OVER_GUARD_LINEAR, "function": {"kind": "linear", "coefficients": [0.5]},
+            "x": [0.0], "params": {"n": 20000, "nu": 1e-3, "lambda": 1.5, "mu": 0.25},
+            "max_grid_bits": 100000}
+    cfg = write_config(tmp_path, {**over, "sweep": [{}]})
+    out = tmp_path / "record.json"
+    for command in ALL_COMMANDS:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config: max_grid_bits must be in 1..62\n", err
         assert not out.exists()
 
 

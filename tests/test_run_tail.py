@@ -7,14 +7,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradkick.algorithm import (SHOT_BLOCK, MeasurementSamples, axis_decode_values,
-                                sample_measurements)
+from gradkick.algorithm import MeasurementSamples, axis_decode_values, sample_measurements
 from gradkick.cli import write_text
-from gradkick.config import SUM_BLOCK, sample_summary
+from gradkick.config import sample_summary
 from gradkick.params import AlgorithmParams
-from gradkick.states import GridState
+from gradkick.states import BLOCK_BYTES, GridState
 
 MIB = 1 << 20
+# Shots and summed values per block: BLOCK_BYTES of 8-byte items.
+BLOCK = BLOCK_BYTES // 8
 
 
 def random_chi(n, p, seed, zeros=0.0):
@@ -27,7 +28,7 @@ def random_chi(n, p, seed, zeros=0.0):
     return GridState(n=n, p=p, amplitudes=amplitudes / np.linalg.norm(amplitudes))
 
 
-@given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * SHOT_BLOCK + 1),
+@given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
        zeros=st.sampled_from([0.0, 0.5, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_blocked_sampling_equals_the_unblocked_formula(n, p, shots, zeros, seed):
@@ -50,7 +51,7 @@ def test_blocked_sampling_equals_the_unblocked_formula(n, p, shots, zeros, seed)
 DECODED = (0.0, -0.0, 0.5, -0.75, 1.0 / 3.0, -1.0 / 7.0, 1e-3, -2.5e5)
 
 
-@given(p=st.integers(1, 3), shots=st.integers(1, 3 * SUM_BLOCK + 1),
+@given(p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
        values=st.integers(1, len(DECODED)), column_major=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,17 @@
-"""Grid and sparse tripartite state containers."""
+"""Grid and sparse tripartite state containers, the grid layout and blocks."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradkick import GridState
 from gradkick.oracle import DomainLabel
-from gradkick.states import (GridSizeError, SparseTerm, SparseTripartiteState,
-                             check_grid_bits, grid_index_of, grid_point_of)
+from gradkick.states import (BLOCK_BYTES, GridSizeError, SparseTerm, SparseTripartiteState,
+                             blocks, check_grid_bits, grid_index_of, grid_outer,
+                             grid_point_of, grid_points)
 
 
 def test_grid_index_row_major_first_axis_slowest():
@@ -72,10 +77,42 @@ def test_check_grid_bits_guard():
     with pytest.raises(GridSizeError):
         check_grid_bits(14, 2)
     check_grid_bits(14, 2, max_grid_bits=28)  # explicit override
+    # Flat indices are int64: no guard may admit more than 62 bits.
+    assert check_grid_bits(31, 2, max_grid_bits=62)[1] == 1 << 62
+    with pytest.raises(ValueError, match="max_grid_bits must be in 1..62"):
+        check_grid_bits(1, 1, max_grid_bits=63)
     with pytest.raises(GridSizeError):
         check_grid_bits(3, 1, max_grid_bits=2)
     with pytest.raises(ValueError):
         check_grid_bits(0, 1)
+
+
+@given(itemsize=st.sampled_from([1, 8]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_blocks_cover_the_range_once_in_order(itemsize, data):
+    step = BLOCK_BYTES // itemsize
+    total = data.draw(st.integers(0, 3 * step + 1), label="total")
+    slices = list(blocks(total, itemsize))
+    assert [i for block in slices for i in range(total)[block]] == list(range(total))
+    assert all(0 < block.stop - block.start <= step and block.stop <= total
+               for block in slices)
+
+
+@given(n=st.integers(1, 3), p=st.integers(1, 4),
+       ufunc=st.sampled_from([np.add, np.multiply, np.logical_and]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_grid_outer_is_the_per_index_formula(n, p, ufunc, seed):
+    rng = np.random.default_rng(seed)
+    size = 1 << n
+    tables = [rng.random(size) < 0.7 if ufunc is np.logical_and else rng.normal(size=size)
+              for _ in range(p)]
+    points = grid_points(np.arange(size ** p), n, p)
+    expected = np.array([functools.reduce(ufunc, [t[g] for t, g in zip(tables, point)])
+                         for point in points.tolist()])
+    got = grid_outer(ufunc, tables)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_sparse_state_rejects_duplicate_triples():
