@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .operators import (OracleCallCounter, apply_phase_rotation, apply_u_f,
                         collapse_to_grid)
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
-from .states import GridAlignedState, GridState, axis_columns, blocks, check_grid_bits, grid_points
+from .states import (BLOCK_BYTES, GridAlignedState, GridState, axis_columns, blocks,
+                     check_grid_bits, grid_points)
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,8 @@ class MeasurementSamples(Sequence[GradientEstimate]):
     """Outcomes of a run of shots, one row per shot in draw order.
 
     indices holds each shot's flat grid index and gradients its decoded
-    gradient (shots x p, in either memory order: sample_measurements makes
-    each axis one contiguous column). Reading an element builds its
-    GradientEstimate.
+    gradient (shots x p, in either memory order). Reading an element builds
+    its GradientEstimate.
     """
 
     def __init__(self, n: int, p: int, indices: np.ndarray, gradients: np.ndarray) -> None:
@@ -155,16 +155,26 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     return chi, counter.count
 
 
-def sample_measurements(chi: GridState, shots: int, seed: int,
-                        params: AlgorithmParams) -> MeasurementSamples:
-    """Draw i.i.d. outcomes from |chi_g|^2 with a seeded generator.
+class ShotBlock(NamedTuple):
+    """One block of consecutive shots: its slice of the draw order, each
+    shot's flat grid index, and its decoded gradient (one row per shot)."""
+
+    block: slice
+    indices: np.ndarray
+    gradients: np.ndarray
+
+
+def sample_blocks(chi: GridState, shots: int, seed: int,
+                  params: AlgorithmParams) -> Iterator[ShotBlock]:
+    """Draw i.i.d. outcomes from |chi_g|^2 with a seeded generator, one
+    block of shots (states.blocks, 8,192 of them) at a time.
 
     Inverse-CDF over the row-major outcome order, so identical (chi, shots,
     seed) give identical sequences on any platform with the same generator.
-    All draws come from one rng.random call, written into the first
-    gradient column; the cdf search and the decoding then run one block of
-    shots at a time, each block overwriting its own draws, so no temporary
-    grows with the number of shots.
+    Each block takes the next rng.random draws, which are the doubles one
+    call for all shots would give; the cdf search and the decoding run on
+    that block alone, so no temporary grows with the number of shots. The
+    checks run when the first block is drawn.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -177,25 +187,38 @@ def sample_measurements(chi: GridState, shots: int, seed: int,
     shots = int(shots)
     buckets = bucket_bounds(cdf, shots)
     tables = [axis_decode_values(params)] * chi.p
-    indices = np.empty(shots, dtype=np.intp)
-    columns = np.empty((chi.p, shots))
-    np.random.default_rng(seed).random(shots, out=columns[0])
-    for block in blocks(shots, indices.itemsize):
-        found = indices[block]
-        np.minimum(bucketed_search(cdf, columns[0, block], buckets), cdf.size - 1, out=found)
-        columns[:, block] = axis_columns(found, chi.n, chi.p, tables).T
-    return MeasurementSamples(chi.n, chi.p, indices, columns.T)
+    rng = np.random.default_rng(seed)
+    for block in blocks(shots, np.dtype(np.intp).itemsize):
+        indices = bucketed_search(cdf, rng.random(block.stop - block.start), buckets)
+        np.minimum(indices, cdf.size - 1, out=indices)
+        yield ShotBlock(block, indices, axis_columns(indices, chi.n, chi.p, tables))
+
+
+def sample_measurements(chi: GridState, shots: int, seed: int,
+                        params: AlgorithmParams) -> MeasurementSamples:
+    """Every shot of sample_blocks(chi, shots, seed, params), kept: 8 bytes
+    per shot for its index and 8 per axis for its gradient. The run command
+    folds the blocks into its summary instead (config.sample_summary)."""
+    indices = np.empty(max(int(shots), 0), dtype=np.intp)
+    gradients = np.empty((indices.size, chi.p))
+    for block, found, decoded in sample_blocks(chi, shots, seed, params):
+        indices[block] = found
+        gradients[block] = decoded
+    return MeasurementSamples(chi.n, chi.p, indices, gradients)
 
 
 def bucket_bounds(cdf: np.ndarray, draws: int) -> tuple[float, np.ndarray, np.ndarray]:
     """(2^k, first, last): the buckets bucketed_search sorts draws into,
-    16 to 32 of a run of that many draws per bucket.
+    16 to 32 of a run of that many draws per bucket, and no more buckets
+    than one block of 8-byte bounds (states.BLOCK_BYTES) holds, so the
+    tables stay within a block however many shots are drawn.
 
     Bucket b holds the draws in [b / 2^k, (b + 1) / 2^k); first[b] is
     searchsorted(cdf, b / 2^k, "right") and last[b] is searchsorted(cdf,
     (b + 1) / 2^k, "left").
     """
-    bits = max(0, min(draws.bit_length() - 5, cdf.size.bit_length()))
+    bits = max(0, min(draws.bit_length() - 5, cdf.size.bit_length(),
+                      (BLOCK_BYTES // 8).bit_length() - 1))
     scale = float(1 << bits)
     edges = np.arange((1 << bits) + 1) / scale
     return (scale, np.searchsorted(cdf, edges[:-1], side="right"),

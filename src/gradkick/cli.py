@@ -4,7 +4,9 @@ Every subcommand takes exactly two options. --config names the JSON config
 tree, the only source of the run's values; --out, when given, names the file
 the canonical record is written to. A record path that names a directory,
 or a directory that does not exist, is refused before the command does any
-work.
+work. The record is streamed, one block at a time, into a temporary file
+beside that path and renamed onto it at the end, so a failed write leaves
+no partial record and any older one intact.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
 failed, 2 for configuration and usage problems, among them a grid over
@@ -25,12 +27,12 @@ import functools
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Any, BinaryIO, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .algorithm import plan_run_format, run_pipeline, sample_measurements
+from .algorithm import plan_run_format, run_pipeline
 from .analysis import (BoundViolation, check_inequalities, classical_baseline,
                        verify_theorem)
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
@@ -86,13 +88,35 @@ def check_record_path(path: str) -> None:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
-def write_text(path: str, text: str) -> None:
-    """Write text to path as UTF-8, one block of characters at a time, so no
-    full-size encoded copy of a large record is ever held."""
-    with open(path, "wb") as handle:
-        for block in blocks(len(text), 1):
-            handle.write(text[block].encode("utf-8"))
+def write_record(path: str, emit: Callable[[Callable[[str], None]], Any]) -> None:
+    """Write the record text that emit hands to its writer, block by block,
+    to path.
+
+    The blocks go through write_text into a temporary file beside path,
+    which replaces path once the last block is written. On any exception
+    the temporary file is removed and path is left as it was, so a failed
+    write never leaves a truncated record that looks whole. A temporary
+    file of the same name, left by a killed process of the same pid, is
+    not overwritten: opening it raises FileExistsError.
+    """
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(temporary, "xb")
+    try:
+        with handle:
+            emit(functools.partial(write_text, handle))
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
     print(f"record written to {path}")
+
+
+def write_text(handle: BinaryIO, text: str) -> None:
+    """Write one block of record text to handle as UTF-8, BLOCK_BYTES
+    characters at a time, so no encoded copy of a whole block is held."""
+    for block in blocks(len(text), 1):
+        handle.write(text[block].encode("utf-8"))
 
 
 def print_params(params) -> None:
@@ -135,7 +159,7 @@ def cmd_plan(cfg: ExperimentConfig, path: str | None) -> int:
                           grid_bits=bits, grid_size=size,
                           memory_estimate_bytes=mem, inequalities=ineqs)
     if path:
-        write_text(path, record.to_json())
+        write_record(path, record.to_json)
     return EXIT_OK
 
 
@@ -167,10 +191,9 @@ def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
     entries = distribution_entries(chi, params, cfg.prob_floor)
     samples = None
     if cfg.shots > 0:
-        # Only the summary is kept: the per-shot arrays are freed before the
-        # record is written.
-        samples = sample_summary(sample_measurements(chi, cfg.shots, cfg.seed, params),
-                                 cfg.shots, cfg.seed)
+        # Only the summary is kept: the shots are folded into it as they
+        # are drawn.
+        samples = sample_summary(chi, cfg.shots, cfg.seed, params)
     true_grad = tuple(float(v) for v in model.gradient(x))
     record = ResultRecord(command="run", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,
@@ -190,7 +213,7 @@ def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
         print(f"sampled {samples['shots']} shots (seed {samples['seed']}): "
               f"mean gradient {samples['mean_gradient']}")
     if path:
-        write_text(path, record.to_json())
+        write_record(path, record.to_json)
     return EXIT_OK
 
 
@@ -246,7 +269,7 @@ def cmd_verify(cfg: ExperimentConfig, path: str | None) -> int:
     else:
         print("all asserted checks passed")
     if path:
-        write_text(path, record.to_json())
+        write_record(path, record.to_json)
     return EXIT_FAILED if report.failures else EXIT_OK
 
 
@@ -281,7 +304,7 @@ def cmd_bench(cfg: ExperimentConfig, path: str | None) -> int:
         })
     payload = {"command": "bench", "rows": rows}
     if path:
-        write_text(path, record_json(payload))
+        write_record(path, functools.partial(record_json, payload))
     return EXIT_OK
 
 

@@ -12,7 +12,8 @@ fractional integers with a ConfigError that names the offending path.
 Records round-trip losslessly through JSON, and hold no wall-clock time, so
 a rerun with the same config and seed produces byte-identical files. Every
 record is written by record_json, which matches json.dumps(indent=2) byte
-for byte and writes the outcome tables (RowTable) straight from their arrays.
+for byte and writes the outcome tables (RowTable) straight from their arrays,
+handing the text to a writer one block of table rows at a time.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ from typing import (Any, Callable, Iterator, Sequence, Union, get_args, get_orig
 
 import numpy as np
 
-from .algorithm import MeasurementSamples, axis_decode_values, sampling_radius
+from .algorithm import axis_decode_values, sample_blocks, sampling_radius
 from .analysis import (AccuracySpec, InequalityReport, TheoremReport,
                        select_parameters)
-from .floattext import float_texts
+from .floattext import BLOCK_VALUES, float_texts
 from .models import (DomainBox, FunctionModel, linear_model, quadratic_model,
                      sinusoidal_model)
 from .oracle import GROUP_MODES, FixedPointFormat
 from .operators import PHASE_VARIANTS
 from .params import AlgorithmParams
-from .states import MAX_INDEX_BITS, GridState, blocks, check_grid_bits, grid_points
+from .states import (BLOCK_BYTES, MAX_INDEX_BITS, GridState, blocks, check_grid_bits,
+                     grid_points)
 
 DEFAULT_PROB_FLOOR = 1e-12
 
@@ -431,66 +433,73 @@ def distribution_entries(chi: GridState, params: AlgorithmParams,
                     probability=(probs[kept], None))
 
 
-def sample_summary(samples: MeasurementSamples, shots: int, seed: int) -> dict:
-    """Aggregate sampled estimates: counts per outcome plus the sample mean.
+def sample_summary(chi: GridState, shots: int, seed: int,
+                   params: AlgorithmParams) -> dict:
+    """Aggregate the estimates of sample_measurements(chi, shots, seed,
+    params): counts per outcome plus the sample mean, folded one block of
+    shots at a time as sample_blocks draws them.
 
-    Outcomes are listed by falling count, ties in grid-index order. The mean
-    has the bits of np.mean(gradients, axis=0) over the C-ordered
-    (shots, p) array, computed from one gradient column at a time and in
-    bounded blocks (see draw_order_sum).
+    Outcomes are listed by falling count, ties in grid-index order; each
+    block's shots are added into the counts. The mean has the bits of
+    np.mean(gradients, axis=0) over the C-ordered (shots, p) array of every
+    shot's gradient. For p > 1 numpy adds the rows one at a time in order,
+    ((0.0 + g[0]) + g[1]) + ..., and np.cumsum down each block performs
+    those additions, with the running sums carried into the next block as
+    its first row. For p = 1 numpy sums the one contiguous column pairwise,
+    with split points that blocks would move, so that column alone is kept,
+    8 bytes per shot, and averaged whole. No other per-shot array is held.
     """
-    counts = np.bincount(samples.indices, minlength=1 << (samples.n * samples.p))
+    n, p = chi.n, chi.p
+    counts = np.zeros(1 << (n * p), dtype=np.intp)
+    column = np.empty(shots) if p == 1 else None
+    sums = np.zeros((1, p))
+    for block, indices, gradients in sample_blocks(chi, shots, seed, params):
+        np.add.at(counts, indices, 1)
+        if column is not None:
+            column[block] = gradients[:, 0]
+        else:
+            sums = np.cumsum(np.concatenate((sums, gradients)), axis=0)[-1:]
+    if column is not None:
+        mean = np.mean(column.reshape(shots, 1), axis=0).tolist()
+    else:
+        mean = (sums[0] / shots).tolist()
     outcomes = np.flatnonzero(counts)
     counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
-    points = grid_points(outcomes[order], samples.n, samples.p)
-    gradients = samples.gradients
-    if samples.p == 1:
-        # One contiguous column: numpy sums it pairwise, as it did the
-        # C-ordered (shots, 1) array.
-        mean = np.mean(gradients, axis=0).tolist()
-    else:
-        mean = [draw_order_sum(column) / len(samples) for column in gradients.T]
+    points = grid_points(outcomes[order], n, p)
     return {
         "shots": shots,
         "seed": seed,
-        "outcome_counts": RowTable(g=(np.arange(1 << samples.n), points),
+        "outcome_counts": RowTable(g=(np.arange(1 << n), points),
                                    count=(counts[order], None)),
         "mean_gradient": mean,
     }
 
 
-def draw_order_sum(column: np.ndarray) -> float:
-    """((0.0 + c[0]) + c[1]) + ...: the sum np.add.reduce(a, axis=0) makes
-    of each column of a C-ordered (k, p) array with p > 1, which adds the
-    rows one at a time in order.
-
-    np.cumsum performs those additions over one block at a time, carrying
-    the running total into the next block as its first element.
-    """
-    total = 0.0
-    for block in blocks(column.size, column.itemsize):
-        window = np.concatenate(([total], column[block]))
-        total = np.cumsum(window, out=window)[-1]
-    return float(total)
-
-
-def record_json(tree: Any) -> str:
-    """The text of json.dumps(tree, indent=2, allow_nan=False) + "\\n", byte for byte.
+def record_json(tree: Any, write: Callable[[str], Any] | None = None) -> str | None:
+    """The text of json.dumps(tree, indent=2, allow_nan=False) + "\\n", byte for
+    byte: returned whole, or, given write, handed to it in blocks and not
+    returned.
 
     Values are written as the json module writes them: floats as
     float.__repr__ writes them, strings ASCII-escaped, tuples as lists; a NaN
     or an infinity anywhere raises ValueError. Dict keys must be strings. A
-    RowTable is written as its list of row dicts, straight from its columns
-    (see _write_table); a long float column is formatted by
-    floattext.float_texts, which proves each text equal to float.__repr__'s
-    and calls repr where it cannot. The text is ASCII: one str joined from
-    the pieces, which write_text writes without a second full-size copy.
+    RowTable is written as its list of row dicts, straight from its columns,
+    floattext.BLOCK_VALUES rows at a time (see _write_table); a long float
+    column is formatted by floattext.float_texts, which proves each text
+    equal to float.__repr__'s and calls repr where it cannot. The text is
+    ASCII. Each block ends where a full block of table rows does, so the
+    writer holds the pieces of one block of rows, never the whole text: a
+    record with no table longer than a block is one block, one join.
+    Joined, the blocks are the text. A write that raises stops the writer.
     """
+    parts: list[str] = []
+    sink = parts.append if write is None else write
     out: list[str] = []
-    _write(tree, "\n", out)
+    _write(tree, "\n", out, sink)
     out.append("\n")
-    return "".join(out)
+    sink("".join(out))
+    return "".join(parts) if write is None else None
 
 
 def _float_text(value: float) -> str:
@@ -499,8 +508,10 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _write(value: Any, newline: str, out: list[str]) -> None:
-    """Append value's JSON text; newline is the line break plus this level's indent."""
+def _write(value: Any, newline: str, out: list[str], write: Callable[[str], Any]) -> None:
+    """Append value's JSON text to out; newline is the line break plus this
+    level's indent. A RowTable hands out's pieces to write, joined, after
+    each full block of its rows (see _write_table)."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -514,7 +525,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
     elif isinstance(value, float):
         out.append(_float_text(value))
     elif isinstance(value, RowTable):
-        _write_table(value, newline, out)
+        _write_table(value, newline, out, write)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -523,7 +534,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         out.append("[")
         for i, item in enumerate(value):
             out.append(("," if i else "") + inner)
-            _write(item, inner, out)
+            _write(item, inner, out, write)
         out.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -535,7 +546,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"record keys must be str, not {type(key).__name__}")
             out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
-            _write(item, inner, out)
+            _write(item, inner, out, write)
         out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -547,7 +558,8 @@ _SLOT = "\0"
 _SLOT_TEXT = encode_basestring_ascii(_SLOT)
 
 
-def _write_table(table: RowTable, newline: str, out: list[str]) -> None:
+def _write_table(table: RowTable, newline: str, out: list[str],
+                 write: Callable[[str], Any]) -> None:
     """Append a RowTable's JSON text: a row template filled from the columns.
 
     The template is one row rendered by _write with a _SLOT in every value
@@ -557,8 +569,12 @@ def _write_table(table: RowTable, newline: str, out: list[str]) -> None:
     per-row value and a literal between two per-row values (or after the
     last) stay pieces of their own. A distribution row is 6 pieces: one per
     coordinate of g and gradient, the probability and the closing brace.
-    Row pieces go straight into out, one piece position at a time, as a
-    strided slice over the rows.
+
+    Rows go into out one block of floattext.BLOCK_VALUES rows at a time, one
+    piece position at a time, as a strided slice over the block's rows; a
+    per-row value is formatted there, so each float_texts call is one
+    vectorized pass. Every block but the last is then handed to write,
+    joined with whatever out held before it, and out is emptied.
     """
     rows = len(table)
     if not rows:
@@ -568,16 +584,16 @@ def _write_table(table: RowTable, newline: str, out: list[str]) -> None:
     shape = {name: _SLOT if codes is None or codes.ndim == 1 else [_SLOT] * codes.shape[1]
              for name, (_, codes) in table.fields.items()}
     template: list[str] = []
-    _write(shape, inner, template)
+    _write(shape, inner, template, template.append)
     literals = "".join(template).split(_SLOT_TEXT)
     # Value positions in template order: (texts, codes) for a coded value,
-    # (texts, None) for a per-row one.
+    # (values, None) for a per-row one.
     slots = []
     for values, codes in table.fields.values():
-        texts = _value_texts(values, codes)
         if codes is None:
-            slots.append((texts, None))
+            slots.append((values, None))
         else:
+            texts = _value_texts(values, codes)
             slots.extend((texts, column) for column in codes.reshape(rows, -1).T)
     # A literal joins the coded value after it, else the coded value before
     # it, else is a piece of its own. Pieces are slots too: a literal is
@@ -601,17 +617,25 @@ def _write_table(table: RowTable, newline: str, out: list[str]) -> None:
         pieces.append((pending, None))
     width = len(pieces)
     out.append("[")
-    start = len(out)
-    out.extend(repeat(None, rows * width))
-    stop = len(out)
-    for k, (texts, column) in enumerate(pieces):
-        if column is not None:
-            texts = texts[column].tolist()
-        elif isinstance(texts, str):
-            texts = [texts] * rows
-        out[start + k:stop:width] = texts
-    # The first row has no comma before it.
-    out[start] = out[start][1:]
+    for block in blocks(rows, BLOCK_BYTES // BLOCK_VALUES):  # BLOCK_VALUES rows
+        count = block.stop - block.start
+        start = len(out)
+        out.extend(repeat(None, count * width))
+        stop = len(out)
+        for k, (source, column) in enumerate(pieces):
+            if column is not None:
+                texts = source[column[block]].tolist()
+            elif isinstance(source, str):
+                texts = [source] * count
+            else:
+                texts = _value_texts(source[block], None)
+            out[start + k:stop:width] = texts
+        if block.start == 0:
+            # The first row has no comma before it.
+            out[start] = out[start][1:]
+        if block.stop < rows:
+            write("".join(out))
+            out.clear()
     out.append(newline + "]")
 
 
@@ -623,10 +647,11 @@ def _value_texts(values: np.ndarray, codes: np.ndarray | None) -> list[str]:
     """
     if values.dtype.kind != "f":
         return list(map(int.__repr__, values.tolist()))
-    used = values if codes is None else values[codes]
-    finite = np.isfinite(used)
-    if not finite.all():
-        _float_text(float(used[~finite][0]))
+    if not np.isfinite(values).all():
+        used = values if codes is None else values[codes]
+        finite = np.isfinite(used)
+        if not finite.all():
+            _float_text(float(used[~finite][0]))
     return float_texts(values)
 
 
@@ -653,9 +678,11 @@ class ResultRecord:
     theorem: TheoremReport | None = None
     inequalities: InequalityReport | None = None
 
-    def to_json(self) -> str:
-        # record_json raises on inf/nan: records must never smuggle them through.
-        return record_json(to_tree(self))
+    def to_json(self, write: Callable[[str], Any] | None = None) -> str | None:
+        """The record's text, or, given write, its blocks handed to write (see
+        record_json, which raises on inf/nan: records must never smuggle them
+        through)."""
+        return record_json(to_tree(self), write)
 
     @classmethod
     def from_json(cls, text: str) -> ResultRecord:

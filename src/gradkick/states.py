@@ -83,9 +83,12 @@ def check_grid_bits(n: int, p: int,
     if not 1 <= limit <= MAX_INDEX_BITS:
         raise ValueError(f"max_grid_bits must be in 1..{MAX_INDEX_BITS}, got {limit}")
     if bits > limit:
+        hint = ("pass a larger max_grid_bits to override" if bits <= MAX_INDEX_BITS else
+                f"flat grid indices are int64, so no max_grid_bits admits more than "
+                f"{MAX_INDEX_BITS} bits")
         raise GridSizeError(
-            f"grid needs {bits} bits ({p} axes of {n} bits), over the "
-            f"{limit}-bit guard; pass a larger max_grid_bits to override"
+            f"grid needs {bits} bits ({p} {'axis' if p == 1 else 'axes'} of {n} bits), "
+            f"over the {limit}-bit guard; {hint}"
         )
     size = 1 << bits
     return bits, size, size * 16

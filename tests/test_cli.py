@@ -365,41 +365,56 @@ OVER_GUARD_LINEAR = {"function": {"kind": "linear", "coefficients": [0.5, 0.25]}
                      "x": [0.0, 0.0], "accuracy": PLANNED_QUADRATIC["accuracy"],
                      "max_grid_bits": 4}
 ALL_COMMANDS = ("plan", "run", "verify", "bench")
+# How each refusal ends: a grid of at most 62 bits fits a larger guard, a
+# wider one fits none, and its refusal must not suggest one.
+OVERRIDE = "; pass a larger max_grid_bits to override"
+NO_OVERRIDE = "; flat grid indices are int64, so no max_grid_bits admits more than 62 bits"
 OVER_GUARD = [
     # The planner picks n = 4 per axis, an 8-bit grid.
-    ({}, "grid needs 8 bits (2 axes of 4 bits), over the 4-bit guard", ALL_COMMANDS),
+    ({}, "grid needs 8 bits (2 axes of 4 bits), over the 4-bit guard" + OVERRIDE,
+     ALL_COMMANDS),
     # Explicit params skip the planner: plan exited 0, and run and verify
     # exited 1 at run_pipeline's guard, verify after decompose_state had
     # built the grid.
     ({"params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
-     "grid needs 6 bits (2 axes of 3 bits), over the 4-bit guard", ALL_COMMANDS),
+     "grid needs 6 bits (2 axes of 3 bits), over the 4-bit guard" + OVERRIDE, ALL_COMMANDS),
+    # The widest grid a guard can admit, and the narrowest none can.
+    ({"params": {"n": 31, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
+     "grid needs 62 bits (2 axes of 31 bits), over the 4-bit guard" + OVERRIDE, ALL_COMMANDS),
+    ({"params": {"n": 32, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}, "max_grid_bits": 62},
+     "grid needs 64 bits (2 axes of 32 bits), over the 62-bit guard" + NO_OVERRIDE,
+     ALL_COMMANDS),
     # bench exited 0 and recorded a 2^80-point grid.
     ({"params": {"n": 40, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
-     "grid needs 80 bits (2 axes of 40 bits), over the 4-bit guard", ALL_COMMANDS),
+     "grid needs 80 bits (2 axes of 40 bits), over the 4-bit guard" + NO_OVERRIDE,
+     ALL_COMMANDS),
     # bench ended in a ValueError traceback writing the 12,042-digit grid
     # size, and run in an OverflowError from plan_run_format. plan and verify
     # refuse this config's curvature inequality first.
     ({"params": {"n": 20000, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
-     "grid needs 40000 bits (2 axes of 20000 bits), over the 4-bit guard",
+     "grid needs 40000 bits (2 axes of 20000 bits), over the 4-bit guard" + NO_OVERRIDE,
      ("run", "bench")),
     # At the default guard, with a range format that would need more than
     # 62 bits: run named the format while plan and verify named the grid.
     ({"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0],
       "params": {"n": 30, "nu": 1e-30, "lambda": 1e-3, "mu": 1e-12},
       "max_grid_bits": None},
-     "grid needs 30 bits (1 axes of 30 bits), over the 26-bit guard", ALL_COMMANDS),
+     "grid needs 30 bits (1 axis of 30 bits), over the 26-bit guard" + OVERRIDE, ALL_COMMANDS),
     # No accuracy block, so the default domain's half-width is the sampling
     # radius, and 2^(n-1) overflowed a float before the guard: run and bench
     # ended in an OverflowError traceback. plan and verify need accuracy.
     ({"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0], "accuracy": None,
       "params": {"n": 1100, "nu": 1e-3, "lambda": 1.5, "mu": 0.25}, "max_grid_bits": None},
-     "grid needs 1100 bits (1 axes of 1100 bits), over the 26-bit guard", ("run", "bench")),
+     "grid needs 1100 bits (1 axis of 1100 bits), over the 26-bit guard" + NO_OVERRIDE,
+     ("run", "bench")),
 ]
 
 
 @pytest.mark.parametrize("override, error, commands", OVER_GUARD,
-                         ids=["planned", "explicit", "explicit-n40", "explicit-n20000",
-                              "explicit-format-over-62-bits", "explicit-default-domain-n1100"])
+                         ids=["planned", "explicit", "explicit-62-bits",
+                              "explicit-64-bits-at-the-62-bit-guard", "explicit-n40",
+                              "explicit-n20000", "explicit-format-over-62-bits",
+                              "explicit-default-domain-n1100"])
 def test_a_grid_over_the_guard_is_a_usage_error(override, error, commands, tmp_path,
                                                 capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -421,9 +436,9 @@ def test_a_grid_over_the_guard_is_a_usage_error(override, error, commands, tmp_p
         argv = [command, "--config", bench_cfg if bench else cfg, "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        expected = f"error: {'config.sweep[0]: ' if bench else ''}{error}"
-        assert err.startswith(expected) and "max_grid_bits" in err, err
-        assert err.count("\n") == 1 and "Traceback" not in err, err
+        expected = f"error: {'config.sweep[0]: ' if bench else ''}{error}\n"
+        assert err == expected and "max_grid_bits" in err, err
+        assert (OVERRIDE in err) == error.endswith(OVERRIDE), err
         assert not out.exists()
 
 
@@ -489,6 +504,68 @@ def test_failed_run_leaves_no_record(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     assert "pipeline failure (DomainError)" in capsys.readouterr().err
     assert not out.exists()
+
+
+# A p=2 quadratic at 2^14 grid points: about 16,000 distribution rows, so
+# the record is written in four blocks of 4,096 rows.
+RUN_2D = {"function": {"kind": "quadratic", "coefficients": [0.4, -0.3],
+                       "hessian": [[0.2, 0.05], [0.05, -0.1]]},
+          "x": [0.1, -0.2], "params": {"n": 7, "nu": 1e-4, "lambda": 20.0, "mu": 0.001},
+          "shots": 1000, "seed": 7}
+
+
+def test_run_record_is_written_block_by_block(tmp_path, monkeypatch, capsys):
+    written = []
+    write_text = cli.write_text
+
+    def counted(handle, text):
+        written.append(text)
+        write_text(handle, text)
+
+    monkeypatch.setattr(cli, "write_text", counted)
+    out = tmp_path / "run.json"
+    assert main(["run", "--config", write_config(tmp_path, RUN_2D), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert len(written) == 4 and "".join(written) == text
+    assert ResultRecord.from_json(text).to_json() == text
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "run.json"]
+
+
+class DiskFull(OSError):
+    def __init__(self):
+        super().__init__(28, "No space left on device")
+
+
+@pytest.mark.parametrize("error, status", [(DiskFull, 2), (KeyboardInterrupt, None)])
+@pytest.mark.parametrize("older", [None, b"an older record\n"])
+def test_a_record_write_failing_mid_table_leaves_no_new_file(error, status, older, tmp_path,
+                                                             monkeypatch, capsys):
+    # The second block is the second of the distribution's four row blocks.
+    written = []
+    write_text = cli.write_text
+
+    def failing(handle, text):
+        written.append(text)
+        if len(written) == 2:
+            raise error()
+        write_text(handle, text)
+
+    monkeypatch.setattr(cli, "write_text", failing)
+    cfg = write_config(tmp_path, RUN_2D)
+    out = tmp_path / "run.json"
+    if older is not None:
+        out.write_bytes(older)
+    argv = ["run", "--config", cfg, "--out", str(out)]
+    if status is None:
+        with pytest.raises(error):
+            main(argv)
+    else:
+        assert main(argv) == status
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert len(written) == 2
+    assert (out.read_bytes() if out.exists() else None) == older
+    names = ["config.json"] + ([] if older is None else ["run.json"])
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
 
 
 def test_bench_model_error_names_its_sweep_entry(tmp_path, capsys):

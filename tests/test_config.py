@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradkick import AccuracySpec, DomainBox, GridState, run_pipeline
-from gradkick.algorithm import MeasurementSamples, sample_measurements
+from gradkick import AccuracySpec, DomainBox, GridState, config, run_pipeline
+from gradkick.algorithm import ShotBlock, sample_measurements
 from gradkick.config import (FUNCTION_KINDS, ConfigError, ExperimentConfig,
                              FunctionSpec, ResultRecord, distribution_entries,
                              from_tree, record_json, sample_summary, to_tree)
 from gradkick.operators import PHASE_VARIANTS
 from gradkick.oracle import GROUP_MODES, FixedPointFormat
 from gradkick.params import AlgorithmParams
-from gradkick.states import check_grid_bits, grid_points
+from gradkick.states import blocks, check_grid_bits, grid_points
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -199,7 +199,7 @@ def test_distribution_entries_floor_and_order():
 def test_sample_summary_counts_and_mean():
     _, params, chi, _ = small_run()
     estimates = sample_measurements(chi, 16, seed=3, params=params)
-    summary = sample_summary(estimates, 16, 3)
+    summary = sample_summary(chi, 16, 3, params)
     assert summary["shots"] == 16 and summary["seed"] == 3
     counts = summary["outcome_counts"]
     assert sum(c["count"] for c in counts) == 16
@@ -217,8 +217,16 @@ def test_sample_summary_counts_equal_np_unique(n, p, shots, skew, seed):
     size = 1 << (n * p)
     # Skewed draws leave some outcomes unsampled and tie others.
     indices = np.minimum((rng.random(shots) ** (1 + skew) * size).astype(np.intp), size - 1)
-    samples = MeasurementSamples(n, p, indices, np.zeros((shots, p)))
-    table = sample_summary(samples, shots, seed)["outcome_counts"]
+
+    def drawn(chi, shots, seed, params):
+        # These shots, handed over in the sampler's blocks.
+        for block in blocks(shots, 8):
+            yield ShotBlock(block, indices[block], np.zeros((block.stop - block.start, p)))
+
+    chi = GridState(n=n, p=p, amplitudes=np.eye(1, size, dtype=complex)[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "sample_blocks", drawn)
+        table = sample_summary(chi, shots, seed, None)["outcome_counts"]
     outcomes, counts = np.unique(indices, return_counts=True)
     order = np.argsort(-counts, kind="stable")
     assert np.array_equal(table.column("count"), counts[order])
@@ -243,7 +251,6 @@ def test_format_dict_round_trip():
 def test_result_record_round_trips_byte_identically():
     cfg, params, chi, calls = small_run()
     model = cfg.resolve_model()
-    estimates = sample_measurements(chi, cfg.shots, cfg.seed, params)
     record = ResultRecord(
         command="run",
         config=cfg,
@@ -256,7 +263,7 @@ def test_result_record_round_trips_byte_identically():
         true_gradient=(-1.0,),
         prob_floor=cfg.prob_floor,
         distribution=distribution_entries(chi, params, cfg.prob_floor),
-        samples=sample_summary(estimates, cfg.shots, cfg.seed),
+        samples=sample_summary(chi, cfg.shots, cfg.seed, params),
     )
     text = record.to_json()
     clone = ResultRecord.from_json(text)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from gradkick.cli import build_parser, main
 from gradkick.config import (ExperimentConfig, FunctionSpec, ResultRecord,
                              RowTable, record_json)
+from gradkick.floattext import BLOCK_VALUES
 from gradkick.params import AlgorithmParams
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -96,10 +97,47 @@ trees = st.recursive(
     max_leaves=30)
 
 
+def streamed(tree) -> list[str]:
+    """The blocks record_json hands to a writer."""
+    blocks = []
+    assert record_json(tree, blocks.append) is None
+    return blocks
+
+
 @given(tree=trees)
 @settings(max_examples=400, deadline=None)
 def test_writer_matches_json_dumps(tree):
-    assert record_json(tree) == oracle(tree)
+    expected = oracle(tree)
+    assert record_json(tree) == expected
+    assert "".join(streamed(tree)) == expected
+
+
+@st.composite
+def long_tables(draw):
+    """A RowTable whose rows reach into one to four of the writer's row
+    blocks: coded points and gradients, per-row floats and per-row ints."""
+    rows = draw(st.sampled_from([1, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1,
+                                 2 * BLOCK_VALUES, 3 * BLOCK_VALUES + 1])
+                | st.integers(1, 3 * BLOCK_VALUES + 1))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.integers(0, 8, size=(rows, p))
+    probabilities = rng.random(rows) * 10.0 ** rng.integers(-30, 5, size=rows)
+    return RowTable(g=(np.arange(8), points), gradient=(rng.normal(size=8), points),
+                    probability=(probabilities, None),
+                    count=(rng.integers(-(2 ** 63), 2 ** 63 - 1, size=rows), None))
+
+
+@given(table=long_tables())
+@settings(max_examples=20, deadline=None)
+def test_long_tables_are_handed_over_one_block_of_rows_at_a_time(table):
+    blocks_needed = -(-len(table) // BLOCK_VALUES)
+    for tree in (table, {"samples": {"outcome_counts": table, "seed": 3}, "after": [0.5]}):
+        blocks = streamed(tree)
+        assert "".join(blocks) == oracle(tree)
+        # Every block but the last ends at the end of a full block of rows.
+        assert len(blocks) == blocks_needed
+        assert all(block.endswith("}") for block in blocks[:-1])
 
 
 @given(table=row_tables(max_rows=40) | mixed_tables(max_rows=40))
@@ -225,6 +263,28 @@ def test_large_table_is_written_without_an_intermediate_copy():
         tracemalloc.stop()
     assert text == oracle(tree)
     assert peak <= 2.4 * len(text)
+
+
+def test_streamed_table_holds_one_block_of_rows():
+    # Handed to a writer, the same table at four times the rows: the writer
+    # holds one block of row pieces and its joined text, about twice the
+    # block, whatever the table's length.
+    rows = 1 << 16
+    points = np.stack([(np.arange(rows) >> 7) & 127, np.arange(rows) & 127], axis=1)
+    table = RowTable(g=(np.arange(128), points),
+                     gradient=(np.linspace(-1.0, 1.0, 128), points),
+                     probability=(np.random.default_rng(1).random(rows), None))
+    tree = {"distribution": table}
+    record_json(tree, len)  # warm caches outside the measurement
+    lengths = []
+    tracemalloc.start()
+    try:
+        record_json(tree, lambda block: lengths.append(len(block)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lengths) == rows // BLOCK_VALUES
+    assert peak <= 2.4 * max(lengths)
 
 
 # verify-linear is a linear p=2 verify with an explicit domain and
