@@ -8,7 +8,6 @@ indices at or above 2^(n-1) folded to negative frequencies.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -31,43 +30,6 @@ class GradientEstimate:
 
     g: tuple[int, ...]
     gradient: tuple[float, ...]
-
-
-class MeasurementSamples(Sequence[GradientEstimate]):
-    """Outcomes of a run of shots, one row per shot in draw order.
-
-    indices holds each shot's flat grid index and gradients its decoded
-    gradient (shots x p, in either memory order). Reading an element builds
-    its GradientEstimate.
-    """
-
-    def __init__(self, n: int, p: int, indices: np.ndarray, gradients: np.ndarray) -> None:
-        self.n, self.p = n, p
-        self.indices, self.gradients = indices, gradients
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-    def __getitem__(self, i: int) -> GradientEstimate:
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError("shot index out of range")
-        g = grid_points(self.indices[[i]], self.n, self.p)[0]
-        return GradientEstimate(g=tuple(g.tolist()), gradient=tuple(self.gradients[i].tolist()))
-
-    def __iter__(self) -> Iterator[GradientEstimate]:
-        rows = zip(grid_points(self.indices, self.n, self.p).tolist(), self.gradients.tolist())
-        for g, gradient in rows:
-            yield GradientEstimate(g=tuple(g), gradient=tuple(gradient))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MeasurementSamples):
-            return NotImplemented
-        return ((self.n, self.p) == (other.n, other.p)
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.gradients, other.gradients))
-
-    __hash__ = None
 
 
 def sampling_radius(params: AlgorithmParams) -> float:
@@ -195,16 +157,14 @@ def sample_blocks(chi: GridState, shots: int, seed: int,
 
 
 def sample_measurements(chi: GridState, shots: int, seed: int,
-                        params: AlgorithmParams) -> MeasurementSamples:
-    """Every shot of sample_blocks(chi, shots, seed, params), kept: 8 bytes
-    per shot for its index and 8 per axis for its gradient. The run command
-    folds the blocks into its summary instead (config.sample_summary)."""
-    indices = np.empty(max(int(shots), 0), dtype=np.intp)
-    gradients = np.empty((indices.size, chi.p))
-    for block, found, decoded in sample_blocks(chi, shots, seed, params):
-        indices[block] = found
-        gradients[block] = decoded
-    return MeasurementSamples(chi.n, chi.p, indices, gradients)
+                        params: AlgorithmParams) -> list[GradientEstimate]:
+    """Every shot of sample_blocks(chi, shots, seed, params), in draw order,
+    as its GradientEstimate. The run command folds the blocks into its
+    summary instead (config.sample_summary)."""
+    return [GradientEstimate(g=tuple(g), gradient=tuple(gradient))
+            for _, indices, gradients in sample_blocks(chi, shots, seed, params)
+            for g, gradient in zip(grid_points(indices, chi.n, chi.p).tolist(),
+                                   gradients.tolist())]
 
 
 def bucket_bounds(cdf: np.ndarray, draws: int) -> tuple[float, np.ndarray, np.ndarray]:

@@ -116,6 +116,8 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
     3 4^(n-2) pi M / (sqrt(5) (L + delta)^2 (1 - epsilon)); mu =
     1 / (2 lam (L + delta)); nu = (1 - epsilon) / (6 pi lam). With M = 0
     the curvature branch vanishes and the margin branch decides lam.
+    Targets for which any of them overflows, divides by zero or is not
+    finite and positive raise PlannerError naming them.
     """
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
@@ -130,14 +132,19 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
     n = math.ceil(-math.log2(s * s * window))
     assert n >= 1  # the argument of log2 is strictly below 1
     check_grid_bits(n, p, max_grid_bits)
-    lam = max(
-        2.0 ** (n - 2) / (spec.gamma * (L + spec.delta)),
-        3.0 * 4.0 ** (n - 2) * math.pi * M
-        / (math.sqrt(5.0) * (L + spec.delta) ** 2 * (1.0 - spec.epsilon)),
-    )
-    mu = 1.0 / (2.0 * lam * (L + spec.delta))
-    nu = (1.0 - spec.epsilon) / (6.0 * math.pi * lam)
-    return AlgorithmParams(n=n, nu=nu, lam=lam, mu=mu)
+    try:
+        lam = max(
+            2.0 ** (n - 2) / (spec.gamma * (L + spec.delta)),
+            3.0 * 4.0 ** (n - 2) * math.pi * M
+            / (math.sqrt(5.0) * (L + spec.delta) ** 2 * (1.0 - spec.epsilon)),
+        )
+        mu = 1.0 / (2.0 * lam * (L + spec.delta))
+        nu = (1.0 - spec.epsilon) / (6.0 * math.pi * lam)
+        return AlgorithmParams(n=n, nu=nu, lam=lam, mu=mu)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise PlannerError(f"the targets gamma={spec.gamma!r}, delta={spec.delta!r}, "
+                           f"epsilon={spec.epsilon!r} with L={L!r} and M={M!r} cannot be "
+                           f"planned: {exc.args[-1]}") from None
 
 
 def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M: float,
@@ -255,11 +262,11 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     lam, mu = params.lam, params.mu
     # The offsets are dropped before f is evaluated over the grid, which
     # builds an array of the same size.
-    off = grid_offsets(None, n, p)
+    off = grid_offsets(n, p)
     f_lin = fx + mu * row_dots(off, grad)
     del off
     cap = 0.5 * model.hess_bound * mu * mu * grid_offset_norms(n, p)
-    f_true = model.evaluate_points(represented_points(pt, mu, None, n))
+    f_true = model.evaluate_points(represented_points(pt, mu, n))
     amp = 1.0 / math.sqrt(f_true.size)
     words = quantize(fmt, f_true)
     eps_N = f_true - f_lin

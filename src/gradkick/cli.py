@@ -9,14 +9,15 @@ beside that path and renamed onto it at the end, so a failed write leaves
 no partial record and any older one intact.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
-failed, 2 for configuration and usage problems, among them a grid over
-max_grid_bits, planned or explicit. All four commands check that guard, and
-take the record's grid size from it, before the range format, the
-classical baseline or any grid work; plan and verify check the planning
-inequalities first, so an unevaluable one is refused ahead of the guard.
-bench names the sweep entry, config.sweep[i], in these errors. A verify run
-whose planning inequalities fail is not by itself an error (the report
-records the broken inequality); only asserted checks decide the status.
+failed, 2 for configuration and usage problems, among them running out of
+memory and a grid over max_grid_bits, planned or explicit. All four
+commands check that guard, and take the record's grid size from it, before
+the range format, the classical baseline or any grid work; plan and verify
+check the planning inequalities first, so an unevaluable one is refused
+ahead of the guard. bench names the sweep entry, config.sweep[i], in these
+errors. A verify run whose planning inequalities fail is not by itself an
+error (the report records the broken inequality); only asserted checks
+decide the status.
 """
 
 from __future__ import annotations
@@ -322,6 +323,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return COMMANDS[args.command](cfg, args.out)
     except (ConfigError, PlannerError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except PIPELINE_ERRORS as exc:
         print(f"pipeline failure ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -353,21 +353,20 @@ class ExperimentConfig:
 
         The shorthand {"p": k} expands to a k-dimensional linear objective
         with coefficients 0.5, x at the origin, and no explicit overrides,
-        which is what dimension sweeps in benchmarks want. context is the
-        entry's path in error messages.
+        which is what dimension sweeps in benchmarks want; k above
+        MAX_INDEX_BITS is refused before any list is built, since every axis
+        takes a grid bit. context is the entry's path in error messages.
         """
         base = to_tree(self)
         base["sweep"] = []
         entry = dict(entry)
         if "p" in entry:
             k = _read_int(entry.pop("p"), f"{context}.p")
-            if k < 1:
-                raise ConfigError(f"{context}.p: must be a positive integer, got {k}")
-            entry.setdefault("function", {"kind": "linear",
-                                          "coefficients": [0.5] * k})
-            entry.setdefault("x", [0.0] * k)
-            entry.setdefault("domain", None)
-            entry.setdefault("params", None)
+            if not 1 <= k <= MAX_INDEX_BITS:
+                raise ConfigError(f"{context}.p: must be a positive integer of at most "
+                                  f"{MAX_INDEX_BITS} (one grid bit per axis), got {k}")
+            entry = {"function": {"kind": "linear", "coefficients": [0.5] * k},
+                     "x": [0.0] * k, "domain": None, "params": None, **entry}
         base.update(entry)
         return from_tree(ExperimentConfig, base, context)
 

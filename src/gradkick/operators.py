@@ -99,7 +99,7 @@ def _label_points(s: GridAlignedState, params: AlgorithmParams) -> np.ndarray:
     """Represented point of every term's label, as a (terms, p) array:
     x for BASE, x + mu * (g - g0) for SHIFTED(g)."""
     if s.shifted:
-        return represented_points(s.x, params.mu, None, s.n)
+        return represented_points(s.x, params.mu, s.n)
     return np.tile(s.x, (len(s), 1))
 
 
@@ -228,7 +228,7 @@ def collapse_to_grid(s: PipelineState, expected_label: DomainLabel,
     Every term must already sit in the (expected_label, expected_word)
     sector; the simulation is exact on basis labels, so any term elsewhere,
     however small its amplitude, means an inverse pair is broken. The first
-    stray term is named in the ResidualEntanglementError.
+    stray term, read by term(i), is named in the ResidualEntanglementError.
     """
     aligned = isinstance(s, GridAlignedState)
     if expected_label.x == s.x:
@@ -239,7 +239,7 @@ def collapse_to_grid(s: PipelineState, expected_label: DomainLabel,
     else:
         stray = np.arange(len(s))
     if stray.size:
-        t = s.terms[int(stray[0])]
+        t = s.term(int(stray[0]))
         raise ResidualEntanglementError(
             f"term (label={t.label!r}, word={t.word}, grid={t.grid}, "
             f"amplitude={t.amplitude!r}) is outside the expected sector "

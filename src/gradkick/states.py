@@ -16,7 +16,8 @@ a whole-array pass:
   distinct basis triples, with their label codes, words, flat grid indices
   and amplitudes derived once as arrays. The acceptance gate builds it from
   a few terms, phase-rotates it and collapses it; the shift, the oracle and
-  the grid transform take only the aligned form.
+  the grid transform take only the aligned form. Both forms answer
+  term(i), which collapse_to_grid reads only to name a stray term.
 
 Every term's label and word are explicit, or in the aligned form fixed
 exactly by its position and mode, which makes the uncomputation claim
@@ -37,14 +38,15 @@ half-integers is exact, so grid_offset_norms adds per-axis squares as an
 outer sum.
 
 The row-major layout lives here alone: grid_index_of, grid_point_of,
-axis_columns and grid_outer, the per-axis outer product. A loop whose
-temporaries must not grow with its input takes its slices from blocks.
+axis_columns and grid_outer, the per-axis outer product. Only grid_points
+and the sampler read given flat indices; grid_offsets and represented_points
+cover the whole grid. A loop whose temporaries must not grow with its input
+takes its slices from blocks.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -169,10 +171,10 @@ def grid_points(indices: np.ndarray, n: int, p: int) -> np.ndarray:
     return axis_columns(indices, n, p, [np.arange(1 << n, dtype=np.int64)] * p)
 
 
-def grid_offsets(indices: np.ndarray | None, n: int, p: int) -> np.ndarray:
-    """g - g0 per axis for each flat index (None: the whole grid in order):
-    the grid offsets the shift scales by mu."""
-    return axis_columns(indices, n, p, [axis_offsets(n)] * p)
+def grid_offsets(n: int, p: int) -> np.ndarray:
+    """g - g0 per axis for every grid point in row-major order, as a (2^(pn),
+    p) array: the grid offsets the shift scales by mu."""
+    return axis_columns(None, n, p, [axis_offsets(n)] * p)
 
 
 def grid_offset_norms(n: int, p: int) -> np.ndarray:
@@ -186,13 +188,12 @@ def grid_offset_norms(n: int, p: int) -> np.ndarray:
     return grid_outer(np.add, [np.square(axis_offsets(n))] * p)
 
 
-def represented_points(x: Sequence[float], mu: float, indices: np.ndarray | None,
-                       n: int) -> np.ndarray:
-    """x + mu * (g - g0) for the grid point g of each flat index (None: the
-    whole grid in order), as a (k, p) array."""
+def represented_points(x: Sequence[float], mu: float, n: int) -> np.ndarray:
+    """x + mu * (g - g0) for every grid point g in row-major order, as a
+    (2^(pn), p) array."""
     off = axis_offsets(n)
     tables = [v + mu * off for v in np.asarray(x, dtype=float)]
-    return axis_columns(indices, n, len(tables), tables)
+    return axis_columns(None, n, len(tables), tables)
 
 
 @dataclass(eq=False)
@@ -253,22 +254,6 @@ def label_code(label: DomainLabel, n: int, p: int) -> int:
     return BASE_CODE if label.shift is None else grid_index_of(label.shift, n, p)
 
 
-class TermView(Sequence[SparseTerm]):
-    """Read-only sequence of an aligned state's terms, built on access."""
-
-    def __init__(self, state: GridAlignedState) -> None:
-        self._state = state
-
-    def __len__(self) -> int:
-        return len(self._state)
-
-    def __getitem__(self, i: int) -> SparseTerm:
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError("term index out of range")
-        return self._state.term(i % len(self))
-
-
 class SparseTripartiteState:
     """Finite superposition over distinct (label, word, grid) basis triples.
 
@@ -318,11 +303,11 @@ class SparseTripartiteState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
+    def term(self, i: int) -> SparseTerm:
+        return self.terms[i]
+
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __iter__(self) -> Iterator[SparseTerm]:
-        return iter(self.terms)
 
 
 class GridAlignedState:
@@ -380,10 +365,6 @@ class GridAlignedState:
                   "amplitudes": self.amplitudes}
         values.update(fields)
         return GridAlignedState(self.n, self.p, self.x, **values)
-
-    @property
-    def terms(self) -> TermView:
-        return TermView(self)
 
     def term(self, h: int) -> SparseTerm:
         g = grid_point_of(h, self.n, self.p)

@@ -9,7 +9,8 @@ from gradkick import (DomainBox, FixedPointFormat, decode_gradient,
                       decompose_state, linear_model, run_pipeline,
                       sinusoidal_model)
 from gradkick.algorithm import (axis_decode_values, bucket_bounds, bucketed_search,
-                                plan_run_format, sample_measurements, sampling_radius)
+                                plan_run_format, sample_blocks, sample_measurements,
+                                sampling_radius)
 from gradkick.oracle import DomainError
 from gradkick.params import AlgorithmParams
 from gradkick.qft import qft_amplitudes
@@ -119,7 +120,9 @@ def test_sample_measurements_deterministic_and_consistent():
     probs = chi.probabilities()
     for est in a:
         assert est.gradient == tuple(decode_gradient(est.g, EXACT))
-    assert (probs[a.indices] > 0).all()
+    indices = np.concatenate([block.indices for block in sample_blocks(chi, 32, 11, EXACT)])
+    assert [est.g[0] for est in a] == indices.tolist()
+    assert (probs[indices] > 0).all()
 
 
 def test_sample_measurements_rejects_bad_inputs():

@@ -267,6 +267,10 @@ MALFORMED = [
     ({"shots": 1.9}, "config.shots"),
     ({"seed": True}, "config.seed"),
     ({"sweep": [{"p": 2}, {"p": 2.5}]}, "config.sweep[1].p"),
+    # Every axis takes a grid bit, so p is refused above 62: at p = 1e12,
+    # bench ended in a MemoryError traceback building the coefficients.
+    ({"sweep": [{"p": 1e12}]}, "config.sweep[0].p"),
+    ({"sweep": [{"p": 1}, {"p": 63}]}, "config.sweep[1].p"),
 ]
 
 
@@ -287,21 +291,69 @@ INFEASIBLE = [
     (["plan", "run", "verify"],
      {"function": {"kind": "linear", "coefficients": [1e308, 1e308]}, "x": [0.0, 0.0],
       "domain": {"center": [0.0, 0.0], "half_width": [1.0, 1.0]}}),
-    # plan_format: the range format would need more than 62 bits.
+    # plan_format: the range format would need more than 43 bits.
     (["run", "verify"], {"params": {"n": 3, "nu": 1e-300, "lambda": 1.0, "mu": 0.125}}),
+    # select_parameters: lam = 2^(n-2) / (gamma (L + delta)) overflows to
+    # inf, and mu and nu to 0.
+    (["plan", "run", "verify"], {"accuracy": {"gamma": 1e-320, "delta": 0.5, "epsilon": 0.5}}),
+    # ... gamma (L + delta) underflows to 0, and lam divides by it.
+    (["plan", "run", "verify"], {"function": {"kind": "linear", "coefficients": [0.0]},
+                                 "accuracy": {"gamma": 1e-320, "delta": 1e-6, "epsilon": 0.5}}),
+    # ... (L + delta)^2 overflows in the curvature branch.
+    (["plan", "run", "verify"], {"function": {"kind": "quadratic", "coefficients": [0.5],
+                                              "hessian": [[1.0]]},
+                                 "accuracy": {"gamma": 1.0, "delta": 1e300, "epsilon": 0.5}}),
 ]
 
 
-@pytest.mark.parametrize("commands, override", INFEASIBLE, ids=["huge-gradient", "tiny-nu"])
+@pytest.mark.parametrize("commands, override", INFEASIBLE,
+                         ids=["huge-gradient", "tiny-nu", "tiny-gamma", "zero-margin",
+                              "huge-delta"])
 def test_infeasible_parameters_are_a_usage_error(commands, override, tmp_path, capsys):
-    # Both escaped as a bare ValueError traceback with exit 1.
+    # Each escaped as a bare ValueError, ZeroDivisionError or OverflowError
+    # traceback with exit 1.
     payload = {**PLANNED_QUADRATIC, "function": {"kind": "linear", "coefficients": [0.5]},
                **override}
     cfg = write_config(tmp_path, payload)
     for command in commands:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: "), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# The sinusoidal of ROADMAP item 4(a): the planner would size a 55-bit format,
+# whose float64 quantization errs by up to 1.7 nu.
+WIDE_FORMAT = {"function": {"kind": "sinusoidal", "amplitude": 0.8, "frequencies": [1.1]},
+               "x": [0.2], "accuracy": {"gamma": 1.0, "delta": 0.5, "epsilon": 0.5},
+               "params": {"n": 5, "nu": 7.07e-5 * 2.0 ** -42, "lambda": 375.07,
+                          "mu": 0.00113}}
+
+
+def test_a_format_wider_than_float64_keeps_is_a_usage_error(tmp_path, capsys):
+    # run exited 0, and verify exited 1 with a BoundViolation: rounding error
+    # 2.78e-17 above nu = 1.61e-17. plan sizes no format.
+    cfg = write_config(tmp_path, WIDE_FORMAT)
+    out = tmp_path / "record.json"
+    assert main(["plan", "--config", cfg]) == 0
+    capsys.readouterr()
+    for command in ("run", "verify"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: range format would need more than 43 bits; "
+                       "raise nu or shrink range_bound\n"), err
+        assert not out.exists()
+
+
+def test_an_allocation_the_host_cannot_make_is_a_usage_error(tmp_path, capsys):
+    # 1e15 shots keep a 7.11 PiB column of gradients for p = 1, more than a
+    # 47-bit (128 TiB) address space maps, so no overcommit setting grants
+    # it: run ended in a MemoryError traceback.
+    cfg = write_config(tmp_path, {**EXACT_LINEAR, "shots": 1e15})
+    out = tmp_path / "record.json"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
 NON_FINITE_BOUNDS = [

@@ -28,8 +28,9 @@ from gradkick.oracle import DomainLabel, grid_center, quantize
 from gradkick.params import AlgorithmParams
 from gradkick.qft import qft_amplitudes
 from gradkick.states import (GridAlignedState, GridState,
-                             SparseTripartiteState, grid_offset_norms,
-                             grid_offsets, grid_points, represented_points)
+                             SparseTripartiteState, axis_columns, axis_offsets,
+                             grid_offset_norms, grid_offsets, grid_points,
+                             represented_points)
 
 
 def reference_chi(model, x, params, fmt, variant):
@@ -263,7 +264,7 @@ def test_prepared_state_is_the_transformed_basis_state(n, p):
 def test_offset_norms_equal_row_dots(n, p):
     # Sums of squared half-integers are exact, so the per-axis outer sum
     # must give the bits of the per-row dot product the cap used before.
-    off = grid_offsets(None, n, p)
+    off = grid_offsets(n, p)
     assert grid_offset_norms(n, p).tobytes() == row_dots(off, off).tobytes()
 
 
@@ -293,7 +294,7 @@ def test_decomposition_psi_equals_the_direct_phase_construction(bits):
     params = AlgorithmParams(n=n, nu=0.01, lam=7.3, mu=0.05)
     fmt = FixedPointFormat(bits=bits, a0=-0.01 * float(1 << (bits - 1)), a1=0.01)
     dec = decompose_state(model, x, params, fmt)
-    f_true = model.evaluate_points(represented_points(x, params.mu, None, n))
+    f_true = model.evaluate_points(represented_points(x, params.mu, n))
     words = quantize(fmt, f_true)
     assert len(set(words.tolist())) > 8
     re, im = unit_phases(params.lam, fmt.decode(words))
@@ -338,7 +339,7 @@ def test_per_word_kick_equals_per_term_kick(n, p, bits, variant, shifted, data):
     amplitude = cmath.rect(size ** -0.5, data.draw(st.floats(min_value=-4.0, max_value=4.0)))
     x = (0.5,) * p
     aligned = GridAlignedState(n, p, x, shifted, words, amplitude)
-    general = SparseTripartiteState(n, p, aligned.terms)
+    general = SparseTripartiteState(n, p, [aligned.term(h) for h in range(size)])
     kicked = apply_phase_rotation(aligned, lam, fmt, variant)
     expected = apply_phase_rotation(general, lam, fmt, variant)
     assert kicked.amplitudes.tobytes() == expected.amplitudes.tobytes()
@@ -352,7 +353,7 @@ def test_aligned_qft_matches_the_general_form_and_refuses_two_sectors():
     state = apply_phase_rotation(GridAlignedState.prepared(n, p, x), 0.37,
                                  FixedPointFormat(bits=4, a0=-1.0, a1=0.125))
     grid = np.random.default_rng(5).permutation(16)
-    general = SparseTripartiteState(n, p, [state.terms[h] for h in grid])
+    general = SparseTripartiteState(n, p, [state.term(h) for h in grid])
     dense = np.zeros(16, dtype=np.complex128)
     dense[general.grid] = general.amplitudes
     out = apply_qft(state)
@@ -426,12 +427,15 @@ def test_axis_major_grid_arrays_equal_rowwise_formulas(n, p, data):
     points = grid_points(indices, n, p)
     assert points.dtype == np.int64
     assert np.array_equal(points, rowwise_grid_points(indices, n, p))
-    offsets = grid_offsets(given_indices, n, p)
+    # Given indices read float tables through axis_columns' index path.
+    offsets = (grid_offsets(n, p) if given_indices is None
+               else axis_columns(given_indices, n, p, [axis_offsets(n)] * p))
     assert np.array_equal(offsets, rowwise_grid_offsets(indices, n, p))
-    represented = represented_points(x, mu, given_indices, n)
-    expected = x + mu * rowwise_grid_offsets(indices, n, p)
-    assert represented.shape == (indices.size, p)
-    assert represented.tobytes() == expected.tobytes()
+    if given_indices is None:
+        represented = represented_points(x, mu, n)
+        expected = x + mu * rowwise_grid_offsets(indices, n, p)
+        assert represented.shape == (indices.size, p)
+        assert represented.tobytes() == expected.tobytes()
 
 
 @given(p=st.integers(1, 4), data=st.data())

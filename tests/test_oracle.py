@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradkick import DomainBox, FixedPointFormat, linear_model
-from gradkick.oracle import (DomainError, DomainLabel, RangeOverflowError,
-                             grid_center, oracle_value, plan_format, quantize,
-                             range_add, range_sub, shift_label)
+from gradkick.oracle import (MAX_WORD_BITS, DomainError, DomainLabel, FormatError,
+                             RangeOverflowError, grid_center, oracle_value,
+                             plan_format, quantize, range_add, range_sub,
+                             shift_label)
 from gradkick.params import AlgorithmParams
 
 
@@ -34,8 +35,13 @@ def test_plan_format_boundary_value_is_representable():
 
 
 def test_plan_format_rejects_absurd_precision():
-    with pytest.raises(ValueError, match="62"):
+    with pytest.raises(FormatError, match="more than 43 bits"):
         plan_format(nu=1e-18, range_bound=1e6)
+    # The widest span a 43-bit format covers, and the next span up.
+    widest = float((1 << MAX_WORD_BITS) - 1) / 2
+    assert plan_format(nu=1.0, range_bound=widest).bits == MAX_WORD_BITS == 43
+    with pytest.raises(FormatError, match="more than 43 bits"):
+        plan_format(nu=1.0, range_bound=widest + 1.0)
 
 
 def test_plan_format_rejects_nonpositive_arguments():
@@ -69,22 +75,27 @@ def test_quantize_round_trip_fixes_representable_values():
         assert quantize(fmt, fmt.decode(word)) == word
 
 
-@given(
-    nu=st.floats(min_value=1e-6, max_value=10.0, allow_nan=False),
-    bound=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
-    frac=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-)
-@settings(max_examples=200, deadline=None)
-def test_quantize_error_within_half_step(nu, bound, frac):
-    fmt = plan_format(nu=nu, range_bound=bound)
-    v = frac * bound
-    err = abs(fmt.decode(quantize(fmt, v)) - v)
-    # Half a step, plus float headroom for the quotient and decode rounding.
-    assert err <= 0.5 * nu + 4e-16 * (abs(v) + abs(fmt.a0) + nu)
+@given(bits=st.integers(min_value=1, max_value=MAX_WORD_BITS),
+       nu=st.floats(min_value=1e-30, max_value=1e10), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_quantize_error_within_half_step(bits, nu, seed):
+    # Every accepted width, at the widest span it covers. Values within
+    # float rounding of the midpoint between two words show the rounding
+    # term; any value of the span may.
+    fmt = plan_format(nu=nu, range_bound=nu * float((1 << bits) - 1) / 2)
+    assert fmt.bits == bits
+    rng = np.random.default_rng(seed)
+    midpoints = fmt.a0 + nu * (rng.integers(0, fmt.num_words - 1, size=1000) + 0.5)
+    v = np.concatenate([midpoints, np.nextafter(midpoints, -np.inf),
+                        np.nextafter(midpoints, np.inf), rng.uniform(fmt.a0, fmt.top, 1000)])
+    err = np.abs(fmt.decode(quantize(fmt, v)) - v)
+    # Half a step plus plan_format's rounding term at 43 bits, nu / 256: a
+    # headroom that does not grow with the span.
+    assert err.max() <= nu * (0.5 + 2.0 ** -8)
 
 
 @given(
-    bits=st.integers(min_value=1, max_value=62),
+    bits=st.integers(min_value=1, max_value=MAX_WORD_BITS),
     mode=st.sampled_from(["modular", "xor"]),
     data=st.data(),
 )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradkick import config
-from gradkick.algorithm import ShotBlock, axis_decode_values, sample_measurements
+from gradkick.algorithm import ShotBlock, axis_decode_values, sample_blocks
 from gradkick.cli import write_text
 from gradkick.config import sample_summary
 from gradkick.params import AlgorithmParams
@@ -31,6 +31,14 @@ def random_chi(n, p, seed, zeros=0.0):
     return GridState(n=n, p=p, amplitudes=amplitudes / np.linalg.norm(amplitudes))
 
 
+def every_shot(chi, shots, seed, params):
+    """Every shot sample_blocks draws, joined in draw order: the flat
+    indices (shots,) and the decoded gradients (shots, p)."""
+    drawn = list(sample_blocks(chi, shots, seed, params))
+    return (np.concatenate([block.indices for block in drawn]),
+            np.concatenate([block.gradients for block in drawn]))
+
+
 @given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
        zeros=st.sampled_from([0.0, 0.5, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
@@ -38,7 +46,7 @@ def test_blocked_sampling_equals_the_unblocked_formula(n, p, shots, zeros, seed)
     # n >= 2, so every axis decodes to 0.0 and to values of both signs.
     chi = random_chi(n, p, seed, zeros)
     params = AlgorithmParams(n=n, nu=1e-6, lam=0.75, mu=0.1)
-    samples = sample_measurements(chi, shots, seed, params)
+    sampled_indices, sampled_gradients = every_shot(chi, shots, seed, params)
 
     cdf = np.cumsum(chi.probabilities())
     draws = np.random.default_rng(seed).random(shots)
@@ -46,9 +54,9 @@ def test_blocked_sampling_equals_the_unblocked_formula(n, p, shots, zeros, seed)
     coords = (indices[:, None] >> (n * np.arange(p - 1, -1, -1))) & ((1 << n) - 1)
     gradients = axis_decode_values(params)[coords]
 
-    assert np.array_equal(samples.indices, indices)
-    assert samples.gradients.shape == (shots, p)
-    assert np.array_equal(samples.gradients.view(np.int64), gradients.view(np.int64))
+    assert np.array_equal(sampled_indices, indices)
+    assert sampled_gradients.shape == (shots, p)
+    assert np.array_equal(sampled_gradients.view(np.int64), gradients.view(np.int64))
 
 
 @given(seed=st.integers(0, 2 ** 64 - 1),
@@ -63,16 +71,16 @@ def test_generator_random_in_consecutive_chunks_gives_the_doubles_of_one_call(se
     assert np.array_equal(chunks.view(np.int64), whole.view(np.int64))
 
 
-def summary_of_every_shot(samples):
+def summary_of_every_shot(indices, gradients, n, p):
     """The run command's summary before shots were folded, from every shot
     at once: (outcomes by falling count, their counts, the mean), counted
     by one np.bincount and averaged by np.mean over the C-ordered (shots, p)
     gradients."""
-    counts = np.bincount(samples.indices, minlength=1 << (samples.n * samples.p))
+    counts = np.bincount(indices, minlength=1 << (n * p))
     outcomes = np.flatnonzero(counts)
     counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
-    mean = np.mean(np.ascontiguousarray(samples.gradients), axis=0)
+    mean = np.mean(np.ascontiguousarray(gradients), axis=0)
     return outcomes[order], counts[order], mean
 
 
@@ -83,7 +91,7 @@ def test_folded_summary_equals_the_summary_of_every_shot(n, p, shots, zeros, see
     chi = random_chi(n, p, seed, zeros)
     params = AlgorithmParams(n=n, nu=1e-6, lam=0.75, mu=0.1)
     summary = sample_summary(chi, shots, seed, params)
-    outcomes, counts, mean = summary_of_every_shot(sample_measurements(chi, shots, seed, params))
+    outcomes, counts, mean = summary_of_every_shot(*every_shot(chi, shots, seed, params), n, p)
 
     table = summary["outcome_counts"]
     assert (summary["shots"], summary["seed"]) == (shots, seed)

@@ -158,8 +158,8 @@ def test_sparse_state_terms_round_trip_through_arrays():
         SparseTerm(DomainLabel.shifted(x, (3, 0)), 0, (3, 0), 0.0 + 0.8j),
     )
     state = SparseTripartiteState(n=2, p=2, terms=terms)
-    assert tuple(state) == terms
-    assert state.terms[-1] == terms[-1]
+    assert tuple(state.term(i) for i in range(len(state))) == terms
+    assert state.term(-1) == terms[-1]
     assert state.labels.tolist() == [-1, 12] and state.grid.tolist() == [6, 12]
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0  # arrays are shared between states, so frozen
