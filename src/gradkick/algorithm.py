@@ -113,7 +113,10 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     # names a stray term.
     chi = collapse_to_grid(state, base, expected_word=0)
     del state
-    chi = GridState(n=chi.n, p=chi.p, amplitudes=qft_amplitudes(chi.amplitudes, chi.n, chi.p))
+    # A copy is transformed in place: ifftn without out allocates each axis anew.
+    amplitudes = chi.amplitudes.copy()
+    chi = GridState(n=chi.n, p=chi.p,
+                    amplitudes=qft_amplitudes(amplitudes, chi.n, chi.p, out=amplitudes))
     return chi, counter.count
 
 

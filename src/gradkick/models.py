@@ -1,9 +1,9 @@
 """Black-box objectives with certified derivative bounds.
 
 The estimator treats f as an oracle: only evaluate() ever feeds the pipeline,
-which reads it through evaluate_points() over a whole grid at once. The
-built-in models supply a batch evaluator that gives bit for bit the values
-evaluate() gives; a model without one has evaluate() mapped over the points.
+which reads it through evaluate_points() over a whole grid at once. A built-in
+model's evaluate() is its batch formula at one point, so the two agree bit for
+bit; a model without a batch formula has evaluate() mapped over the points.
 gradient() exists for the verification side (reference states, success
 windows, finite-difference comparisons); the algorithm itself never calls it.
 grad_bound is an infinity-norm bound on the gradient over the domain box and
@@ -51,10 +51,7 @@ class DomainBox:
         return cls(center=mid, half_width=(float(half_width),) * p)
 
     def contains(self, point: Sequence[float]) -> bool:
-        pt = np.asarray(point, dtype=float)
-        c = np.asarray(self.center)
-        w = np.asarray(self.half_width)
-        return bool(np.all(np.abs(pt - c) <= w))
+        return self.contains_box(point, 0.0)
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """contains() for each row of a (k, p) array, as a boolean array,
@@ -82,7 +79,8 @@ class FunctionModel:
 
     evaluate and gradient work in float64, the widest native float here.
     evaluate_batch, when given, maps a (k, p) array of points to the k values
-    evaluate would return for its rows, bit for bit.
+    evaluate would return for its rows, bit for bit: a built-in model's
+    evaluate is at_one_point(evaluate_batch), so this holds by construction.
     """
 
     p: int
@@ -114,13 +112,19 @@ class FunctionModel:
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.dot(a[i], b[i]) for each row i (b may be one shared vector), bit for bit.
 
-    np.dot multiplies length-1 vectors as scalars. Longer ones go through
-    numpy's dot kernel, which a stack of 1 x p by p x 1 products calls once
-    per row; a matrix-vector product would sum in another order.
+    np.dot multiplies length-1 vectors as scalars, and so does this; np.vecdot
+    would add the product to +0.0 and turn a -0.0 into +0.0. Longer rows go
+    through np.vecdot, which sums in np.dot's order, as a matrix-vector
+    product would not.
     """
     if a.shape[-1] == 1:
         return a[:, 0] * b[..., 0]
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+    return np.vecdot(a, b)
+
+
+def at_one_point(batch: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
+    """The scalar evaluate of a batch formula: the formula at the one-row array of x."""
+    return lambda x: float(batch(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _as_vector(a: Sequence[float]) -> np.ndarray:
@@ -136,9 +140,6 @@ def linear_model(a: Sequence[float], domain_box: DomainBox) -> FunctionModel:
     if domain_box.dimension != coeff.size:
         raise ValueError("domain box dimension disagrees with coefficients")
 
-    def evaluate(x: np.ndarray) -> float:
-        return float(np.dot(coeff, np.asarray(x, dtype=float)))
-
     def evaluate_batch(points: np.ndarray) -> np.ndarray:
         return row_dots(points, coeff)
 
@@ -147,7 +148,7 @@ def linear_model(a: Sequence[float], domain_box: DomainBox) -> FunctionModel:
 
     return FunctionModel(
         p=coeff.size,
-        evaluate=evaluate,
+        evaluate=at_one_point(evaluate_batch),
         gradient=gradient,
         grad_bound=float(np.max(np.abs(coeff))),
         hess_bound=0.0,
@@ -174,12 +175,8 @@ def quadratic_model(a: Sequence[float], hessian: Sequence[Sequence[float]],
     if domain_box.dimension != coeff.size:
         raise ValueError("domain box dimension disagrees with coefficients")
 
-    def evaluate(x: np.ndarray) -> float:
-        v = np.asarray(x, dtype=float)
-        return float(np.dot(coeff, v) + 0.5 * np.dot(v, H @ v))
-
     def evaluate_batch(points: np.ndarray) -> np.ndarray:
-        # matmul over a stack calls the kernel of evaluate's H @ v once per row.
+        # matmul over a stack calls the kernel of H @ v once per row.
         hv = np.matmul(H, points[:, :, None])[:, :, 0]
         return row_dots(points, coeff) + 0.5 * row_dots(points, hv)
 
@@ -196,7 +193,7 @@ def quadratic_model(a: Sequence[float], hessian: Sequence[Sequence[float]],
 
     return FunctionModel(
         p=coeff.size,
-        evaluate=evaluate,
+        evaluate=at_one_point(evaluate_batch),
         gradient=gradient,
         grad_bound=grad_sup,
         hess_bound=hess_sup,
@@ -217,9 +214,6 @@ def sinusoidal_model(c: float, b: Sequence[float], domain_box: DomainBox) -> Fun
     if domain_box.dimension != freq.size:
         raise ValueError("domain box dimension disagrees with coefficients")
 
-    def evaluate(x: np.ndarray) -> float:
-        return amp * float(np.sin(np.dot(freq, np.asarray(x, dtype=float))))
-
     def evaluate_batch(points: np.ndarray) -> np.ndarray:
         return amp * np.sin(row_dots(points, freq))
 
@@ -231,7 +225,7 @@ def sinusoidal_model(c: float, b: Sequence[float], domain_box: DomainBox) -> Fun
         hess_bound = abs(amp) * float(np.dot(freq, freq))
     return FunctionModel(
         p=freq.size,
-        evaluate=evaluate,
+        evaluate=at_one_point(evaluate_batch),
         gradient=gradient,
         grad_bound=grad_bound,
         hess_bound=hess_bound,

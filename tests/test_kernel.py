@@ -268,6 +268,36 @@ def test_offset_norms_equal_row_dots(n, p):
     assert grid_offset_norms(n, p).tobytes() == row_dots(off, off).tobytes()
 
 
+SIGNED = [0.0, -0.0, 1.5, -2.25]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_row_dots_and_batches_give_per_row_dot_bits_with_signed_zeros(p):
+    # A zero coordinate times a negative coefficient is -0.0. np.dot keeps
+    # that sign at p = 1, where a sum started at +0.0 would lose it.
+    rng = np.random.default_rng(p)
+    points = rng.choice(SIGNED, size=(200, p))
+    box = DomainBox.cube(p, 4.0)
+    for coeff in [np.full(p, -1.0)] + [rng.choice(SIGNED, size=p) for _ in range(8)]:
+        other = rng.choice(SIGNED, size=(200, p))
+        half = rng.choice(SIGNED, size=(p, p))
+        H = half + half.T
+        models = [(linear_model(coeff, box), lambda v: np.dot(coeff, v)),
+                  (quadratic_model(coeff, H, box),
+                   lambda v: np.dot(coeff, v) + 0.5 * np.dot(v, H @ v)),
+                  (sinusoidal_model(-0.5, coeff, box),
+                   lambda v: -0.5 * np.sin(np.dot(coeff, v)))]
+        pairs = [(row_dots(points, coeff), [np.dot(v, coeff) for v in points]),
+                 (row_dots(points, other), [np.dot(v, w) for v, w in zip(points, other)])]
+        pairs += [(model.evaluate_points(points), [formula(v) for v in points])
+                  for model, formula in models]
+        for got, expected in pairs:
+            assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+    if p == 1:
+        # The all -1 coefficient met +0.0 coordinates: the case was drawn.
+        assert np.signbit(row_dots(points, np.full(1, -1.0))[points[:, 0] == 0]).any()
+
+
 @given(bits=st.integers(1, 14), lam=st.floats(min_value=-1e3, max_value=1e3),
        a1=st.floats(min_value=1e-6, max_value=1.0),
        modulus=st.floats(min_value=1e-3, max_value=1.0),
