@@ -110,16 +110,17 @@ class FunctionModel:
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot(a[i], b[i]) for each row i (b may be one shared vector), bit for bit.
+    """a[i] . b[i] for each row i (b may be one shared vector), one column pass
+    per axis: a[:, 0] * b[0], then + a[:, j] * b[j] for each further axis.
 
-    np.dot multiplies length-1 vectors as scalars, and so does this; np.vecdot
-    would add the product to +0.0 and turn a -0.0 into +0.0. Longer rows go
-    through np.vecdot, which sums in np.dot's order, as a matrix-vector
-    product would not.
+    Only IEEE multiplies and adds, in axis order from the first product, so a
+    row's value depends on that row alone, never on how many rows share the
+    call, and a -0.0 product survives where a sum started at +0.0 would not.
     """
-    if a.shape[-1] == 1:
-        return a[:, 0] * b[..., 0]
-    return np.vecdot(a, b)
+    out = a[:, 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[:, j] * b[..., j]
+    return out
 
 
 def at_one_point(batch: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
@@ -176,9 +177,14 @@ def quadratic_model(a: Sequence[float], hessian: Sequence[Sequence[float]],
         raise ValueError("domain box dimension disagrees with coefficients")
 
     def evaluate_batch(points: np.ndarray) -> np.ndarray:
-        # matmul over a stack calls the kernel of H @ v once per row.
-        hv = np.matmul(H, points[:, :, None])[:, :, 0]
-        return row_dots(points, coeff) + 0.5 * row_dots(points, hv)
+        # x . Hx summed in axis order, (Hx)_i = row_dots(x, H[i]) one Hessian
+        # row at a time, so no (k, p) array of Hx is held.
+        xhx = points[:, 0] * row_dots(points, H[0])
+        for i in range(1, coeff.size):
+            xhx += points[:, i] * row_dots(points, H[i])
+        xhx *= 0.5
+        xhx += row_dots(points, coeff)
+        return xhx
 
     def gradient(x: np.ndarray) -> np.ndarray:
         return coeff + H @ np.asarray(x, dtype=float)

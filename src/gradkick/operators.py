@@ -12,7 +12,7 @@ once and gathers when the format has no more words than the grid has
 points. The per-bit variant builds that table by doubling: a word's last
 gate is the one of its highest bit, so the kick of 2^k + w is the kick of w
 times gate k, one product per word. That keeps run_pipeline's peak near
-80 bytes per grid point (tracemalloc, n=8, p=2); the audit
+65 bytes per grid point (tracemalloc, n=8, p=2); the audit
 (analysis.verify_theorem) adds its two reference arrays, which it
 transforms in place through the same qft_amplitudes. The shift and oracle
 operators are basis permutations (amplitudes move, never mix), the phase

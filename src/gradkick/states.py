@@ -21,8 +21,8 @@ a whole-array pass:
 
 Every term's label and word are explicit, or in the aligned form fixed
 exactly by its position and mode, which makes the uncomputation claim
-checkable exactly instead of assumed. run_pipeline peaks at about 80 bytes
-per grid point under tracemalloc at n=8, p=2 (2^16 points), and at 96 with
+checkable exactly instead of assumed. run_pipeline peaks at about 65 bytes
+per grid point under tracemalloc at n=8, p=2 (2^16 points), and at 73 with
 n=6, p=3.
 
 Arrays of grid points, offsets and represented points are (k, p), one row
@@ -30,12 +30,11 @@ per point, but they are filled one axis at a time and never reduced over
 axis=1: numpy runs its inner loop over the last axis, so with p = 2 or 3 a
 row-wise pass pays its per-loop overhead every few elements, while a column
 pass runs over all k. Each axis takes only 2^n values, so a column is a
-gather from a table of them. models.row_dots is the exception: it must
-multiply rows through numpy's dot kernel to match np.dot bit for bit, and a
-per-axis sum rounds differently wherever that kernel fuses multiply-adds.
-Squared offset norms need no such care: every partial sum of squared
-half-integers is exact, so grid_offset_norms adds per-axis squares as an
-outer sum.
+gather from a table of them. A dot product over the axes is a column pass
+too: models.row_dots adds one column of products per axis, in axis order,
+so f on the grid, the audit's linear part and the scalar evaluate share its
+bits. Squared offset norms, exact in any order, are per-axis squares added
+as an outer sum (grid_offset_norms).
 
 The row-major layout lives here alone: grid_index_of, grid_point_of,
 axis_columns and grid_outer, the per-axis outer product. Only grid_points
@@ -56,7 +55,7 @@ from .oracle import BASE_CODE, DomainLabel, grid_center
 from .params import PlannerError
 
 # One dense complex vector over 2^26 points is 1 GiB, and run_pipeline peaks
-# near 80-96 bytes per point, 5-6 GiB at this size; refuse anything larger
+# near 65-73 bytes per point, 4-5 GiB at this size; refuse anything larger
 # unless the caller overrides the guard explicitly.
 DEFAULT_MAX_GRID_BITS = 26
 
@@ -182,8 +181,8 @@ def grid_offset_norms(n: int, p: int) -> np.ndarray:
 
     Each squared offset is a multiple of 1/4, and so is every partial sum of
     p of them; below 2^51 (p 4^n < 2^53, far beyond any grid that fits in
-    memory) all of these are exact, so any summation order, np.dot's fused
-    multiply-adds included, gives the same bits as row_dots(off, off).
+    memory) all of these are exact, so the outer sum gives the bits of
+    row_dots(off, off), as would any summation order.
     """
     return grid_outer(np.add, [np.square(axis_offsets(n))] * p)
 

@@ -271,31 +271,95 @@ def test_offset_norms_equal_row_dots(n, p):
 SIGNED = [0.0, -0.0, 1.5, -2.25]
 
 
+def axis_order_dot(u, v):
+    """u . v with Python floats: the first product, then each further one
+    added in axis order."""
+    total = float(u[0]) * float(v[0])
+    for a, b in zip(u[1:], v[1:]):
+        total += float(a) * float(b)
+    return total
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_row_dots_and_batches_give_per_row_dot_bits_with_signed_zeros(p):
-    # A zero coordinate times a negative coefficient is -0.0. np.dot keeps
-    # that sign at p = 1, where a sum started at +0.0 would lose it.
+    # Every row of signed zeros is drawn, so each p has rows whose products
+    # are all -0.0; their sum is -0.0, where a sum started at +0.0 (as
+    # np.vecdot's is) reads +0.0. The general floats round differently
+    # wherever a product is fused into its sum or the order changes.
     rng = np.random.default_rng(p)
-    points = rng.choice(SIGNED, size=(200, p))
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=p)))
+    points = np.concatenate([zeros, rng.choice(SIGNED, size=(100, p)),
+                             rng.standard_normal((100, p)) * 1e3])
     box = DomainBox.cube(p, 4.0)
-    for coeff in [np.full(p, -1.0)] + [rng.choice(SIGNED, size=p) for _ in range(8)]:
-        other = rng.choice(SIGNED, size=(200, p))
-        half = rng.choice(SIGNED, size=(p, p))
+    cases = [(np.full(p, sign), rng.choice(SIGNED, size=(p, p))) for sign in (-1.0, 1.0)]
+    cases += [(rng.choice(SIGNED, size=p), rng.choice(SIGNED, size=(p, p))) for _ in range(4)]
+    cases += [(rng.standard_normal(p), rng.standard_normal((p, p))) for _ in range(4)]
+    for coeff, half in cases:
+        other = rng.choice(SIGNED + [0.1, -7.3], size=points.shape)
         H = half + half.T
-        models = [(linear_model(coeff, box), lambda v: np.dot(coeff, v)),
-                  (quadratic_model(coeff, H, box),
-                   lambda v: np.dot(coeff, v) + 0.5 * np.dot(v, H @ v)),
-                  (sinusoidal_model(-0.5, coeff, box),
-                   lambda v: -0.5 * np.sin(np.dot(coeff, v)))]
-        pairs = [(row_dots(points, coeff), [np.dot(v, coeff) for v in points]),
-                 (row_dots(points, other), [np.dot(v, w) for v, w in zip(points, other)])]
-        pairs += [(model.evaluate_points(points), [formula(v) for v in points])
-                  for model, formula in models]
+
+        def quadratic(v):
+            hv = [axis_order_dot(v, row) for row in H]
+            return axis_order_dot(v, coeff) + 0.5 * axis_order_dot(v, hv)
+
+        dots = [axis_order_dot(v, coeff) for v in points]
+        pairs = [(row_dots(points, coeff), dots),
+                 (row_dots(points, other), [axis_order_dot(v, w) for v, w in zip(points, other)]),
+                 (linear_model(coeff, box).evaluate_points(points), dots),
+                 (quadratic_model(coeff, H, box).evaluate_points(points),
+                  [quadratic(v) for v in points]),
+                 (sinusoidal_model(-0.5, coeff, box).evaluate_points(points),
+                  -0.5 * np.sin(np.array(dots)))]
         for got, expected in pairs:
             assert got.tobytes() == np.array(expected, dtype=float).tobytes()
-    if p == 1:
-        # The all -1 coefficient met +0.0 coordinates: the case was drawn.
-        assert np.signbit(row_dots(points, np.full(1, -1.0))[points[:, 0] == 0]).any()
+    # The all -1 coefficient met rows of +0.0: the -0.0 case was drawn.
+    assert np.signbit([axis_order_dot(v, cases[0][0]) for v in zeros]).any()
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# Signed zeros, the smallest subnormal and magnitudes whose products or
+# squares overflow.
+EDGES = [0.0, -0.0, 5e-324, 1.3e154, -1.3e154, 1.7e308, -1.7e308]
+
+
+@given(p=st.integers(1, 4), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_rows_value_depends_on_that_row_alone(p, data):
+    # A blocked pipeline evaluates f over slices of the grid, so each row
+    # must get the same bits whole, sliced or alone.
+    coordinate = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
+    # Coefficients small enough for finite derivative bounds.
+    coefficient = (st.floats(min_value=-1e150, max_value=1e150)
+                   | st.sampled_from(EDGES[:3]))
+    k = data.draw(st.integers(1, 40))
+    rows = st.lists(coordinate, min_size=p, max_size=p)
+    points = np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
+    other = np.array(data.draw(st.lists(rows, min_size=k, max_size=k)))
+    coeff = np.array(data.draw(st.lists(coefficient, min_size=p, max_size=p)))
+    upper = data.draw(st.lists(coefficient, min_size=p * p, max_size=p * p))
+    H = np.array(upper).reshape(p, p)
+    H = np.triu(H) + np.triu(H, 1).T
+    start = data.draw(st.integers(0, k - 1))
+    stop = data.draw(st.integers(start + 1, k))
+    box = DomainBox.cube(p, 4.0)
+    models = [linear_model(coeff, box), quadratic_model(coeff, H, box),
+              sinusoidal_model(-0.5, coeff, box)]
+    with np.errstate(all="ignore"):
+        for b in (coeff, other):
+            whole = float_bits(row_dots(points, b))
+            part = b if b.ndim == 1 else b[start:stop]
+            assert (float_bits(row_dots(points[start:stop], part)) == whole[start:stop]).all()
+            for r in range(k):
+                alone = row_dots(points[r:r + 1], b if b.ndim == 1 else b[r:r + 1])
+                assert float_bits(alone)[0] == whole[r]
+        for model in models:
+            whole = float_bits(model.evaluate_points(points))
+            assert (float_bits(model.evaluate_points(points[start:stop]))
+                    == whole[start:stop]).all()
+            assert (float_bits([model.evaluate(v) for v in points]) == whole).all()
 
 
 @given(bits=st.integers(1, 14), lam=st.floats(min_value=-1e3, max_value=1e3),
