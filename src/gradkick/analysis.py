@@ -15,7 +15,6 @@ floors, and the triangle chain connecting them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,11 +24,11 @@ import numpy as np
 from .algorithm import (axis_decode_values, check_sampling_box, plan_run_format,
                         run_pipeline, sampling_radius)
 from .models import FunctionModel, row_dots
-from .operators import unit_phases
+from .operators import complex_array, complex_product, unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams, PlannerError
 from .qft import qft_amplitudes
-from .states import (GridState, axis_offsets, check_grid_bits, grid_offset_norms,
+from .states import (GridState, blocks, check_grid_bits, grid_offset_norms,
                      grid_offsets, grid_outer, grid_point_of, probabilities,
                      represented_points)
 
@@ -43,9 +42,6 @@ RECONSTRUCTION_TOL = 1e-12
 DUAL_PATH_TOL = 1e-10
 FACTORIZATION_TOL = 1e-10
 LEAKAGE_AMPLITUDE_TOL = 1e-12
-
-# Distance from an integer within which geometric_sum uses the half-angle form.
-NEAR_INTEGER = 2.0 ** -16
 
 
 class BoundViolation(RuntimeError):
@@ -77,8 +73,8 @@ class InequalityCheck:
     slack is oriented as the margin by which the inequality holds: bound
     minus value for upper bounds, value minus bound for lower bounds, so
     slack >= 0 always means satisfied. holds applies the checker's numerical
-    tolerance; slack itself is reported raw. slack is None when the check
-    could not be evaluated (see note).
+    tolerance (the margin row none); slack itself is reported raw. slack is
+    None when the check could not be evaluated (see note).
     """
 
     name: str
@@ -113,11 +109,11 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
     n = ceil(-log2(sin^2(pi delta / (2 (L + delta))) w)) with the window
     w = 1 - ((2 + epsilon) / 3)^(2/p); lam takes the larger of the margin
     branch 2^(n-2) / (gamma (L + delta)) and the curvature branch
-    3 4^(n-2) pi M / (sqrt(5) (L + delta)^2 (1 - epsilon)); mu =
-    1 / (2 lam (L + delta)); nu = (1 - epsilon) / (6 pi lam). With M = 0
-    the curvature branch vanishes and the margin branch decides lam.
-    Targets for which any of them overflows, divides by zero or is not
-    finite and positive raise PlannerError naming them.
+    3 4^(n-2) pi M / (sqrt(5) (L + delta)^2 (1 - epsilon)), which is 0 at
+    M = 0; mu = 1 / (2 lam (L + delta)), less an ulp while rounding leaves
+    2^(n-1) mu above gamma; nu = (1 - epsilon) / (6 pi lam). Targets for
+    which any of them overflows, divides by zero or is not finite and
+    positive raise PlannerError naming them.
     """
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
@@ -140,11 +136,14 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
         )
         mu = 1.0 / (2.0 * lam * (L + spec.delta))
         nu = (1.0 - spec.epsilon) / (6.0 * math.pi * lam)
-        return AlgorithmParams(n=n, nu=nu, lam=lam, mu=mu)
+        params = AlgorithmParams(n=n, nu=nu, lam=lam, mu=mu)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise PlannerError(f"the targets gamma={spec.gamma!r}, delta={spec.delta!r}, "
                            f"epsilon={spec.epsilon!r} with L={L!r} and M={M!r} cannot be "
                            f"planned: {exc.args[-1]}") from None
+    while sampling_radius(params) > spec.gamma:
+        params = AlgorithmParams(n=n, nu=nu, lam=lam, mu=math.nextafter(params.mu, 0.0))
+    return params
 
 
 def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M: float,
@@ -163,8 +162,9 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
         checks.append(_upper("precision", psi_D_norm_bound(params), third,
                              "2 pi lam nu <= (1 - eps) / 3"))
 
-        checks.append(_upper("margin", sampling_radius(params), spec.gamma,
-                             "2^(n-1) mu <= gamma"))
+        radius = sampling_radius(params)  # exact, as the domain check is
+        checks.append(InequalityCheck("margin", radius, spec.gamma, spec.gamma - radius,
+                                      radius <= spec.gamma, "2^(n-1) mu <= gamma"))
 
         value = 1.0 / (2.0 * lam * mu)
         slack = value - (L + spec.delta)
@@ -232,7 +232,7 @@ class ErrorDecomposition:
 
     @property
     def reconstruction_error(self) -> float:
-        return float(np.max(np.abs(self.psi_L + self.psi_N + self.psi_D - self.psi)))
+        return _max_abs_difference(self.psi_L + self.psi_N + self.psi_D, self.psi)
 
 
 def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
@@ -257,14 +257,8 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
     if fmt.a1 > params.nu:
         raise ValueError("format step exceeds nu; plan the format from params")
     check_sampling_box(model, pt, params)
-    grad = model.gradient(pt)
-    fx = model.evaluate(pt)
     lam, mu = params.lam, params.mu
-    # The offsets are dropped before f is evaluated over the grid, which
-    # builds an array of the same size.
-    off = grid_offsets(n, p)
-    f_lin = fx + mu * row_dots(off, grad)
-    del off
+    f_lin = _linear_phase_argument(model.evaluate(pt), model.gradient(pt), mu, n)
     cap = 0.5 * model.hess_bound * mu * mu * grid_offset_norms(n, p)
     f_true = model.evaluate_points(represented_points(pt, mu, n))
     amp = 1.0 / math.sqrt(f_true.size)
@@ -309,6 +303,17 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
         psi = psi.take(words)
     return ErrorDecomposition(n=n, p=p, psi=psi, psi_L=psi_L, psi_N=psi_N, psi_D=psi_D,
                               eps_N=eps_N, eps_D=eps_D)
+
+
+def _linear_phase_argument(fx: float, grad: np.ndarray, mu: float, n: int) -> np.ndarray:
+    """psi_L's phase argument f(x) + mu (h - g0) . grad f(x) at each grid point h."""
+    return fx + mu * row_dots(grid_offsets(n, grad.size), grad)
+
+
+def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| from real squares (probabilities), a block at a time."""
+    return math.sqrt(max(float(np.max(probabilities(a[s] - b[s])))
+                         for s in blocks(a.size, a.itemsize)))
 
 
 def _scaled_phases(amp: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -367,25 +372,19 @@ class LeakageReport:
     factorization_ok: bool
 
 
-def geometric_sum(theta: float, size: int) -> complex:
-    """sum_k exp(2 pi i theta k) over k < size.
-
-    The closed form (1 - z^size) / (1 - z), z = exp(2 pi i theta), loses its
-    phase near an integer: cos(2 pi theta) rounds to 1, so 1 - z keeps only
-    its imaginary part, an error of about pi d relative at a distance d
-    (3.7e-9 at d = 1e-9). Within NEAR_INTEGER of an integer the half-angle
-    form exp(i pi (size - 1) d) sin(pi size d) / sin(pi d) of the reduced
-    angle d is exact to rounding instead. Elsewhere the closed form is
-    accurate and is kept, so the factors of existing records keep their bits.
-    """
-    d = theta - round(theta)
-    if abs(d) < NEAR_INTEGER:
-        if d == 0:
-            return complex(size)
-        return (cmath.exp(1j * math.pi * (size - 1) * d)
-                * (math.sin(math.pi * size * d) / math.sin(math.pi * d)))
-    z = cmath.exp(2j * math.pi * theta)
-    return (1.0 - cmath.exp(2j * math.pi * size * theta)) / (1.0 - z)
+def geometric_sum(theta: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of sum_k exp(2 pi i theta k), k < size, at
+    each angle: exp(i pi (size - 1) d) sin(pi size d) / sin(pi d) with
+    d = theta - rint(theta), which keeps the phase near an integer. Where
+    sin(pi d) is zero or subnormal its rounding is not relative (4.333 for
+    4 at d = 5e-324), so the quotient is its limit, size."""
+    d = theta - np.rint(theta)
+    re, im = unit_phases(0.5 * (size - 1), d)
+    denominator = np.sin(np.pi * d)
+    limit = np.abs(denominator) < np.finfo(float).tiny
+    ratio = np.where(limit, float(size),
+                     np.sin(np.pi * size * d) / np.where(limit, 1.0, denominator))
+    return re * ratio, im * ratio
 
 
 def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
@@ -396,7 +395,9 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
     part exactly) and the bandwidth condition 1 / (2 lam mu) >= L + delta;
     the sampling box must also stay inside the domain. Both are verified
     before the bound is applied, because together they confine the phase
-    angle to where the cosecant estimate is valid.
+    angle to where the cosecant estimate is valid. All p axes' factors come
+    from one geometric_sum call, and every value from real arithmetic, so
+    none depends on numpy's SIMD path.
     """
     if model.hess_bound != 0.0:
         raise ValueError("leakage check requires a linear model (hess_bound 0)")
@@ -408,38 +409,31 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
     grad = model.gradient(pt)
     fx = model.evaluate(pt)
     size = 1 << n
-    g0 = grid_center(n)
 
-    # Per-axis factors by the closed-form geometric sum.
-    factors = []
-    for m in range(p):
-        phi = np.array([geometric_sum(g / size + lam * mu * float(grad[m]), size)
-                        for g in range(size)], dtype=complex)
-        factors.append(phi / size)
+    # Per-axis factors by the geometric sum, one row per axis.
+    factor_re, factor_im = (v / size for v in geometric_sum(
+        np.arange(size) / size + lam * mu * grad[:, None], size))
 
     # Independent dense route: transform the linear-phase state directly.
-    offsets = axis_offsets(n)
-    axes = [np.exp(2j * math.pi * lam * mu * float(grad[m]) * offsets) / math.sqrt(size)
-            for m in range(p)]
-    psi_L = cmath.exp(2j * math.pi * lam * fx) * grid_outer(np.multiply, axes)
-    chi_L = qft_amplitudes(psi_L, n, p)
+    psi_L = _scaled_phases(1.0 / math.sqrt(1 << (n * p)),
+                           *unit_phases(lam, _linear_phase_argument(fx, grad, mu, n)))
+    chi_L = qft_amplitudes(psi_L, n, p, out=psi_L)
 
-    global_phase = cmath.exp(2j * math.pi * lam * (fx - mu * float(np.sum(grad)) * g0))
-    predicted = global_phase * grid_outer(np.multiply, factors)
-    factorization_error = float(np.max(np.abs(chi_L - predicted)))
+    re, im = unit_phases(lam, fx - mu * float(np.sum(grad)) * grid_center(n))
+    for m in range(p):
+        re, im = complex_product(re[..., None], im[..., None], factor_re[m], factor_im[m])
+    factorization_error = _max_abs_difference(chi_L, complex_array(re, im).reshape(-1))
 
     theta0 = math.pi * lam * mu * delta
     bound = 1.0 / (float(size) * abs(math.sin(theta0)))
-    vals = axis_decode_values(params)
-    per_axis_max = []
-    for m in range(p):
-        outside = np.abs(vals - float(grad[m])) >= delta
-        per_axis_max.append(float(np.max(np.abs(factors[m])[outside])) if outside.any() else 0.0)
+    outside = np.abs(axis_decode_values(params) - grad[:, None]) >= delta
+    per_axis_max = tuple(float(v) for v in np.sqrt(np.max(
+        np.where(outside, factor_re * factor_re + factor_im * factor_im, 0.0), axis=1)))
 
     return LeakageReport(
         bound=bound,
         vacuous=bound >= 1.0,
-        per_axis_max=tuple(per_axis_max),
+        per_axis_max=per_axis_max,
         amplitude_ok=all(v <= bound + LEAKAGE_AMPLITUDE_TOL for v in per_axis_max),
         factorization_error=factorization_error,
         factorization_ok=factorization_error <= FACTORIZATION_TOL,
@@ -526,11 +520,12 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     if params is None:
         params = select_parameters(spec, model.grad_bound, model.hess_bound,
                                    model.p, max_grid_bits)
-    # Refused here, before any grid work and in plan's order, if a row cannot
-    # be evaluated or the grid is over the guard.
+    # Refused here, before any grid work, if a row cannot be evaluated (plan's
+    # order), the grid is over the guard or the sampling box leaves the domain.
     inequalities = check_inequalities(params, spec, model.grad_bound,
                                       model.hess_bound, model.p)
     check_grid_bits(params.n, model.p, max_grid_bits)
+    check_sampling_box(model, pt, params)
     fmt = plan_run_format(model, pt, params, group_mode)
     dec = decompose_state(model, pt, params, fmt)
     # Only psi and psi_L are read after this; the rest is dropped before the
@@ -547,10 +542,11 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     if phase_variant == "per-bit":
         # The per-bit rotation omits the constant a0 phase, a global factor;
         # restore it before comparing against the reference construction.
-        aligned = aligned * cmath.exp(2j * math.pi * params.lam * fmt.a0)
+        aligned = complex_array(*complex_product(aligned.real, aligned.imag,
+                                                 *unit_phases(params.lam, fmt.a0)))
     # psi and psi_L belong to the audit, so each is transformed in place.
-    dual_path_error = float(np.max(np.abs(
-        aligned - qft_amplitudes(psi, params.n, model.p, out=psi))))
+    dual_path_error = _max_abs_difference(
+        aligned, qft_amplitudes(psi, params.n, model.p, out=psi))
 
     grad = model.gradient(pt)
     projected_amplitude, success_probability = success_projection(

@@ -10,9 +10,10 @@ no partial record and any older one intact.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
 failed, 2 for configuration and usage problems, among them running out of
-memory and a grid over max_grid_bits, planned or explicit. All four
-commands check that guard, and take the record's grid size from it, before
-the range format, the classical baseline or any grid work; plan and verify
+memory, a grid over max_grid_bits, planned or explicit, and a sampling box
+outside the domain. All four commands check that guard, and take the
+record's grid size from it, before the range format, the classical baseline
+or any grid work; run, verify and bench check the box next. plan and verify
 check the planning inequalities first, so an unevaluable one is refused
 ahead of the guard. bench names the sweep entry, config.sweep[i], in these
 errors. A verify run whose planning inequalities fail is not by itself an
@@ -33,7 +34,7 @@ from typing import Any, BinaryIO, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .algorithm import plan_run_format, run_pipeline
+from .algorithm import check_sampling_box, plan_run_format, run_pipeline
 from .analysis import (BoundViolation, check_inequalities, classical_baseline,
                        verify_theorem)
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
@@ -49,8 +50,7 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 # Failures the harness asserts against: these exit 1, not 2.
-PIPELINE_ERRORS = (DomainError, RangeOverflowError, ResidualEntanglementError,
-                   BoundViolation)
+PIPELINE_ERRORS = (RangeOverflowError, ResidualEntanglementError, BoundViolation)
 
 
 @functools.cache
@@ -182,6 +182,7 @@ def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
     params = cfg.resolve_params(model)
     bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
     x = np.asarray(cfg.x, dtype=float)
+    check_sampling_box(model, x, params)
     fmt = plan_run_format(model, x, params, cfg.group_mode)
     started = time.perf_counter()
     chi, calls = run_pipeline(model, x, params, cfg.group_mode,
@@ -284,13 +285,14 @@ def cmd_bench(cfg: ExperimentConfig, path: str | None) -> int:
             model = sub.resolve_model(context)
             params = sub.resolve_params(model)
             bits, size, mem = check_grid_bits(params.n, model.p, sub.max_grid_bits)
-        except PlannerError as exc:
+            x = np.asarray(sub.x, float)
+            check_sampling_box(model, x, params)
+        except (PlannerError, DomainError) as exc:
             raise type(exc)(f"{context}: {exc}") from None
         # The pipeline makes exactly two oracle applications by construction
         # (forward and inverse); the classical count is measured by running
         # the one-sided baseline at step mu.
-        _, classical_calls = classical_baseline(model, np.asarray(sub.x, float),
-                                                step=params.mu)
+        _, classical_calls = classical_baseline(model, x, step=params.mu)
         print(f"{index}\t{model.p}\t{params.n}\t{params.nu!r}\t{size}\t2\t"
               f"{classical_calls}")
         rows.append({
@@ -321,7 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.out:
             check_record_path(args.out)
         return COMMANDS[args.command](cfg, args.out)
-    except (ConfigError, PlannerError, FormatError, OSError) as exc:
+    except (ConfigError, PlannerError, FormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -234,8 +234,9 @@ class GridState:
 
 def probabilities(amplitudes: np.ndarray) -> np.ndarray:
     """|z|^2 of each amplitude: the one expression behind every outcome
-    probability, whether of a whole grid or of a window of it."""
-    return np.abs(amplitudes) ** 2
+    probability, whether of a whole grid or of a window of it. Real squares,
+    since numpy's complex abs rounds differently on each SIMD path."""
+    return amplitudes.real * amplitudes.real + amplitudes.imag * amplitudes.imag
 
 
 class SparseTerm(NamedTuple):

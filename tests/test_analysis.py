@@ -14,7 +14,7 @@ from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
                       linear_model, quadratic_model, run_pipeline,
                       select_parameters, success_projection, verify_theorem)
 from gradkick import analysis
-from gradkick.algorithm import plan_run_format
+from gradkick.algorithm import plan_run_format, sampling_radius
 from gradkick.analysis import (BoundViolation, PlannerError, geometric_sum,
                                psi_D_norm_bound, psi_N_norm_bound)
 from gradkick.config import from_tree, record_json, to_tree
@@ -56,6 +56,22 @@ def test_planner_tightening_delta_grows_the_grid():
     assert p2.nu < p1.nu
     for spec, params in ((AccuracySpec(1.0, 0.05, 0.5), p2),):
         assert check_inequalities(params, spec, 1.0, 1.0, 1).all_hold
+
+
+@given(L=st.floats(0.01, 3.0), gamma=st.floats(0.01, 3.0), delta=st.floats(0.05, 1.0),
+       epsilon=st.floats(0.05, 0.95), p=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_planned_sampling_box_stays_within_gamma(L, gamma, delta, epsilon, p):
+    # 2^(n-1) mu = gamma on the margin branch in exact arithmetic; in float64
+    # it used to land an ulp above gamma for about one linear target in six.
+    spec = AccuracySpec(gamma, delta, epsilon)
+    try:
+        params = select_parameters(spec, L, 0.0, p, max_grid_bits=62)
+    except PlannerError:
+        return
+    assert sampling_radius(params) <= gamma
+    margin = check_inequalities(params, spec, L, 0.0, p).checks[2]
+    assert margin.name == "margin" and margin.holds and margin.slack >= 0.0
 
 
 def test_planner_rejects_oversized_grid():
@@ -189,14 +205,29 @@ def reduced_sum(d: float, size: int) -> complex:
     return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
-@given(d=st.floats(1e-12, 1e-5), sign=st.sampled_from([-1.0, 1.0]),
+@given(d=st.floats(1e-12, 1e-5) | st.floats(1e-5, 0.5), sign=st.sampled_from([-1.0, 1.0]),
        n=st.integers(2, 8), k=st.integers(0, 3))
 @settings(max_examples=200, deadline=None)
 def test_geometric_sum_keeps_its_phase_near_an_integer(d, sign, n, k):
     size = 1 << n
     theta = k + sign * d
     exact = reduced_sum(theta - k, size)
-    assert abs(geometric_sum(theta, size) - exact) <= 1e-13 * size
+    re, im = geometric_sum(np.array([theta]), size)
+    assert abs(complex(re[0], im[0]) - exact) <= 1e-13 * size
+
+
+TINY = np.finfo(float).tiny
+
+
+@given(d=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320])
+       | st.floats(-TINY, TINY), n=st.integers(0, 20))
+@settings(max_examples=200, deadline=None)
+def test_geometric_sum_is_its_size_at_zero_and_subnormal_angles(d, n):
+    # sin(pi d) is subnormal there, and the quotient read 4.333 for size 4
+    # at d = 5e-324.
+    size = 1 << n
+    re, im = geometric_sum(np.array([d]), size)
+    assert abs(complex(re[0], im[0]) - size) <= 2.0 ** -52 * size
 
 
 @given(d=st.floats(1e-12, 1e-5), sign=st.sampled_from([-1.0, 1.0]),

@@ -10,6 +10,7 @@ from gradkick import TheoremReport, verify_theorem
 from gradkick import analysis, cli
 from gradkick.cli import main, top_rows
 from gradkick.config import ResultRecord, RowTable
+from gradkick.operators import ResidualEntanglementError
 from gradkick.states import GridAlignedState
 
 PLANNED_QUADRATIC = {
@@ -209,8 +210,8 @@ def test_domain_violation_is_pipeline_failure(tmp_path, capsys):
     payload = dict(EXACT_LINEAR)
     payload["domain"] = {"center": [0.0], "half_width": [0.25]}
     cfg = write_config(tmp_path, payload)
-    assert main(["run", "--config", cfg]) == 1
-    assert "pipeline failure (DomainError)" in capsys.readouterr().err
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: sampling box ")
 
 
 def test_grid_guard_trips_as_usage_error(tmp_path, capsys):
@@ -548,14 +549,67 @@ def test_unwritable_record_path_is_refused_before_any_work(command, where, tmp_p
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_failed_run_leaves_no_record(tmp_path, capsys):
-    payload = dict(EXACT_LINEAR)
-    payload["domain"] = {"center": [0.0], "half_width": [0.25]}
-    cfg = write_config(tmp_path, payload)
+def test_failed_run_leaves_no_record(tmp_path, capsys, monkeypatch):
+    def entangled(*args, **kwargs):
+        raise ResidualEntanglementError("stray term")
+
+    monkeypatch.setattr(cli, "run_pipeline", entangled)
+    cfg = write_config(tmp_path, EXACT_LINEAR)
     out = tmp_path / "run.json"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    assert "pipeline failure (DomainError)" in capsys.readouterr().err
+    assert "pipeline failure (ResidualEntanglementError)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sampling_box_outside_the_domain_is_refused_before_grid_work(tmp_path, capsys,
+                                                                    monkeypatch):
+    # Explicit params whose box, of half-width 2^2 * 0.25 = 1, leaves the
+    # default domain of half-width gamma = 0.1: run and verify used to exit 1
+    # with a DomainError.
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid work started")
+
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    payload = {"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0],
+               "accuracy": {"gamma": 0.1, "delta": 0.5, "epsilon": 0.5},
+               "params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.25}}
+    cfg = write_config(tmp_path, {**payload, "sweep": [{}]})
+    out = tmp_path / "record.json"
+    for command, prefix in (("run", "error: "), ("verify", "error: "),
+                            ("bench", "error: config.sweep[0]: ")):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + "sampling box of half-width 1.0 around [0.0] exits "
+                              "the domain") and "Traceback" not in err, err
+        assert not out.exists()
+    # plan still reports the parameters, with the margin row failing.
+    assert main(["plan", "--config", cfg]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  margin ")]
+    assert len(rows) == 1 and rows[0].endswith("NO")
+
+
+def test_planned_box_stays_inside_gamma_end_to_end(tmp_path, capsys):
+    # The planned mu used to put the box one ulp past gamma: run and verify
+    # exited 1 with a DomainError.
+    cfg = write_config(tmp_path, {
+        "function": {"kind": "quadratic", "coefficients": [-1.84], "hessian": [[0.62]]},
+        "x": [1.94], "accuracy": {"gamma": 1e-2, "delta": 0.38, "epsilon": 0.46}})
+    for command in ("plan", "run", "verify"):
+        assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
+
+
+def test_subnormal_gradient_passes_the_leakage_factorization(tmp_path, capsys):
+    # The geometric sum used to read 4.333 for 4 at a subnormal angle, a
+    # factorization gap of 8.3e-2.
+    cfg = write_config(tmp_path, {
+        "function": {"kind": "linear", "coefficients": [-5e-324]},
+        "x": [0.5406502254891774],
+        "accuracy": {"gamma": 1.823682335135362, "delta": 0.7103929527170321,
+                     "epsilon": 0.2923554277903051},
+        "group_mode": "xor", "max_grid_bits": 11})
+    assert main(["verify", "--config", cfg]) == 0, capsys.readouterr().out
 
 
 # A p=2 quadratic at 2^14 grid points: about 16,000 distribution rows, so

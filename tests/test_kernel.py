@@ -4,6 +4,7 @@ evaluation-count and memory contracts."""
 import cmath
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,8 +16,9 @@ import gradkick.states as states
 from gradkick import (AccuracySpec, DomainBox, FixedPointFormat, FunctionModel,
                       decompose_state, linear_model, quadratic_model,
                       run_pipeline, sinusoidal_model, verify_theorem)
+from gradkick import analysis
 from gradkick.algorithm import axis_decode_values, plan_run_format
-from gradkick.analysis import success_projection
+from gradkick.analysis import geometric_sum, leakage_check, success_projection
 from gradkick.models import row_dots
 from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
                                 _per_bit_table, _phase_kick,
@@ -412,6 +414,86 @@ def test_window_projection_equals_the_full_probability_sum(delta, inside):
     assert mask.sum() == inside
     expected = float(np.sum(chi.probabilities()[mask]))
     assert success_projection(chi, grad, delta, params) == (math.sqrt(expected), expected)
+
+
+@given(parts=st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
+                     min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_probabilities_are_real_squares_in_python_floats(parts):
+    z = np.array([complex(re, im) for re, im in parts])
+    expected = np.array([re * re + im * im for re, im in parts])
+    assert states.probabilities(z).tobytes() == expected.tobytes()
+
+
+def python_geometric_sum(theta, size):
+    """geometric_sum at one angle in Python floats: the phase angle
+    pi (size - 1) d, rounded as unit_phases rounds it (adding 0.0 fixes the
+    sign of a zero angle), and the limit size where sin(pi d) is zero or
+    subnormal."""
+    d = theta - round(theta)
+    angle = 0.0 + math.pi * (size - 1) * d
+    s = math.sin(math.pi * d)
+    ratio = float(size) if abs(s) < sys.float_info.min else math.sin(math.pi * size * d) / s
+    return math.cos(angle) * ratio, math.sin(angle) * ratio
+
+
+ANGLES = (st.floats(-4.0, 4.0) | st.sampled_from([0.0, 5e-324, -5e-324, 1e-320, 0.5, 2.5])
+          | st.integers(-3, 3).flatmap(lambda k: st.floats(-1e-5, 1e-5).map(lambda d: k + d)))
+
+
+@given(n=st.integers(0, 12), thetas=st.lists(ANGLES, min_size=1, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_geometric_sum_equals_its_formula_in_python_floats(n, thetas):
+    re, im = geometric_sum(np.array(thetas), 1 << n)
+    expected = np.array([python_geometric_sum(theta, 1 << n) for theta in thetas])
+    assert re.tobytes() == np.ascontiguousarray(expected[:, 0]).tobytes()
+    assert im.tobytes() == np.ascontiguousarray(expected[:, 1]).tobytes()
+
+
+@given(n=st.integers(1, 4), p=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_leakage_factors_and_prediction_equal_python_floats(n, p, data):
+    # The factors by Python-float geometric sums, and the predicted state as
+    # their product with Python complex multiplies, from the global phase
+    # on; factorization_error and per_axis_max then follow bit for bit.
+    n = min(n, 8 // p)
+    size, delta, mu = 1 << n, 0.5, 0.01
+    coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p))
+    x = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=p, max_size=p)))
+    lam = data.draw(st.floats(0.1, 0.99)) / (2.0 * mu * (max(map(abs, coeffs)) + delta))
+    params = AlgorithmParams(n=n, nu=1e-6, lam=lam, mu=mu)
+    model = linear_model(coeffs, DomainBox.cube(p, 1.0))
+    compared = []
+    original = analysis._max_abs_difference
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_max_abs_difference",
+                      lambda a, b: compared.append((a, b)) or original(a, b))
+        report = leakage_check(model, x, params, delta)
+
+    grad = [float(v) for v in model.gradient(x)]
+    fx = model.evaluate(x)
+    factors = []
+    for gm in grad:
+        sums = [python_geometric_sum(g / size + lam * mu * gm, size) for g in range(size)]
+        factors.append([complex(re / size, im / size) for re, im in sums])
+    angle = 0.0 + 2.0 * math.pi * lam * (fx - mu * float(np.sum(grad)) * grid_center(n))
+    predicted = [complex(math.cos(angle), math.sin(angle))]
+    for axis in factors:
+        predicted = [a * b for a in predicted for b in axis]
+    (chi_L, got), = compared
+    assert got.tobytes() == np.array(predicted).tobytes()
+    fmt = plan_run_format(model, x, params)
+    psi_L = decompose_state(model, x, params, fmt).psi_L
+    assert chi_L.tobytes() == qft_amplitudes(psi_L, n, p).tobytes()
+    gaps = [complex(c) - q for c, q in zip(chi_L, predicted)]
+    assert report.factorization_error == math.sqrt(max(g.real * g.real + g.imag * g.imag
+                                                       for g in gaps))
+    vals = axis_decode_values(params)
+    expected = tuple(math.sqrt(max((f.real * f.real + f.imag * f.imag
+                                    for v, f in zip(vals, axis) if abs(v - gm) >= delta),
+                                   default=0.0))
+                     for gm, axis in zip(grad, factors))
+    assert report.per_axis_max == expected
 
 
 @given(n=st.integers(1, 4), p=st.integers(1, 3), bits=st.integers(1, 12),

@@ -1,10 +1,16 @@
 """The record writer: byte-identical to json.dumps(indent=2), row tables,
 and the committed golden records.
 
-The golden files under tests/golden/ hold the records the CLI wrote for
-their *.config.json inputs before records were written by record_json.
-They are never regenerated: a change to any byte is a change to the
-canonical record format.
+The golden files under tests/golden/ hold the records the CLI writes for
+their *.config.json inputs, first written before records were written by
+record_json. A change to a byte is either a change to the canonical record
+format or a change to a computed value, such as a last digit that moves when
+an expression is rewritten. Only the latter regenerates a golden, with
+
+    PYTHONPATH=src python3 -m gradkick.cli <command> \
+        --config tests/golden/<name>.config.json --out tests/golden/<name>.json
+
+and the change that does so names each field that moved and why.
 """
 
 import json
