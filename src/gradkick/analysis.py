@@ -28,9 +28,9 @@ from .operators import complex_array, complex_product, unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams, PlannerError
 from .qft import qft_amplitudes
-from .states import (GridState, blocks, check_grid_bits, grid_offset_norms,
-                     grid_offsets, grid_outer, grid_point_of, probabilities,
-                     represented_points)
+from .states import (GridState, axis_offsets, blocks, check_grid_bits,
+                     grid_offset_norms, grid_offsets, grid_outer, grid_point_of,
+                     probabilities, represented_points)
 
 # Numerical slack applied when deciding whether an inequality "holds": the
 # closed-form parameters make the curvature and precision inequalities
@@ -341,7 +341,9 @@ def success_projection(chi: GridState, true_grad: Sequence[float], delta: float,
     The projector factors per axis, so the window mask is the outer product
     of per-axis masks |decode(g_m) - grad_m| < delta (strict). Only the
     window's amplitudes are squared, in index order, so the sum equals that
-    of chi.probabilities() over the window bit for bit.
+    of chi.probabilities() over the window bit for bit. chi may also be one
+    axis's state (p = 1, one gradient component): verify_theorem projects the
+    linear part that way, axis by axis.
     """
     tg = np.asarray(true_grad, dtype=float)
     if tg.shape != (chi.p,):
@@ -515,6 +517,12 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     everything; what it asserts (and lists under failures) is the set of
     checks that must hold unconditionally, plus the projection floors when
     the planning inequalities all hold.
+
+    It holds one grid-sized reference, psi, and transforms it in place. psi_L
+    is a global phase times a product of one-axis states a_m(g) =
+    exp(2 pi i lam mu df/dx_m (g - g0)) / 2^(n/2), and the window is a box,
+    so projected_linear is the square root of the product, in axis order, of
+    the a_m's window probabilities, each from success_projection.
     """
     pt = np.asarray(x, dtype=float)
     if params is None:
@@ -528,32 +536,32 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     check_sampling_box(model, pt, params)
     fmt = plan_run_format(model, pt, params, group_mode)
     dec = decompose_state(model, pt, params, fmt)
-    # Only psi and psi_L are read after this; the rest is dropped before the
-    # pipeline runs.
+    # Only psi is read after this; the rest is dropped before the pipeline runs.
     psi_N_norm, psi_D_norm = dec.psi_N_norm, dec.psi_D_norm
     reconstruction_error = dec.reconstruction_error
-    psi, psi_L = dec.psi, dec.psi_L
+    psi = dec.psi
     del dec
     chi, oracle_calls = run_pipeline(model, pt, params, group_mode,
                                      phase_variant=phase_variant,
                                      max_grid_bits=max_grid_bits, range_format=fmt)
 
-    aligned = chi.amplitudes
     if phase_variant == "per-bit":
-        # The per-bit rotation omits the constant a0 phase, a global factor;
-        # restore it before comparing against the reference construction.
-        aligned = complex_array(*complex_product(aligned.real, aligned.imag,
-                                                 *unit_phases(params.lam, fmt.a0)))
-    # psi and psi_L belong to the audit, so each is transformed in place.
+        # The per-bit rotation omits the global a0 phase: take it off psi.
+        psi.real, psi.imag = complex_product(psi.real, psi.imag,
+                                             *unit_phases(-params.lam, fmt.a0))
+    # psi belongs to the audit, so it is transformed in place.
     dual_path_error = _max_abs_difference(
-        aligned, qft_amplitudes(psi, params.n, model.p, out=psi))
+        chi.amplitudes, qft_amplitudes(psi, params.n, model.p, out=psi))
 
     grad = model.gradient(pt)
     projected_amplitude, success_probability = success_projection(
         chi, grad, spec.delta, params)
-    chi_L = GridState(n=params.n, p=model.p,
-                      amplitudes=qft_amplitudes(psi_L, params.n, model.p, out=psi_L))
-    projected_linear, _ = success_projection(chi_L, grad, spec.delta, params)
+    axes = _scaled_phases(1.0 / math.sqrt(1 << params.n), *unit_phases(
+        params.lam, np.outer(params.mu * grad, axis_offsets(params.n)).reshape(-1)))
+    projected_linear = math.sqrt(math.prod(
+        success_projection(GridState(params.n, 1, qft_amplitudes(row, params.n, 1, out=row)),
+                           [g], spec.delta, params)[1]
+        for row, g in zip(axes.reshape(model.p, -1), grad)))
 
     # The factorized leakage audit only makes sense for linear objectives and
     # needs the bandwidth condition, which confines the phase angle to where

@@ -13,7 +13,8 @@ failed, 2 for configuration and usage problems, among them running out of
 memory, a grid over max_grid_bits, planned or explicit, and a sampling box
 outside the domain. All four commands check that guard, and take the
 record's grid size from it, before the range format, the classical baseline
-or any grid work; run, verify and bench check the box next. plan and verify
+or any grid work; run, verify and bench check the box next, and plan
+notes a box outside the domain without failing. plan and verify
 check the planning inequalities first, so an unevaluable one is refused
 ahead of the guard. bench names the sweep entry, config.sweep[i], in these
 errors. A verify run whose planning inequalities fail is not by itself an
@@ -156,6 +157,10 @@ def cmd_plan(cfg: ExperimentConfig, path: str | None) -> int:
     if not ineqs.all_hold:
         print("note: at least one inequality fails; the success guarantee "
               "is not asserted for these parameters")
+    try:
+        check_sampling_box(model, np.asarray(cfg.x, dtype=float), params)
+    except DomainError as exc:
+        print(f"note: {exc}; run, verify and bench refuse this config")
     record = ResultRecord(command="plan", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,
                           memory_estimate_bytes=mem, inequalities=ineqs)

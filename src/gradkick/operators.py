@@ -13,7 +13,7 @@ points. The per-bit variant builds that table by doubling: a word's last
 gate is the one of its highest bit, so the kick of 2^k + w is the kick of w
 times gate k, one product per word. That keeps run_pipeline's peak near
 65 bytes per grid point (tracemalloc, n=8, p=2); the audit
-(analysis.verify_theorem) adds its two reference arrays, which it
+(analysis.verify_theorem) adds one reference array, psi, which it
 transforms in place through the same qft_amplitudes. The shift and oracle
 operators are basis permutations (amplitudes move, never mix), the phase
 rotation multiplies amplitudes by unit phases, and the grid transform acts

@@ -73,7 +73,8 @@ def zero_bound(name):
 
 def low_projection(call, amplitude):
     """Replace the result of success_projection's call-th call: verify_theorem
-    projects the pipeline's state first, then the linear part's."""
+    projects the pipeline's state first, then the linear part's axis by axis,
+    so call 1 is axis 0's window probability (the only axis at p = 1)."""
     def patch(monkeypatch):
         original = analysis.success_projection
         calls = []

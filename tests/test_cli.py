@@ -590,6 +590,28 @@ def test_sampling_box_outside_the_domain_is_refused_before_grid_work(tmp_path, c
     assert len(rows) == 1 and rows[0].endswith("NO")
 
 
+def test_plan_notes_a_sampling_box_outside_an_explicit_domain(tmp_path, capsys):
+    # Every planning row holds, but the planned box, of half-width gamma = 1,
+    # leaves the domain of half-width 0.5: plan used to print no note, while
+    # run and verify exit 2.
+    cfg = write_config(tmp_path, {
+        "function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0],
+        "accuracy": {"gamma": 1.0, "delta": 0.5, "epsilon": 0.5},
+        "domain": {"center": [0.0], "half_width": [0.5]}})
+    assert main(["plan", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert "NO" not in text
+    assert [line for line in text.splitlines() if line.startswith("note: ")] == [
+        "note: sampling box of half-width 1.0 around [0.0] exits the domain; "
+        "run, verify and bench refuse this config"]
+    for command in ("run", "verify"):
+        assert main([command, "--config", cfg]) == 2
+        assert "exits the domain" in capsys.readouterr().err
+    # A box inside the domain gets no note.
+    assert main(["plan", "--config", write_config(tmp_path, PLANNED_QUADRATIC, "in.json")]) == 0
+    assert "note: " not in capsys.readouterr().out
+
+
 def test_planned_box_stays_inside_gamma_end_to_end(tmp_path, capsys):
     # The planned mu used to put the box one ulp past gamma: run and verify
     # exited 1 with a DomainError.

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gradkick.states as states
@@ -29,7 +29,7 @@ from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
 from gradkick.oracle import DomainLabel, grid_center, quantize
 from gradkick.params import AlgorithmParams
 from gradkick.qft import qft_amplitudes
-from gradkick.states import (GridAlignedState, GridState,
+from gradkick.states import (GridAlignedState, GridSizeError, GridState,
                              SparseTripartiteState, axis_columns, axis_offsets,
                              grid_offset_norms, grid_offsets, grid_points,
                              represented_points)
@@ -414,6 +414,57 @@ def test_window_projection_equals_the_full_probability_sum(delta, inside):
     assert mask.sum() == inside
     expected = float(np.sum(chi.probabilities()[mask]))
     assert success_projection(chi, grad, delta, params) == (math.sqrt(expected), expected)
+
+
+def origin_model(kind, p, data):
+    """A linear, quadratic or sinusoidal model with f(0) = 0, on the cube of
+    half-width 4."""
+    box = DomainBox.cube(p, 4.0)
+    coeffs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p))
+    if kind == "linear":
+        return linear_model(coeffs, box)
+    if kind == "quadratic":
+        upper = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=p * p,
+                                            max_size=p * p))).reshape(p, p)
+        return quadratic_model(coeffs, np.triu(upper) + np.triu(upper, 1).T, box)
+    return sinusoidal_model(data.draw(st.floats(-2.0, 2.0)), coeffs, box)
+
+
+@given(kind=st.sampled_from(["linear", "quadratic", "sinusoidal"]), p=st.integers(1, 4),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_linear_projection_per_axis_equals_the_dense_transform(kind, p, data):
+    # verify_theorem projects psi_L axis by axis; the dense route transforms
+    # the whole of decompose_state's psi_L and projects it over the grid.
+    model = origin_model(kind, p, data)
+    spec = AccuracySpec(gamma=data.draw(st.floats(0.1, 4.0)),
+                        delta=data.draw(st.floats(0.5, 2.0)),
+                        epsilon=data.draw(st.floats(0.05, 0.9)))
+    try:
+        params = analysis.select_parameters(spec, model.grad_bound, model.hess_bound, p,
+                                            max_grid_bits=12)
+    except GridSizeError:
+        assume(False)
+    x = np.zeros(p)
+    report = verify_theorem(model, x, spec, params, max_grid_bits=12)
+    psi_L = decompose_state(model, x, params, plan_run_format(model, x, params)).psi_L
+    dense, _ = success_projection(GridState(params.n, p, qft_amplitudes(psi_L, params.n, p)),
+                                  model.gradient(x), spec.delta, params)
+    assert abs(report.projected_linear - dense) <= 1e-15
+
+
+def test_linear_projection_matches_a_high_precision_value():
+    # lam = 1.6e4 and f(x) = 0.64: the dense route, which adds lam f(x) into
+    # every phase angle, read 0.9963197622076462, 1.0e-14 from the exact
+    # 0.99631976220765631755 (mpmath, 40 digits).
+    x = [-0.8711552874345903]
+    model = quadratic_model([-0.3578651547756264], [[0.867440650973824]],
+                            DomainBox.cube(1, 4.0, center=x))
+    spec = AccuracySpec(gamma=1.745871608306963, delta=0.1564445008304532,
+                        epsilon=0.34114216011110654)
+    report = verify_theorem(model, x, spec)
+    assert report.params.n == 10
+    assert abs(report.projected_linear - 0.99631976220765631755) <= 4.4e-16
 
 
 @given(parts=st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
