@@ -8,6 +8,7 @@ indices at or above 2^(n-1) folded to negative frequencies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -45,14 +46,21 @@ def check_sampling_box(model: FunctionModel, pt: np.ndarray, params: AlgorithmPa
             f"sampling box of half-width {radius} around {pt.tolist()} exits the domain")
 
 
+# One decode table per params: the sampler, the distribution rows and every
+# window projection of an audit read the same one. A few are kept, not all,
+# since a table is 8 bytes per axis index.
+@functools.lru_cache(maxsize=8)
 def axis_decode_values(params: AlgorithmParams) -> np.ndarray:
-    """Decoded gradient component of every single-axis index g, as one array
-    of length 2^n: -g / (2^n lam mu), folding g >= 2^(n-1) positive."""
+    """Decoded gradient component of every single-axis index g, as one
+    read-only array of length 2^n: -g / (2^n lam mu), folding g >= 2^(n-1)
+    positive."""
     size = 1 << params.n
     scale = float(size) * params.lam * params.mu
     half = size >> 1
     g = np.arange(size)
-    return np.where(g < half, -g / scale, (size - g) / scale)
+    values = np.where(g < half, -g / scale, (size - g) / scale)
+    values.flags.writeable = False
+    return values
 
 
 def decode_gradient(g: Sequence[int], params: AlgorithmParams) -> np.ndarray:
@@ -121,25 +129,23 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
 
 
 class ShotBlock(NamedTuple):
-    """One block of consecutive shots: its slice of the draw order, each
-    shot's flat grid index, and its decoded gradient (one row per shot)."""
+    """One block of consecutive shots: its slice of the draw order and each
+    shot's flat grid index."""
 
     block: slice
     indices: np.ndarray
-    gradients: np.ndarray
 
 
-def sample_blocks(chi: GridState, shots: int, seed: int,
-                  params: AlgorithmParams) -> Iterator[ShotBlock]:
+def sample_blocks(chi: GridState, shots: int, seed: int) -> Iterator[ShotBlock]:
     """Draw i.i.d. outcomes from |chi_g|^2 with a seeded generator, one
     block of shots (states.blocks, 8,192 of them) at a time.
 
     Inverse-CDF over the row-major outcome order, so identical (chi, shots,
     seed) give identical sequences on any platform with the same generator.
     Each block takes the next rng.random draws, which are the doubles one
-    call for all shots would give; the cdf search and the decoding run on
-    that block alone, so no temporary grows with the number of shots. The
-    checks run when the first block is drawn.
+    call for all shots would give; the cdf search runs on that block alone,
+    so no temporary grows with the number of shots. No shot is decoded
+    here. The checks run when the first block is drawn.
     """
     if shots < 1:
         raise ValueError("shots must be at least 1")
@@ -151,23 +157,23 @@ def sample_blocks(chi: GridState, shots: int, seed: int,
     del probs
     shots = int(shots)
     buckets = bucket_bounds(cdf, shots)
-    tables = [axis_decode_values(params)] * chi.p
     rng = np.random.default_rng(seed)
     for block in blocks(shots, np.dtype(np.intp).itemsize):
         indices = bucketed_search(cdf, rng.random(block.stop - block.start), buckets)
         np.minimum(indices, cdf.size - 1, out=indices)
-        yield ShotBlock(block, indices, axis_columns(indices, chi.n, chi.p, tables))
+        yield ShotBlock(block, indices)
 
 
 def sample_measurements(chi: GridState, shots: int, seed: int,
                         params: AlgorithmParams) -> list[GradientEstimate]:
-    """Every shot of sample_blocks(chi, shots, seed, params), in draw order,
-    as its GradientEstimate. The run command folds the blocks into its
-    summary instead (config.sample_summary)."""
+    """Every shot of sample_blocks(chi, shots, seed), in draw order, decoded
+    to its GradientEstimate. The run command counts the blocks' outcomes
+    instead and decodes none (config.sample_summary)."""
+    tables = [axis_decode_values(params)] * chi.p
     return [GradientEstimate(g=tuple(g), gradient=tuple(gradient))
-            for _, indices, gradients in sample_blocks(chi, shots, seed, params)
+            for _, indices in sample_blocks(chi, shots, seed)
             for g, gradient in zip(grid_points(indices, chi.n, chi.p).tolist(),
-                                   gradients.tolist())]
+                                   axis_columns(indices, chi.n, chi.p, tables).tolist())]
 
 
 def bucket_bounds(cdf: np.ndarray, draws: int) -> tuple[float, np.ndarray, np.ndarray]:

@@ -510,10 +510,12 @@ class TheoremReport:
 def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                    params: AlgorithmParams | None = None, *,
                    group_mode: str = "modular", phase_variant: str = "direct",
-                   max_grid_bits: int | None = None) -> TheoremReport:
+                   max_grid_bits: int | None = None,
+                   range_format: FixedPointFormat | None = None) -> TheoremReport:
     """Run the pipeline and the full audit, and collect a TheoremReport.
 
-    Plans parameters when none are given. The audit always measures
+    Plans parameters when none are given, and the range format, as
+    run_pipeline does, when none is given. The audit always measures
     everything; what it asserts (and lists under failures) is the set of
     checks that must hold unconditionally, plus the projection floors when
     the planning inequalities all hold.
@@ -534,8 +536,11 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                                       model.hess_bound, model.p)
     check_grid_bits(params.n, model.p, max_grid_bits)
     check_sampling_box(model, pt, params)
-    fmt = plan_run_format(model, pt, params, group_mode)
-    dec = decompose_state(model, pt, params, fmt)
+    if range_format is None:
+        range_format = plan_run_format(model, pt, params, group_mode)
+    elif range_format.group_mode != group_mode:
+        raise ValueError("range_format group_mode disagrees with group_mode argument")
+    dec = decompose_state(model, pt, params, range_format)
     # Only psi is read after this; the rest is dropped before the pipeline runs.
     psi_N_norm, psi_D_norm = dec.psi_N_norm, dec.psi_D_norm
     reconstruction_error = dec.reconstruction_error
@@ -543,12 +548,13 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     del dec
     chi, oracle_calls = run_pipeline(model, pt, params, group_mode,
                                      phase_variant=phase_variant,
-                                     max_grid_bits=max_grid_bits, range_format=fmt)
+                                     max_grid_bits=max_grid_bits,
+                                     range_format=range_format)
 
     if phase_variant == "per-bit":
         # The per-bit rotation omits the global a0 phase: take it off psi.
         psi.real, psi.imag = complex_product(psi.real, psi.imag,
-                                             *unit_phases(-params.lam, fmt.a0))
+                                             *unit_phases(-params.lam, range_format.a0))
     # psi belongs to the audit, so it is transformed in place.
     dual_path_error = _max_abs_difference(
         chi.amplitudes, qft_amplitudes(psi, params.n, model.p, out=psi))

@@ -198,8 +198,7 @@ def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
     entries = distribution_entries(chi, params, cfg.prob_floor)
     samples = None
     if cfg.shots > 0:
-        # Only the summary is kept: the shots are folded into it as they
-        # are drawn.
+        # Only the summary is kept: the shots are counted as they are drawn.
         samples = sample_summary(chi, cfg.shots, cfg.seed, params)
     true_grad = tuple(float(v) for v in model.gradient(x))
     record = ResultRecord(command="run", config=cfg, params=params,
@@ -230,14 +229,19 @@ def cmd_verify(cfg: ExperimentConfig, path: str | None) -> int:
     model = cfg.resolve_model()
     params = cfg.resolve_params(model)
     x = np.asarray(cfg.x, dtype=float)
+    # verify_theorem's order of refusals: an unevaluable inequality, the
+    # guard, the sampling box, then the one range format of the command.
+    check_inequalities(params, cfg.accuracy, model.grad_bound, model.hess_bound, model.p)
+    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
+    check_sampling_box(model, x, params)
+    fmt = plan_run_format(model, x, params, cfg.group_mode)
     started = time.perf_counter()
     report = verify_theorem(model, x, cfg.accuracy, params,
                             group_mode=cfg.group_mode,
                             phase_variant=cfg.phase_variant,
-                            max_grid_bits=cfg.max_grid_bits)
+                            max_grid_bits=cfg.max_grid_bits,
+                            range_format=fmt)
     verify_seconds = time.perf_counter() - started
-    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
-    fmt = plan_run_format(model, x, params, cfg.group_mode)
     record = ResultRecord(command="verify", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,
                           memory_estimate_bytes=mem, format=fmt,

@@ -47,6 +47,11 @@ from .states import (BLOCK_BYTES, MAX_INDEX_BITS, GridState, blocks, check_grid_
 
 DEFAULT_PROB_FLOOR = 1e-12
 
+# The most shots a config may ask for. Sampling a 2^14-point state ran at
+# about 130 ns a shot on a 2-vCPU host, so 2^32 shots take about ten minutes;
+# the bound also keeps sample_summary's exact mean in int64 (counts_mean).
+MAX_SHOTS = 1 << 32
+
 FUNCTION_KINDS = ("linear", "quadratic", "sinusoidal", "custom-coefficients")
 
 
@@ -286,8 +291,8 @@ class ExperimentConfig:
             raise ConfigError("one of accuracy or params is required")
         if self.domain is not None and self.domain.dimension != self.function.dimension:
             raise ConfigError("domain dimension does not match the function")
-        if self.shots < 0:
-            raise ConfigError("shots must be nonnegative")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ConfigError(f"shots must lie in 0..2^32 = {MAX_SHOTS}, got {self.shots}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.group_mode not in GROUP_MODES:
@@ -435,33 +440,24 @@ def distribution_entries(chi: GridState, params: AlgorithmParams,
 def sample_summary(chi: GridState, shots: int, seed: int,
                    params: AlgorithmParams) -> dict:
     """Aggregate the estimates of sample_measurements(chi, shots, seed,
-    params): counts per outcome plus the sample mean, folded one block of
-    shots at a time as sample_blocks draws them.
+    params) from their outcome counts alone: no shot is decoded.
 
-    Outcomes are listed by falling count, ties in grid-index order; each
-    block's shots are added into the counts. The mean has the bits of
-    np.mean(gradients, axis=0) over the C-ordered (shots, p) array of every
-    shot's gradient. For p > 1 numpy adds the rows one at a time in order,
-    ((0.0 + g[0]) + g[1]) + ..., and np.cumsum down each block performs
-    those additions, with the running sums carried into the next block as
-    its first row. For p = 1 numpy sums the one contiguous column pairwise,
-    with split points that blocks would move, so that column alone is kept,
-    8 bytes per shot, and averaged whole. No other per-shot array is held.
+    Each block of shots sample_blocks draws is added into one count per
+    grid index. Outcomes are listed by falling count, ties in grid-index
+    order. mean_gradient[m] is axis m's sample mean, sum_k C_k v_k / shots
+    over the axis's marginal counts C_k and the decode table v
+    (axis_decode_values), exact and rounded once (counts_mean). No array
+    grows with the number of shots.
     """
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most 2^32 = {MAX_SHOTS}, got {shots}")
     n, p = chi.n, chi.p
     counts = np.zeros(1 << (n * p), dtype=np.intp)
-    column = np.empty(shots) if p == 1 else None
-    sums = np.zeros((1, p))
-    for block, indices, gradients in sample_blocks(chi, shots, seed, params):
+    for _, indices in sample_blocks(chi, shots, seed):
         np.add.at(counts, indices, 1)
-        if column is not None:
-            column[block] = gradients[:, 0]
-        else:
-            sums = np.cumsum(np.concatenate((sums, gradients)), axis=0)[-1:]
-    if column is not None:
-        mean = np.mean(column.reshape(shots, 1), axis=0).tolist()
-    else:
-        mean = (sums[0] / shots).tolist()
+    grid = counts.reshape((1 << n,) * p)
+    mean = counts_mean(np.stack([grid.sum(axis=tuple(a for a in range(p) if a != m))
+                                 for m in range(p)]), axis_decode_values(params), shots)
     outcomes = np.flatnonzero(counts)
     counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
@@ -473,6 +469,41 @@ def sample_summary(chi: GridState, shots: int, seed: int,
                                    count=(counts[order], None)),
         "mean_gradient": mean,
     }
+
+
+def counts_mean(counts: np.ndarray, values: np.ndarray, total: int) -> list[float]:
+    """sum_k counts[m, k] values[k] / total for each row m, exact and rounded
+    once to the nearest float (ties to even); a zero mean is +0.0. Counts
+    are nonnegative and each row adds up to at most MAX_SHOTS.
+
+    Each value is w 2^(e - 53), with e its frexp exponent and w an integer
+    of at most 53 bits, split as w = hi 2^26 + lo with 0 <= lo < 2^26, so
+    |hi| <= 2^27. A row's count-weighted hi and lo are added up per
+    exponent in int64, exactly, since no such sum exceeds 2^32 2^27 = 2^59.
+    The values are read one block at a time, so the temporaries stay within
+    a few blocks however long the table is. The per-exponent sums are
+    combined in Python ints, scaled to 2^-1126 (frexp's least exponent,
+    -1073, less 53), and one int / int true division, which CPython rounds
+    correctly, gives each mean.
+    """
+    numerators = [0] * len(counts)
+    for block in blocks(values.size, 8):
+        fractions, exponents = np.frexp(values[block])
+        whole = np.ldexp(fractions, 53, out=fractions).astype(np.int64)
+        hi = whole >> 26
+        whole -= hi << 26
+        least = int(exponents.min())
+        exponents -= least
+        slots = int(exponents.max()) + 1
+        # Row m's hi sums are slots [2m slots, (2m + 1) slots), its lo sums the next.
+        sums = np.zeros(2 * len(counts) * slots, dtype=np.int64)
+        np.add.at(sums, exponents + slots * np.arange(2 * len(counts)).reshape(-1, 2, 1),
+                  counts[:, None, block] * np.stack((hi, whole)))
+        for m, (his, los) in enumerate(sums.reshape(-1, 2, slots).tolist()):
+            numerators[m] += sum(((upper << 26) + lower) << (slot + least + 1073)
+                                 for slot, (upper, lower) in enumerate(zip(his, los))
+                                 if upper or lower)
+    return [numerator / (total << 1126) for numerator in numerators]
 
 
 def record_json(tree: Any, write: Callable[[str], Any] | None = None) -> str | None:

@@ -51,6 +51,13 @@ def test_axis_decode_values_matches_decode_gradient():
             assert table[g] == decode_gradient((g,), params)[0]
 
 
+def test_axis_decode_values_is_one_read_only_table_per_params():
+    table = axis_decode_values(AlgorithmParams(n=3, nu=1e-9, lam=0.7, mu=0.31))
+    assert axis_decode_values(AlgorithmParams(n=3, nu=1e-9, lam=0.7, mu=0.31)) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1.0
+
+
 def test_plan_run_format_frozen_case():
     fmt = plan_run_format(NEG_X, [0.0], EXACT)
     # bound = |f(0)| + L * p * radius = 0.5; nu (2^N - 1) >= 1.0 first at N=30
@@ -120,7 +127,7 @@ def test_sample_measurements_deterministic_and_consistent():
     probs = chi.probabilities()
     for est in a:
         assert est.gradient == tuple(decode_gradient(est.g, EXACT))
-    indices = np.concatenate([block.indices for block in sample_blocks(chi, 32, 11, EXACT)])
+    indices = np.concatenate([block.indices for block in sample_blocks(chi, 32, 11)])
     assert [est.g[0] for est in a] == indices.tolist()
     assert (probs[indices] > 0).all()
 

@@ -283,6 +283,16 @@ def test_verify_theorem_quadratic_frozen_audit():
     assert report.leakage is None  # curved objective, leakage path not valid
 
 
+def test_verify_theorem_audits_with_the_range_format_it_is_given():
+    model = quadratic_model([0.0], [[1.0]], QUAD_BOX)
+    params = worked_params()
+    fmt = plan_run_format(model, [0.0], params)
+    assert verify_theorem(model, [0.0], WORKED, params, range_format=fmt) == \
+        verify_theorem(model, [0.0], WORKED, params)
+    with pytest.raises(ValueError, match="group_mode"):
+        verify_theorem(model, [0.0], WORKED, params, group_mode="xor", range_format=fmt)
+
+
 def test_verify_theorem_negative_control_reports_without_asserting():
     # Inflating nu breaks the precision inequality; the audit must record
     # that and drop the floor assertions, not fail.

@@ -191,6 +191,24 @@ def test_verify_record_reproduces_the_report(tmp_path):
     assert isinstance(record.theorem, TheoremReport)
 
 
+def test_verify_plans_its_range_format_once(tmp_path, monkeypatch):
+    # The format the record holds is the one the audit ran with.
+    formats = []
+
+    def planned(*args):
+        formats.append(original(*args))
+        return formats[-1]
+
+    original = cli.plan_run_format
+    monkeypatch.setattr(cli, "plan_run_format", planned)
+    monkeypatch.setattr(analysis, "plan_run_format", planned)
+    cfg = write_config(tmp_path, PLANNED_QUADRATIC)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert len(formats) == 1
+    assert ResultRecord.from_json(out.read_text()).format == formats[0]
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -345,16 +363,25 @@ def test_a_format_wider_than_float64_keeps_is_a_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_an_allocation_the_host_cannot_make_is_a_usage_error(tmp_path, capsys):
-    # 1e15 shots keep a 7.11 PiB column of gradients for p = 1, more than a
-    # 47-bit (128 TiB) address space maps, so no overcommit setting grants
-    # it: run ended in a MemoryError traceback.
-    cfg = write_config(tmp_path, {**EXACT_LINEAR, "shots": 1e15})
+def test_an_allocation_the_host_cannot_make_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # 1e15 shots would take years to draw. For p = 1, run once ended in a
+    # MemoryError traceback from a 7.11 PiB column of gradients; for p = 2
+    # it started drawing them. The schema refuses any count above 2^32
+    # before any grid work.
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid work ran")
+
+    monkeypatch.setattr(GridAlignedState, "prepared", refuse)
+    two_axes = {"function": {"kind": "linear", "coefficients": [-1.0, 0.5]},
+                "x": [0.0, 0.0], "domain": {"center": [0.0, 0.0], "half_width": [1.0, 1.0]}}
     out = tmp_path / "record.json"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+    for override in ({}, two_axes):
+        cfg = write_config(tmp_path, {**EXACT_LINEAR, **override, "shots": 1e15})
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: config: shots must lie in 0..2^32 = 4294967296, "
+                       "got 1000000000000000\n"), err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
 NON_FINITE_BOUNDS = [

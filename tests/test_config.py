@@ -118,6 +118,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="prob_floor"):
             ExperimentConfig(**ok, prob_floor=1.0)
 
+    def test_shots_stop_at_two_to_the_32(self):
+        # About ten minutes of sampling, and the most counts whose exact
+        # mean sample_summary sums in int64.
+        ok = dict(function=linear_spec(), x=(0.0,),
+                  accuracy=AccuracySpec(1.0, 0.5, 0.5))
+        assert ExperimentConfig(**ok, shots=2 ** 32).shots == 2 ** 32
+        with pytest.raises(ConfigError, match=r"shots must lie in 0\.\.2\^32 = 4294967296, "
+                                              "got 4294967297"):
+            ExperimentConfig(**ok, shots=2 ** 32 + 1)
+        _, params, chi, _ = small_run()
+        with pytest.raises(ValueError, match="shots must be at most 2"):
+            sample_summary(chi, 2 ** 32 + 1, 0, params)
+
     def test_domain_defaults(self):
         acc = ExperimentConfig(function=linear_spec(), x=(0.25,),
                                accuracy=AccuracySpec(2.0, 0.5, 0.5))
@@ -218,15 +231,16 @@ def test_sample_summary_counts_equal_np_unique(n, p, shots, skew, seed):
     # Skewed draws leave some outcomes unsampled and tie others.
     indices = np.minimum((rng.random(shots) ** (1 + skew) * size).astype(np.intp), size - 1)
 
-    def drawn(chi, shots, seed, params):
+    def drawn(chi, shots, seed):
         # These shots, handed over in the sampler's blocks.
         for block in blocks(shots, 8):
-            yield ShotBlock(block, indices[block], np.zeros((block.stop - block.start, p)))
+            yield ShotBlock(block, indices[block])
 
     chi = GridState(n=n, p=p, amplitudes=np.eye(1, size, dtype=complex)[0])
+    params = AlgorithmParams(n=n, nu=1e-6, lam=0.75, mu=0.1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(config, "sample_blocks", drawn)
-        table = sample_summary(chi, shots, seed, None)["outcome_counts"]
+        table = sample_summary(chi, shots, seed, params)["outcome_counts"]
     outcomes, counts = np.unique(indices, return_counts=True)
     order = np.argsort(-counts, kind="stable")
     assert np.array_equal(table.column("count"), counts[order])

@@ -1,8 +1,9 @@
-"""The run command's tail: blocked sampling, the folded sample summary and
+"""The run command's tail: blocked sampling, the counted sample summary and
 the record write, against their unblocked formulas, plus their memory
 bounds."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gradkick.algorithm import ShotBlock, axis_decode_values, sample_blocks
 from gradkick.cli import write_text
 from gradkick.config import sample_summary
 from gradkick.params import AlgorithmParams
-from gradkick.states import BLOCK_BYTES, GridState, blocks, grid_points
+from gradkick.states import BLOCK_BYTES, GridState, axis_columns, blocks, grid_points
 
 MIB = 1 << 20
 # Shots and summed values per block: BLOCK_BYTES of 8-byte items.
@@ -34,9 +35,16 @@ def random_chi(n, p, seed, zeros=0.0):
 def every_shot(chi, shots, seed, params):
     """Every shot sample_blocks draws, joined in draw order: the flat
     indices (shots,) and the decoded gradients (shots, p)."""
-    drawn = list(sample_blocks(chi, shots, seed, params))
-    return (np.concatenate([block.indices for block in drawn]),
-            np.concatenate([block.gradients for block in drawn]))
+    indices = np.concatenate([block.indices for block in sample_blocks(chi, shots, seed)])
+    return indices, axis_columns(indices, chi.n, chi.p, [axis_decode_values(params)] * chi.p)
+
+
+def exact_mean(gradients):
+    """Each column's exact mean of every shot's decoded value, rounded once:
+    float(Fraction(sum) / shots)."""
+    shots = len(gradients)
+    return np.array([float(sum(map(Fraction, column), Fraction(0)) / shots)
+                     for column in gradients.T.tolist()])
 
 
 @given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
@@ -72,16 +80,14 @@ def test_generator_random_in_consecutive_chunks_gives_the_doubles_of_one_call(se
 
 
 def summary_of_every_shot(indices, gradients, n, p):
-    """The run command's summary before shots were folded, from every shot
-    at once: (outcomes by falling count, their counts, the mean), counted
-    by one np.bincount and averaged by np.mean over the C-ordered (shots, p)
-    gradients."""
+    """The run command's summary from every shot at once: (outcomes by
+    falling count, their counts, the mean), counted by one np.bincount and
+    averaged exactly (exact_mean)."""
     counts = np.bincount(indices, minlength=1 << (n * p))
     outcomes = np.flatnonzero(counts)
     counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
-    mean = np.mean(np.ascontiguousarray(gradients), axis=0)
-    return outcomes[order], counts[order], mean
+    return outcomes[order], counts[order], exact_mean(gradients)
 
 
 @given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
@@ -104,50 +110,50 @@ def test_folded_summary_equals_the_summary_of_every_shot(n, p, shots, zeros, see
 DECODED = (0.0, -0.0, 0.5, -0.75, 1.0 / 3.0, -1.0 / 7.0, 1e-3, -2.5e5)
 
 
-@given(p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
-       values=st.integers(1, len(DECODED)), column_major=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_sample_mean_has_the_bits_of_np_mean(p, shots, values, column_major, seed):
-    # Few distinct values make columns that are all zeros of either sign,
-    # where the order and the starting value of the additions show. The
-    # summary folds them as the sampler would hand them over, in blocks.
+@given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
+       values=st.integers(1, len(DECODED)), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sample_mean_is_the_exact_mean_rounded_once(n, p, shots, values, seed):
+    # A decode table drawn from few values, so that a column can be all
+    # zeros of either sign (the mean is then +0.0) or mix magnitudes far
+    # apart; the summary counts the shots as the sampler hands them over,
+    # in blocks, and decodes none of them.
     rng = np.random.default_rng(seed)
-    gradients = np.asarray(DECODED[:values])[rng.integers(0, values, size=(shots, p))]
-    expected = np.mean(gradients, axis=0)
-    if column_major:
-        gradients = np.asfortranarray(gradients)
+    table = np.asarray(DECODED[:values])[rng.integers(0, values, size=1 << n)]
+    indices = rng.integers(0, 1 << (n * p), size=shots)
+    expected = exact_mean(axis_columns(indices, n, p, [table] * p))
 
-    def drawn(chi, shots, seed, params):
+    def drawn(chi, shots, seed):
         for block in blocks(shots, 8):
-            yield ShotBlock(block, np.zeros(block.stop - block.start, dtype=np.intp),
-                            gradients[block])
+            yield ShotBlock(block, indices[block])
 
-    chi = random_chi(3, p, seed)
+    chi = random_chi(n, p, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(config, "sample_blocks", drawn)
+        patch.setattr(config, "axis_decode_values", lambda params: table)
         mean = np.array(sample_summary(chi, shots, seed, None)["mean_gradient"])
     assert np.array_equal(mean.view(np.int64), expected.view(np.int64))
 
 
 def test_sampling_and_summary_hold_little_beyond_their_outputs():
     # 100,000 shots of a 2^14-point grid, as the run-quad2d benchmark draws,
-    # and ten times as many: the shots are folded as they are drawn, so
-    # only the outcome table grows with them.
-    chi = random_chi(7, 2, seed=3)
-    params = AlgorithmParams(n=7, nu=1e-6, lam=0.75, mu=0.1)
-    sample_summary(chi, 1000, 1, params)  # warm caches
-    for shots in (100_000, 1_000_000):
-        tracemalloc.start()
-        try:
-            summary = sample_summary(chi, shots, 1, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        table = summary["outcome_counts"]
-        outputs = sum(values.nbytes + (0 if codes is None else codes.nbytes)
-                      for values, codes in table.fields.values())
-        assert peak <= outputs + MIB, shots
+    # and ten times as many, over two axes and over one: the shots are
+    # counted as they are drawn, so only the outcome table grows with them.
+    for n, p in ((7, 2), (14, 1)):
+        chi = random_chi(n, p, seed=3)
+        params = AlgorithmParams(n=n, nu=1e-6, lam=0.75, mu=0.1)
+        sample_summary(chi, 1000, 1, params)  # warm caches
+        for shots in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                summary = sample_summary(chi, shots, 1, params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            table = summary["outcome_counts"]
+            outputs = sum(values.nbytes + (0 if codes is None else codes.nbytes)
+                          for values, codes in table.fields.values())
+            assert peak <= outputs + MIB, (p, shots)
 
 
 def test_record_write_allocates_no_copy_of_the_text(tmp_path):
