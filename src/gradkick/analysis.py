@@ -17,20 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .algorithm import (axis_decode_values, check_sampling_box, plan_run_format,
                         run_pipeline, sampling_radius)
-from .models import FunctionModel, row_dots
+from .models import FunctionModel
 from .operators import complex_array, complex_product, unit_phases
 from .oracle import DomainError, FixedPointFormat, grid_center, quantize
 from .params import AlgorithmParams, PlannerError
 from .qft import qft_amplitudes
-from .states import (GridState, axis_offsets, blocks, check_grid_bits,
-                     grid_offset_norms, grid_offsets, grid_outer, grid_point_of,
-                     probabilities, represented_points)
+from .states import (GridState, axis_columns, axis_offsets, blocks, check_grid_bits,
+                     grid_blocks, grid_outer, grid_point_of, probabilities,
+                     represented_tables)
 
 # Numerical slack applied when deciding whether an inequality "holds": the
 # closed-form parameters make the curvature and precision inequalities
@@ -210,7 +210,9 @@ class ErrorDecomposition:
     the curvature correction, psi_D the rounding correction, so psi_L +
     psi_N + psi_D reconstructs psi up to float addition error. The parts are
     not individually normalized, but psi_L has unit norm. eps_N and eps_D
-    are the per-point phase-argument errors.
+    are the per-point phase-argument errors. decompose_block gives the split
+    over one block of grid points, whose arrays are the whole grid's read at
+    those points.
     """
 
     n: int
@@ -224,53 +226,97 @@ class ErrorDecomposition:
 
     @property
     def psi_N_norm(self) -> float:
-        return float(np.linalg.norm(self.psi_N))
+        return math.sqrt(_squared_norm(self.psi_N))
 
     @property
     def psi_D_norm(self) -> float:
-        return float(np.linalg.norm(self.psi_D))
+        return math.sqrt(_squared_norm(self.psi_D))
 
     @property
     def reconstruction_error(self) -> float:
-        return _max_abs_difference(self.psi_L + self.psi_N + self.psi_D, self.psi)
+        """max |psi_L + psi_N + psi_D - psi|, from real squares. Complex
+        addition rounds each part on its own, so the sums are formed on the
+        real and imaginary parts, in place."""
+        squares = []
+        for part in ("real", "imag"):
+            total = np.add(getattr(self.psi_L, part), getattr(self.psi_N, part))
+            total += getattr(self.psi_D, part)
+            total -= getattr(self.psi, part)
+            squares.append(np.multiply(total, total, out=total))
+        return math.sqrt(float(np.max(np.add(*squares, out=squares[0]))))
 
 
-def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
-                    fmt: FixedPointFormat) -> ErrorDecomposition:
-    """Build the three-part error split, checking both per-point error bounds.
+class AuditTables(NamedTuple):
+    """What decompose_block reads that no block changes, built once per
+    audit by audit_tables: per-axis tables whose grids give the represented
+    points, the linear part's offset terms and the squared offsets, and,
+    when the format has no more words than the grid has points, every
+    word's decoded value, phase and psi amplitude, which each point gathers
+    by its word (None otherwise)."""
 
-    Raises BoundViolation if a rounding error exceeds nu or a curvature error
-    exceeds M mu^2 |h - g0|^2 / 2; both hold by construction for truthful
-    models, so a violation means a bug (or a lying hess_bound).
+    points: list[np.ndarray]
+    linear: list[np.ndarray]
+    squares: list[np.ndarray]
+    fx: float
+    cap_scale: float
+    amp: float
+    decoded: np.ndarray | None
+    phases: tuple[np.ndarray, np.ndarray] | None
+    psi: np.ndarray | None
 
-    psi comes from the range words: when the format has no more words than
-    the grid has points, unit_phases and the amplitude scaling run once over
-    every decoded word and each point gathers its word's value. decode,
-    unit_phases and the scaling are elementwise, so each point gets the bits
-    of the direct construction. The words come from quantize and the model,
-    never from an operator, so psi stays an independent reference for the
-    pipeline. The curvature cap sums squared half-integer offsets, which is
-    exact in any order (grid_offset_norms).
-    """
-    pt = np.asarray(x, dtype=float)
+
+def audit_tables(model: FunctionModel, pt: np.ndarray, params: AlgorithmParams,
+                 fmt: FixedPointFormat) -> AuditTables:
+    """The tables of decompose_block, after the checks that come before any
+    grid work: a format step above nu and a sampling box leaving the domain
+    are refused here."""
     n, p = params.n, model.p
     if fmt.a1 > params.nu:
         raise ValueError("format step exceeds nu; plan the format from params")
     check_sampling_box(model, pt, params)
-    lam, mu = params.lam, params.mu
-    f_lin = _linear_phase_argument(model.evaluate(pt), model.gradient(pt), mu, n)
-    cap = 0.5 * model.hess_bound * mu * mu * grid_offset_norms(n, p)
-    f_true = model.evaluate_points(represented_points(pt, mu, n))
-    amp = 1.0 / math.sqrt(f_true.size)
+    mu = params.mu
+    fx = model.evaluate(pt)
+    linear = _linear_tables(model.gradient(pt), n)
+    squares = [np.square(axis_offsets(n))] * p
+    amp = 1.0 / math.sqrt(1 << (n * p))
+    decoded = phases = psi = None
+    if fmt.num_words <= 1 << (n * p):
+        decoded = fmt.decode(np.arange(fmt.num_words))
+        phases = unit_phases(params.lam, decoded)
+        psi = _scaled_phases(amp, *phases)
+    return AuditTables(represented_tables(pt, mu, n), linear, squares, fx,
+                       0.5 * model.hess_bound * mu * mu, amp, decoded, phases, psi)
+
+
+def decompose_block(model: FunctionModel, params: AlgorithmParams, fmt: FixedPointFormat,
+                    tables: AuditTables, block: slice) -> ErrorDecomposition:
+    """The error split over one aligned block of grid points
+    (states.grid_blocks), checking both per-point error bounds there.
+
+    Raises BoundViolation, naming the block's first violating grid point,
+    if a rounding error exceeds nu or a curvature error exceeds M mu^2 |h -
+    g0|^2 / 2. Every value is elementwise, and the linear part and the
+    curvature cap are outer sums of per-axis tables whose terms are added
+    in axis order, as models.row_dots adds them (the cap's sums are exact
+    in any order, see states.grid_offset_norms), so each point gets the
+    bits it gets in the whole grid's split. psi's words come from quantize
+    and the model, never from an operator, so psi stays an independent
+    reference for the pipeline.
+    """
+    n, p, lam = params.n, model.p, params.lam
+    f_true = model.evaluate_points(axis_columns(block, n, p, tables.points))
     words = quantize(fmt, f_true)
+    f_lin = _linear_phase_argument(tables.fx, tables.linear, params.mu, block)
     eps_N = f_true - f_lin
-    eps_D = fmt.decode(words) - f_true
+    eps_D = (fmt.decode(words) if tables.decoded is None
+             else tables.decoded.take(words)) - f_true
+    cap = tables.cap_scale * grid_outer(np.add, tables.squares, block)
     rounding_bad = np.abs(eps_D) > params.nu
     curvature_bad = np.abs(eps_N) > cap + 1e-12 * np.maximum(1.0, cap)
     bad = np.flatnonzero(rounding_bad | curvature_bad)
     if bad.size:
         i = int(bad[0])
-        h = grid_point_of(i, n, p)
+        h = grid_point_of(block.start + i, n, p)
         if rounding_bad[i]:
             raise BoundViolation(
                 f"rounding error {float(eps_D[i])!r} above nu={params.nu!r} at grid {h}"
@@ -280,34 +326,61 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
             f"{float(cap[i])!r} at grid {h}"
         )
     del cap, rounding_bad, curvature_bad, bad
-    # Each part is written in place and each input dropped once read. psi
-    # comes last: gathered by word from its table, it needs no grid-sized
-    # input beyond the words.
+    # Each part is written in place and each input dropped once read.
     lin_re, lin_im = unit_phases(lam, f_lin)
     del f_lin
-    psi_L = _scaled_phases(amp, lin_re, lin_im)
+    psi_L = _scaled_phases(tables.amp, lin_re, lin_im)
     true_re, true_im = unit_phases(lam, f_true)
     del f_true
     np.subtract(true_re, lin_re, out=lin_re)
     np.subtract(true_im, lin_im, out=lin_im)
-    psi_N = _scaled_phases(amp, lin_re, lin_im)
+    psi_N = _scaled_phases(tables.amp, lin_re, lin_im)
     del lin_re, lin_im
-    table = fmt.num_words <= words.size
-    q_re, q_im = unit_phases(lam, fmt.decode(np.arange(fmt.num_words) if table else words))
+    # psi comes last: gathered by word from its table, it needs no
+    # block-sized input beyond the words.
+    table = tables.psi is not None
+    q_re, q_im = tables.phases if table else unit_phases(lam, fmt.decode(words))
     np.subtract(q_re.take(words) if table else q_re, true_re, out=true_re)
     np.subtract(q_im.take(words) if table else q_im, true_im, out=true_im)
-    psi_D = _scaled_phases(amp, true_re, true_im)
+    psi_D = _scaled_phases(tables.amp, true_re, true_im)
     del true_re, true_im
-    psi = _scaled_phases(amp, q_re, q_im)
-    if table:
-        psi = psi.take(words)
+    psi = tables.psi.take(words) if table else _scaled_phases(tables.amp, q_re, q_im)
     return ErrorDecomposition(n=n, p=p, psi=psi, psi_L=psi_L, psi_N=psi_N, psi_D=psi_D,
                               eps_N=eps_N, eps_D=eps_D)
 
 
-def _linear_phase_argument(fx: float, grad: np.ndarray, mu: float, n: int) -> np.ndarray:
-    """psi_L's phase argument f(x) + mu (h - g0) . grad f(x) at each grid point h."""
-    return fx + mu * row_dots(grid_offsets(n, grad.size), grad)
+def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmParams,
+                    fmt: FixedPointFormat) -> ErrorDecomposition:
+    """Build the three-part error split over the whole grid, checking both
+    per-point error bounds: decompose_block with the grid as its one block.
+
+    Raises BoundViolation if a rounding error exceeds nu or a curvature error
+    exceeds M mu^2 |h - g0|^2 / 2; both hold by construction for truthful
+    models, so a violation means a bug (or a lying hess_bound).
+    """
+    pt = np.asarray(x, dtype=float)
+    tables = audit_tables(model, pt, params, fmt)
+    return decompose_block(model, params, fmt, tables, slice(0, 1 << (params.n * model.p)))
+
+
+def _linear_tables(grad: np.ndarray, n: int) -> list[np.ndarray]:
+    """(g - g0) df/dx_m for every single-axis coordinate g, one table per axis m."""
+    off = axis_offsets(n)
+    return [off * g for g in grad]
+
+
+def _linear_phase_argument(fx: float, linear: list[np.ndarray], mu: float,
+                           block: slice | None = None) -> np.ndarray:
+    """psi_L's phase argument f(x) + mu (h - g0) . grad f(x) at each grid
+    point h (of the block, if given), from _linear_tables: the dot product's
+    terms are added in axis order, as models.row_dots adds them."""
+    return fx + mu * grid_outer(np.add, linear, block)
+
+
+def _squared_norm(z: np.ndarray) -> float:
+    """Squared 2-norm of a complex array, as np.linalg.norm sums it before
+    its square root: the real parts' dot product plus the imaginary parts'."""
+    return z.real.dot(z.real) + z.imag.dot(z.imag)
 
 
 def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
@@ -417,8 +490,8 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
         np.arange(size) / size + lam * mu * grad[:, None], size))
 
     # Independent dense route: transform the linear-phase state directly.
-    psi_L = _scaled_phases(1.0 / math.sqrt(1 << (n * p)),
-                           *unit_phases(lam, _linear_phase_argument(fx, grad, mu, n)))
+    psi_L = _scaled_phases(1.0 / math.sqrt(1 << (n * p)), *unit_phases(
+        lam, _linear_phase_argument(fx, _linear_tables(grad, n), mu)))
     chi_L = qft_amplitudes(psi_L, n, p, out=psi_L)
 
     re, im = unit_phases(lam, fx - mu * float(np.sum(grad)) * grid_center(n))
@@ -540,12 +613,29 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
         range_format = plan_run_format(model, pt, params, group_mode)
     elif range_format.group_mode != group_mode:
         raise ValueError("range_format group_mode disagrees with group_mode argument")
-    dec = decompose_state(model, pt, params, range_format)
-    # Only psi is read after this; the rest is dropped before the pipeline runs.
-    psi_N_norm, psi_D_norm = dec.psi_N_norm, dec.psi_D_norm
-    reconstruction_error = dec.reconstruction_error
-    psi = dec.psi
-    del dec
+    # The split is reduced a block at a time, so psi is its only grid-sized
+    # array. A block that breaks a per-point bound is refused only after f
+    # is read and quantized at every later block, as over the whole grid.
+    n, p = params.n, model.p
+    tables = audit_tables(model, pt, params, range_format)
+    psi = np.empty(1 << (n * p), dtype=np.complex128)
+    psi_N_squared = psi_D_squared = reconstruction_error = 0.0
+    parts = grid_blocks(n, p)
+    for block in parts:
+        try:
+            dec = decompose_block(model, params, range_format, tables, block)
+        except BoundViolation:
+            for later in parts:
+                quantize(range_format,
+                         model.evaluate_points(axis_columns(later, n, p, tables.points)))
+            raise
+        psi[block] = dec.psi
+        psi_N_squared += _squared_norm(dec.psi_N)
+        psi_D_squared += _squared_norm(dec.psi_D)
+        reconstruction_error = max(reconstruction_error, dec.reconstruction_error)
+        del dec
+    del tables
+    psi_N_norm, psi_D_norm = math.sqrt(psi_N_squared), math.sqrt(psi_D_squared)
     chi, oracle_calls = run_pipeline(model, pt, params, group_mode,
                                      phase_variant=phase_variant,
                                      max_grid_bits=max_grid_bits,

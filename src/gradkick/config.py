@@ -479,31 +479,67 @@ def counts_mean(counts: np.ndarray, values: np.ndarray, total: int) -> list[floa
     Each value is w 2^(e - 53), with e its frexp exponent and w an integer
     of at most 53 bits, split as w = hi 2^26 + lo with 0 <= lo < 2^26, so
     |hi| <= 2^27. A row's count-weighted hi and lo are added up per
-    exponent in int64, exactly, since no such sum exceeds 2^32 2^27 = 2^59.
-    The values are read one block at a time, so the temporaries stay within
-    a few blocks however long the table is. The per-exponent sums are
-    combined in Python ints, scaled to 2^-1126 (frexp's least exponent,
-    -1073, less 53), and one int / int true division, which CPython rounds
-    correctly, gives each mean.
+    exponent in int64, exactly, since no such sum exceeds 2^32 2^27 = 2^59:
+    the values are grouped by exponent (_exponent_groups), so each block of
+    them takes one gather, one product and one reduceat. The per-exponent
+    sums are combined in Python ints, scaled to 2^-1126 (frexp's least
+    exponent, -1073, less 53), and one int / int true division, which
+    CPython rounds correctly, gives each mean.
     """
+    fixed = not values.flags.writeable and values.base is None
+    groups = _cached_groups(_Identity(values)) if fixed else _exponent_groups(values)
     numerators = [0] * len(counts)
+    for order, starts, shifts, parts in groups:
+        sums = np.add.reduceat(counts[:, None, order] * parts, starts, axis=2)
+        for m, (his, los) in enumerate(sums.tolist()):
+            numerators[m] += sum(((upper << 26) + lower) << shift
+                                 for upper, lower, shift in zip(his, los, shifts))
+    return [numerator / (total << 1126) for numerator in numerators]
+
+
+def _exponent_groups(values: np.ndarray) -> list[tuple]:
+    """counts_mean's grouping of values, one block (states.blocks) at a time,
+    so the temporaries stay within a few blocks however long the table is.
+    Each block's values are taken in order of frexp exponent, and its entry
+    holds their indices in the table, where each exponent's run starts, each
+    run's exponent plus 1073, and the values' hi and lo parts, stacked as a
+    (2, k) int64 array."""
+    groups = []
     for block in blocks(values.size, 8):
         fractions, exponents = np.frexp(values[block])
         whole = np.ldexp(fractions, 53, out=fractions).astype(np.int64)
         hi = whole >> 26
         whole -= hi << 26
-        least = int(exponents.min())
-        exponents -= least
-        slots = int(exponents.max()) + 1
-        # Row m's hi sums are slots [2m slots, (2m + 1) slots), its lo sums the next.
-        sums = np.zeros(2 * len(counts) * slots, dtype=np.int64)
-        np.add.at(sums, exponents + slots * np.arange(2 * len(counts)).reshape(-1, 2, 1),
-                  counts[:, None, block] * np.stack((hi, whole)))
-        for m, (his, los) in enumerate(sums.reshape(-1, 2, slots).tolist()):
-            numerators[m] += sum(((upper << 26) + lower) << (slot + least + 1073)
-                                 for slot, (upper, lower) in enumerate(zip(his, los))
-                                 if upper or lower)
-    return [numerator / (total << 1126) for numerator in numerators]
+        order = np.argsort(exponents, kind="stable")
+        exponents = exponents[order]
+        starts = np.flatnonzero(np.diff(exponents, prepend=exponents[0] - 1))
+        groups.append((order + block.start, starts, (exponents[starts] + 1073).tolist(),
+                       np.stack((hi[order], whole[order]))))
+    return groups
+
+
+class _Identity:
+    """A key equal only to a key of the same array object."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+    def __hash__(self) -> int:
+        return id(self.array)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Identity) and other.array is self.array
+
+
+# A read-only table that owns its data changes only if it is made writeable
+# again, so its grouping is kept: the decode tables are such tables, cached
+# per params (algorithm.axis_decode_values), so each is grouped once. The key
+# holds its table, so no other array takes its id while the entry lives.
+@functools.lru_cache(maxsize=8)
+def _cached_groups(key: _Identity) -> list[tuple]:
+    return _exponent_groups(key.array)
 
 
 def record_json(tree: Any, write: Callable[[str], Any] | None = None) -> str | None:

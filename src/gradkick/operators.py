@@ -1,20 +1,23 @@
 """Pipeline operators acting on tripartite states.
 
 Each operator returns a new state of its input's form and works on all
-terms in one numpy pass; arrays an operator leaves unchanged are shared with
-its input. The shift, the two oracle passes and the grid transform take the
-grid-aligned form the pipeline carries; the phase rotation and the collapse
-also take the general form, which the acceptance gate builds from a few
-SparseTerms, and read the arrays it derives from them.
+terms in one numpy pass, or, where a pass would need temporaries the size
+of the grid, one block of terms at a time (states.grid_blocks); arrays an
+operator leaves unchanged are shared with its input. The shift, the two
+oracle passes and the grid transform take the grid-aligned form the
+pipeline carries; the phase rotation and the collapse also take the general
+form, which the acceptance gate builds from a few SparseTerms, and read the
+arrays it derives from them.
 On the aligned form the shift only flips the label mode, and the phase kick
 starts from the one amplitude all terms share, so it kicks each range word
 once and gathers when the format has no more words than the grid has
 points. The per-bit variant builds that table by doubling: a word's last
 gate is the one of its highest bit, so the kick of 2^k + w is the kick of w
-times gate k, one product per word. That keeps run_pipeline's peak near
-65 bytes per grid point (tracemalloc, n=8, p=2); the audit
-(analysis.verify_theorem) adds one reference array, psi, which it
-transforms in place through the same qft_amplitudes. The shift and oracle
+times gate k, one product per word. The oracle passes evaluate f a block
+of label points at a time, and a kick of each term writes a block at a
+time, so run_pipeline peaks near 38 bytes per grid point (tracemalloc,
+n=8, p=2); the audit (analysis.verify_theorem) adds one reference array,
+psi, which it transforms in place through the same qft_amplitudes. The shift and oracle
 operators are basis permutations (amplitudes move, never mix), the phase
 rotation multiplies amplitudes by unit phases, and the grid transform acts
 on the grid register alone, so it could only mix amplitudes within a
@@ -37,11 +40,11 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, check_words,
-                     oracle_words, range_add, range_sub)
+from .oracle import (BASE_CODE, DomainLabel, FixedPointFormat, check_words, group_op,
+                     oracle_words, quantize)
 from .qft import qft_amplitudes
-from .states import (GridAlignedState, GridState, SparseTripartiteState,
-                     label_code, represented_points)
+from .states import (GridAlignedState, GridState, SparseTripartiteState, axis_columns,
+                     blocks, grid_blocks, label_code, represented_tables)
 
 if TYPE_CHECKING:
     from .models import FunctionModel
@@ -95,12 +98,45 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _label_points(s: GridAlignedState, params: AlgorithmParams) -> np.ndarray:
-    """Represented point of every term's label, as a (terms, p) array:
-    x for BASE, x + mu * (g - g0) for SHIFTED(g)."""
+def _label_tables(s: GridAlignedState, params: AlgorithmParams) -> list[np.ndarray]:
+    """Per-axis tables whose grid (states.axis_columns) holds the represented
+    point of every term's label: x for BASE, x + mu * (g - g0) for
+    SHIFTED(g)."""
     if s.shifted:
-        return represented_points(s.x, params.mu, s.n)
-    return np.tile(s.x, (len(s), 1))
+        return represented_tables(s.x, params.mu, s.n)
+    return [np.full(1 << s.n, v) for v in s.x]
+
+
+def _oracle_pass(s: GridAlignedState, model: FunctionModel, fmt: FixedPointFormat,
+                 params: AlgorithmParams, inverse: bool) -> np.ndarray:
+    """range_add (range_sub with inverse) of each term's word and
+    oracle_words at its label's point, one aligned block of terms
+    (states.grid_blocks) at a time, so no array of points outgrows a block.
+
+    The refusals come in the order one oracle_words call over every term
+    gives them. The points are the grid of one table per axis and the domain
+    box is a product of intervals, so all are inside exactly when the two
+    corners of the tables' least and greatest values are; only when a corner
+    is outside are blocks built to find the first point outside, which
+    oracle_words names. quantize refuses any value the format cannot hold,
+    so the oracle's words need no further check; the state's words are
+    checked last, once.
+    """
+    n, p = s.n, s.p
+    tables = _label_tables(s, params)
+    box = model.domain_box
+    if not box.contains_points(np.array([[t.min() for t in tables],
+                                         [t.max() for t in tables]])).all():
+        for block in grid_blocks(n, p):
+            points = axis_columns(block, n, p, tables)
+            if not box.contains_points(points).all():
+                oracle_words(model, fmt, points)
+    words = np.empty(len(s), dtype=np.int64)
+    for block in grid_blocks(n, p):
+        values = quantize(fmt, model.evaluate_points(axis_columns(block, n, p, tables)))
+        words[block] = group_op(fmt, s.words[block], values, inverse)
+    check_words(fmt, s.words)
+    return words
 
 
 def apply_u_plus(s: GridAlignedState, params: AlgorithmParams) -> GridAlignedState:
@@ -122,8 +158,7 @@ def apply_u_f(s: GridAlignedState, model: FunctionModel, fmt: FixedPointFormat,
               params: AlgorithmParams, counter: OracleCallCounter) -> GridAlignedState:
     """Oracle operator: word <- word + c_f(label) in the range group."""
     counter.bump()
-    values = oracle_words(model, fmt, _label_points(s, params))
-    return s.replace(words=range_add(fmt, s.words, values))
+    return s.replace(words=_oracle_pass(s, model, fmt, params, inverse=False))
 
 
 def apply_u_f_inverse(s: GridAlignedState, model: FunctionModel, fmt: FixedPointFormat,
@@ -131,8 +166,7 @@ def apply_u_f_inverse(s: GridAlignedState, model: FunctionModel, fmt: FixedPoint
     """Uncomputation of the oracle; costs one oracle call like the forward map
     and evaluates f again rather than reusing the forward words."""
     counter.bump()
-    values = oracle_words(model, fmt, _label_points(s, params))
-    return s.replace(words=range_sub(fmt, s.words, values))
+    return s.replace(words=_oracle_pass(s, model, fmt, params, inverse=True))
 
 
 def _phase_kick(re, im, words: np.ndarray, lam: float, fmt: FixedPointFormat,
@@ -190,7 +224,8 @@ def apply_phase_rotation(s: PipelineState, lam: float, fmt: FixedPointFormat,
     While every term shares one amplitude, a term's kicked amplitude depends
     on its word alone; when the format has no more words than the state has
     terms, each word is kicked once and the results are gathered. The
-    per-bit table is built by doubling (_per_bit_table).
+    per-bit table is built by doubling (_per_bit_table). Otherwise each term
+    is kicked, one block of terms at a time.
     """
     if variant not in PHASE_VARIANTS:
         raise ValueError(f"variant must be one of {PHASE_VARIANTS}")
@@ -203,8 +238,12 @@ def apply_phase_rotation(s: PipelineState, lam: float, fmt: FixedPointFormat,
         else:
             table = _per_bit_table(amps.real, amps.imag, lam, fmt)
         return s.replace(amplitudes=np.take(complex_array(*table), s.words))
-    return s.replace(amplitudes=complex_array(*_phase_kick(amps.real, amps.imag, s.words,
-                                                          lam, fmt, variant)))
+    kicked = np.empty(len(s), dtype=np.complex128)
+    for block in blocks(len(s), 8):
+        part = amps if amps.ndim == 0 else amps[block]
+        kicked.real[block], kicked.imag[block] = _phase_kick(
+            part.real, part.imag, s.words[block], lam, fmt, variant)
+    return s.replace(amplitudes=kicked)
 
 
 def apply_qft(s: GridAlignedState) -> GridAlignedState:

@@ -83,8 +83,12 @@ class FixedPointFormat:
 
 
 def check_words(fmt: FixedPointFormat, word) -> None:
-    """Raise ValueError naming the first word outside [0, 2^N)."""
-    words = np.ravel(word)
+    """Raise ValueError naming the first word outside [0, 2^N). The least
+    and greatest words decide, so only a failing check looks further."""
+    words = np.asarray(word)
+    if words.size and 0 <= words.min() and words.max() < fmt.num_words:
+        return
+    words = words.reshape(-1)
     bad = np.flatnonzero((words < 0) | (words >= fmt.num_words))
     if bad.size:
         raise ValueError(f"word {words[bad[0]]} does not fit in {fmt.bits} bits")
@@ -147,21 +151,26 @@ def quantize(fmt: FixedPointFormat, v):
 
 def range_add(fmt: FixedPointFormat, r1, r2):
     """Group operation on range words (ints or int64 arrays); modular
-    addition or XOR per the format."""
+    addition or XOR per the format. A word outside the format in either
+    operand raises ValueError."""
     check_words(fmt, r1)
     check_words(fmt, r2)
-    if fmt.group_mode == "xor":
-        return r1 ^ r2
-    return (r1 + r2) & (fmt.num_words - 1)
+    return group_op(fmt, r1, r2)
 
 
 def range_sub(fmt: FixedPointFormat, r1, r2):
     """Inverse of range_add in the second argument; in XOR mode the same map."""
     check_words(fmt, r1)
     check_words(fmt, r2)
+    return group_op(fmt, r1, r2, inverse=True)
+
+
+def group_op(fmt: FixedPointFormat, r1, r2, inverse: bool = False):
+    """range_add, or range_sub with inverse, of words already known to fit
+    the format, such as quantize's; nothing here checks them."""
     if fmt.group_mode == "xor":
         return r1 ^ r2
-    return (r1 - r2) & (fmt.num_words - 1)
+    return ((r1 - r2) if inverse else (r1 + r2)) & (fmt.num_words - 1)
 
 
 @dataclass(frozen=True)

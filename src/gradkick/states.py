@@ -21,9 +21,10 @@ a whole-array pass:
 
 Every term's label and word are explicit, or in the aligned form fixed
 exactly by its position and mode, which makes the uncomputation claim
-checkable exactly instead of assumed. run_pipeline peaks at about 65 bytes
-per grid point under tracemalloc at n=8, p=2 (2^16 points), and at 73 with
-n=6, p=3.
+checkable exactly instead of assumed. run_pipeline peaks at about 38 bytes
+per grid point under tracemalloc at n=8, p=2 (2^16 points), and at 34 with
+n=6, p=3: the words before and after an oracle pass and the amplitudes,
+plus one block's temporaries.
 
 Arrays of grid points, offsets and represented points are (k, p), one row
 per point, but they are filled one axis at a time and never reduced over
@@ -38,9 +39,12 @@ as an outer sum (grid_offset_norms).
 
 The row-major layout lives here alone: grid_index_of, grid_point_of,
 axis_columns and grid_outer, the per-axis outer product. Only grid_points
-and the sampler read given flat indices; grid_offsets and represented_points
-cover the whole grid. A loop whose temporaries must not grow with its input
-takes its slices from blocks.
+and the sampler read given flat indices. Grid work runs over grid_blocks,
+aligned blocks of flat indices, each the product of one coordinate range
+per axis (axis_ranges), so axis_columns and grid_outer build a block's
+points from slices of the per-axis tables, as they build the whole grid's.
+A loop whose temporaries must not grow with its input takes its slices
+from blocks.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from .oracle import BASE_CODE, DomainLabel, grid_center
 from .params import PlannerError
 
 # One dense complex vector over 2^26 points is 1 GiB, and run_pipeline peaks
-# near 65-73 bytes per point, 4-5 GiB at this size; refuse anything larger
-# unless the caller overrides the guard explicitly.
+# near 34-38 bytes per point, about 2.4 GiB at this size; refuse anything
+# larger unless the caller overrides the guard explicitly.
 DEFAULT_MAX_GRID_BITS = 26
 
 # Flat grid indices are int64: no max_grid_bits may admit more bits than this.
@@ -125,19 +129,58 @@ def grid_point_of(index: int, n: int, p: int) -> tuple[int, ...]:
     return tuple((index >> (n * (p - 1 - axis))) & mask for axis in range(p))
 
 
-def axis_columns(indices: np.ndarray | None, n: int, p: int,
+def grid_blocks(n: int, p: int) -> Iterator[slice]:
+    """The grid's flat indices in blocks of BLOCK_BYTES // 8 = 8,192 points,
+    or one block for a smaller grid. Both sizes are powers of two, so each
+    block is aligned: axis_ranges splits it into one coordinate range per
+    axis."""
+    return blocks(1 << (n * p), 8)
+
+
+def axis_ranges(block: slice | None, n: int, p: int) -> list[slice]:
+    """Coordinate range of each axis over a block of flat indices; None
+    stands for the whole grid.
+
+    A block of 2^b indices that starts at a multiple of 2^b (any block of
+    grid_blocks) is, in row-major order, the product of these ranges: the
+    axes above its low b bits keep one coordinate, the axis they split runs
+    over part of its range and the axes below over all of it. A slice that
+    is no such product raises ValueError.
+    """
+    if block is None:
+        return [slice(0, 1 << n)] * p
+    start, stop = block.start, block.stop
+    ranges = []
+    for axis in range(p):
+        shift = n * (p - 1 - axis)
+        first = (start >> shift) & ((1 << n) - 1)
+        last = ((stop - 1) >> shift) & ((1 << n) - 1)
+        ranges.append(slice(first, last + 1))
+    lengths = [r.stop - r.start for r in ranges]
+    if (block.step not in (None, 1) or not 0 <= start < stop <= 1 << (n * p)
+            or min(lengths) < 1 or math.prod(lengths) != stop - start):
+        raise ValueError(f"{block} is not an aligned block of the {n * p}-bit grid")
+    return ranges
+
+
+def axis_columns(indices: np.ndarray | slice | None, n: int, p: int,
                  tables: Sequence[np.ndarray]) -> np.ndarray:
     """(k, p) array whose column a is tables[a] read at axis a's coordinate
-    of each flat index; None stands for every grid point in row-major order.
+    of each flat index: of an array of indices, of an aligned block of them
+    (axis_ranges), or, for None, of every grid point in row-major order.
 
     Each table holds the 2^n values of one axis, all of one dtype. Columns
-    are filled one axis at a time (see the module docstring).
+    are filled one axis at a time (see the module docstring); a block's
+    columns broadcast each axis's slice of its table, as the whole grid's
+    do.
     """
     size = 1 << n
-    if indices is None:
-        out = np.empty((size,) * p + (p,), dtype=tables[0].dtype)
-        for axis, table in enumerate(tables):
-            out[..., axis] = table.reshape((size,) + (1,) * (p - 1 - axis))
+    if indices is None or isinstance(indices, slice):
+        ranges = axis_ranges(indices, n, p)
+        shape = tuple(r.stop - r.start for r in ranges)
+        out = np.empty(shape + (p,), dtype=tables[0].dtype)
+        for axis, (table, r) in enumerate(zip(tables, ranges)):
+            out[..., axis] = table[r].reshape(shape[axis:axis + 1] + (1,) * (p - 1 - axis))
         return out.reshape(-1, p)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     out = np.empty((idx.size, p), dtype=tables[0].dtype)
@@ -150,13 +193,16 @@ def axis_columns(indices: np.ndarray | None, n: int, p: int,
     return out
 
 
-def grid_outer(ufunc: np.ufunc, tables: Sequence[np.ndarray]) -> np.ndarray:
+def grid_outer(ufunc: np.ufunc, tables: Sequence[np.ndarray],
+               block: slice | None = None) -> np.ndarray:
     """ufunc(...ufunc(tables[0][g_1], tables[1][g_2])..., tables[p-1][g_p])
     for every grid point g, as one flat array in row-major order: the outer
-    product of one table per axis, combined from the first axis on."""
-    out = tables[0]
-    for table in tables[1:]:
-        out = ufunc.outer(out, table)
+    product of one table per axis, combined from the first axis on. Given an
+    aligned block, only the block's points, from each axis's slice."""
+    ranges = axis_ranges(block, len(tables[0]).bit_length() - 1, len(tables))
+    out = tables[0][ranges[0]]
+    for table, r in zip(tables[1:], ranges[1:]):
+        out = ufunc.outer(out, table[r])
     return out.reshape(-1)
 
 
@@ -187,11 +233,17 @@ def grid_offset_norms(n: int, p: int) -> np.ndarray:
     return grid_outer(np.add, [np.square(axis_offsets(n))] * p)
 
 
+def represented_tables(x: Sequence[float], mu: float, n: int) -> list[np.ndarray]:
+    """x_a + mu * (g - g0) for every single-axis coordinate g, one table per
+    axis a: the represented points are their grid (axis_columns)."""
+    off = axis_offsets(n)
+    return [v + mu * off for v in np.asarray(x, dtype=float)]
+
+
 def represented_points(x: Sequence[float], mu: float, n: int) -> np.ndarray:
     """x + mu * (g - g0) for every grid point g in row-major order, as a
     (2^(pn), p) array."""
-    off = axis_offsets(n)
-    tables = [v + mu * off for v in np.asarray(x, dtype=float)]
+    tables = represented_tables(x, mu, n)
     return axis_columns(None, n, len(tables), tables)
 
 

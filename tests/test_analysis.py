@@ -18,9 +18,10 @@ from gradkick.algorithm import plan_run_format, sampling_radius
 from gradkick.analysis import (BoundViolation, PlannerError, geometric_sum,
                                psi_D_norm_bound, psi_N_norm_bound)
 from gradkick.config import from_tree, record_json, to_tree
-from gradkick.oracle import DomainError
+from gradkick.models import at_one_point
+from gradkick.oracle import DomainError, RangeOverflowError
 from gradkick.params import AlgorithmParams
-from gradkick.states import GridSizeError
+from gradkick.states import GridSizeError, grid_blocks, grid_point_of, represented_points
 
 WORKED = AccuracySpec(gamma=1.0, delta=0.5, epsilon=0.5)
 
@@ -82,9 +83,9 @@ def test_planner_rejects_oversized_grid():
 
 def test_verify_theorem_refuses_a_grid_over_the_guard_before_grid_work(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("decompose_state ran")
+        raise AssertionError("the audit ran")
 
-    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    monkeypatch.setattr(analysis, "audit_tables", refuse)
     model = linear_model([0.5, 0.25], DomainBox.cube(2, 1.0))
     params = AlgorithmParams(n=3, nu=1e-3, lam=1.0, mu=0.05)
     with pytest.raises(GridSizeError, match="max_grid_bits") as caught:
@@ -135,6 +136,101 @@ def test_decompose_state_catches_lying_hessian_bound():
     fmt = plan_run_format(liar, [0.0], params)
     with pytest.raises(BoundViolation, match="curvature error"):
         decompose_state(liar, [0.0], params, fmt)
+
+
+# A p = 2 grid of 2^14 points: the audit reduces it in two blocks.
+TWO_BLOCKS = AlgorithmParams(n=7, nu=1e-3, lam=0.3, mu=2.0 ** -8)
+
+
+@pytest.mark.parametrize("nu", [1e-3, 1e-6], ids=["word-table", "per-point-decode"])
+def test_blocked_audit_matches_the_whole_grid_split(nu, monkeypatch):
+    # Each block's split is the whole grid's at its points, bit for bit, and
+    # so are verify_theorem's psi and reconstruction error; its norms add
+    # one dot product per block, so they may move in the last bits only.
+    # With nu = 1e-3 the format has fewer words than the grid has points,
+    # so phases are gathered by word; with 1e-6 they are computed per point.
+    params = AlgorithmParams(n=7, nu=nu, lam=TWO_BLOCKS.lam, mu=TWO_BLOCKS.mu)
+    model = quadratic_model([0.3, -0.2], [[1.0, 0.25], [0.25, 1.0]], DomainBox.cube(2, 1.0))
+    x = np.array([0.1, -0.2])
+    fmt = plan_run_format(model, x, params)
+    assert (fmt.num_words <= 1 << 14) == (nu == 1e-3)
+    whole = decompose_state(model, x, params, fmt)
+    tables = analysis.audit_tables(model, x, params, fmt)
+    parts = list(grid_blocks(params.n, 2))
+    assert len(parts) == 2
+    for block in parts:
+        part = analysis.decompose_block(model, params, fmt, tables, block)
+        for field in ("psi", "psi_L", "psi_N", "psi_D", "eps_N", "eps_D"):
+            assert getattr(part, field).tobytes() == getattr(whole, field)[block].tobytes()
+    transformed = []
+    original = analysis.qft_amplitudes
+    monkeypatch.setattr(analysis, "qft_amplitudes",
+                        lambda a, *args, **kwargs: transformed.append(a.copy())
+                        or original(a, *args, **kwargs))
+    report = verify_theorem(model, x, WORKED, params, range_format=fmt)
+    assert transformed[0].tobytes() == whole.psi.tobytes()
+    assert report.reconstruction_error == whole.reconstruction_error
+    for name in ("psi_N_norm", "psi_D_norm"):
+        assert abs(getattr(report, name) - getattr(whole, name)) <= 2 * math.ulp(
+            getattr(whole, name))
+
+
+def bumped_linear(bumps):
+    """f = 0.5 x_1 - 0.25 x_2 on TWO_BLOCKS' grid around BUMPED_AT, plus
+    bumps[h] at grid index h, declared linear: a bump is a curvature error."""
+    linear = linear_model([0.5, -0.25], DomainBox.cube(2, 1.0))
+    points = represented_points(BUMPED_AT, TWO_BLOCKS.mu, TWO_BLOCKS.n)
+
+    def batch(rows):
+        values = linear.evaluate_batch(rows)
+        for h, bump in bumps.items():
+            values[np.all(rows == points[h], axis=1)] += bump
+        return values
+
+    return FunctionModel(p=2, evaluate=at_one_point(batch), gradient=linear.gradient,
+                         grad_bound=linear.grad_bound, hess_bound=0.0,
+                         domain_box=linear.domain_box, evaluate_batch=batch)
+
+
+BUMPED_AT = np.array([0.1, -0.2])
+
+
+def flip_bumped_words(monkeypatch, model, indices):
+    """Patch the audit's quantize to move the words of the values at those
+    grid indices two steps: a rounding error of 2 nu."""
+    bumped = model.evaluate_points(
+        represented_points(BUMPED_AT, TWO_BLOCKS.mu, TWO_BLOCKS.n)[indices])
+    original = analysis.quantize
+
+    def quantize(fmt, values):
+        words = original(fmt, values)
+        words[np.isin(values, bumped)] ^= 2
+        return words
+
+    monkeypatch.setattr(analysis, "quantize", quantize)
+
+
+@pytest.mark.parametrize("case", ["curvature", "rounding", "overflow-after-curvature"])
+def test_blocked_audit_refuses_as_the_whole_grid_does(case, monkeypatch):
+    # Two violations in the last block, 12345 first: both audits name its
+    # grid point. A curvature error in the first block and a value the
+    # format cannot hold in the second: both refuse the value, since the
+    # whole grid is quantized before any bound is checked.
+    if case == "overflow-after-curvature":
+        model, error = bumped_linear({100: 0.01, 12345: 1e3}), RangeOverflowError
+    else:
+        model, error = bumped_linear({12345: 0.01, 15000: 0.01}), BoundViolation
+    if case == "rounding":
+        flip_bumped_words(monkeypatch, model, [12345, 15000])
+    fmt = plan_run_format(model, BUMPED_AT, TWO_BLOCKS)
+    with pytest.raises(error) as whole:
+        decompose_state(model, BUMPED_AT, TWO_BLOCKS, fmt)
+    with pytest.raises(error) as blocked:
+        verify_theorem(model, BUMPED_AT, WORKED, TWO_BLOCKS, range_format=fmt)
+    assert str(blocked.value) == str(whole.value)
+    if error is BoundViolation:
+        assert str(whole.value).startswith(f"{case} error ")
+        assert str(whole.value).endswith(f"at grid {grid_point_of(12345, 7, 2)}")
 
 
 def test_norm_bound_formulas():

@@ -51,7 +51,7 @@ def perturb_psi_D(monkeypatch):
     def change(dec):
         dec.psi_D = dec.psi_D + 1e-9
         return dec
-    wrap(monkeypatch, "decompose_state", change)
+    wrap(monkeypatch, "decompose_block", change)
 
 
 def rotate_chi(monkeypatch):

@@ -427,9 +427,9 @@ UNEVALUABLE_INEQUALITIES = [
 def test_unevaluable_inequalities_are_a_usage_error(params, plan_error, verify_error,
                                                     tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("decompose_state ran")
+        raise AssertionError("the audit ran")
 
-    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    monkeypatch.setattr(analysis, "audit_tables", refuse)
     cfg = write_config(tmp_path, {"function": {"kind": "linear", "coefficients": [0.5]},
                                   "x": [0.0], "accuracy": PLANNED_QUADRATIC["accuracy"],
                                   "params": params})
@@ -500,7 +500,7 @@ def test_a_grid_over_the_guard_is_a_usage_error(override, error, commands, tmp_p
     def refuse(*args, **kwargs):
         raise AssertionError("format, baseline or grid work ran")
 
-    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    monkeypatch.setattr(analysis, "audit_tables", refuse)
     monkeypatch.setattr(analysis, "run_pipeline", refuse)
     monkeypatch.setattr(analysis, "plan_run_format", refuse)
     monkeypatch.setattr(cli, "plan_run_format", refuse)
@@ -597,7 +597,7 @@ def test_sampling_box_outside_the_domain_is_refused_before_grid_work(tmp_path, c
         raise AssertionError("grid work started")
 
     monkeypatch.setattr(cli, "run_pipeline", refuse)
-    monkeypatch.setattr(analysis, "decompose_state", refuse)
+    monkeypatch.setattr(analysis, "audit_tables", refuse)
     payload = {"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0],
                "accuracy": {"gamma": 0.1, "delta": 0.5, "epsilon": 0.5},
                "params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.25}}

@@ -215,11 +215,11 @@ def pipeline_peak_per_point(monkeypatch, n, p):
 
 
 def test_pipeline_memory_and_no_term_objects(monkeypatch):
-    assert pipeline_peak_per_point(monkeypatch, 8, 2) <= 88.0
+    assert pipeline_peak_per_point(monkeypatch, 8, 2) <= 40.0
 
 
 def test_pipeline_memory_with_three_axes(monkeypatch):
-    assert pipeline_peak_per_point(monkeypatch, 6, 3) <= 104.0
+    assert pipeline_peak_per_point(monkeypatch, 6, 3) <= 36.0
 
 
 def test_decomposition_and_audit_memory():
@@ -241,7 +241,7 @@ def test_decomposition_and_audit_memory():
             peaks.append(tracemalloc.get_traced_memory()[1] / points)
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 112.0 and peaks[1] <= 112.0
+    assert peaks[0] <= 112.0 and peaks[1] <= 64.0
 
 
 # Every (n, p) with n p <= 20: the grids the closed form must match.

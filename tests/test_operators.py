@@ -14,7 +14,7 @@ from gradkick.operators import (OracleCallCounter, ResidualEntanglementError,
                                 apply_phase_rotation, apply_qft, apply_u_f,
                                 apply_u_f_inverse, apply_u_plus,
                                 apply_u_plus_inverse, collapse_to_grid)
-from gradkick.oracle import DomainLabel
+from gradkick.oracle import DomainLabel, RangeOverflowError, range_add, range_sub
 from gradkick.params import AlgorithmParams
 from gradkick.states import GridAlignedState, SparseTerm, SparseTripartiteState
 
@@ -206,3 +206,32 @@ def test_one_sector_qft_follows_the_callers_grid_guard(monkeypatch):
     model = linear_model([0.5, -0.25], DomainBox.cube(2, 1.0))
     chi, calls = run_pipeline(model, [0.0, 0.0], params, max_grid_bits=8)
     assert chi.amplitudes.size == 16 and calls == 2
+
+
+@pytest.mark.parametrize("group_mode", ["modular", "xor"])
+def test_stray_words_are_refused_where_they_enter(group_mode):
+    # range_add and range_sub check both operands. The oracle passes check
+    # the state's words once and take the oracle's words from quantize,
+    # which refuses a value the format cannot hold. A word of 2^N in a
+    # modular pass would otherwise come out masked into range.
+    fmt = FixedPointFormat(bits=3, a0=-1.0, a1=0.25, group_mode=group_mode)
+    for op in (range_add, range_sub):
+        for r1, r2 in ((np.array([1, 8]), np.array([0, 0])), (np.array([1, 2]), [0, -1])):
+            with pytest.raises(ValueError, match=r"word (8|-1) does not fit in 3 bits"):
+                op(fmt, r1, r2)
+    params = AlgorithmParams(n=3, nu=0.25, lam=1.0, mu=0.05)
+    model = linear_model([0.5], DomainBox.cube(1, 1.0))
+    counter = OracleCallCounter()
+    for stray in (8, -1):
+        words = np.zeros(8, dtype=np.int64)
+        words[5] = stray
+        for shifted in (False, True):
+            state = GridAlignedState(3, 1, (0.0,), shifted, words, 8 ** -0.5)
+            for apply in (apply_u_f, apply_u_f_inverse):
+                with pytest.raises(ValueError, match=f"word {stray} does not fit in 3 bits"):
+                    apply(state, model, fmt, params, counter)
+    steep = linear_model([50.0], DomainBox.cube(1, 1.0))
+    state = GridAlignedState(3, 1, (0.0,), True, np.zeros(8, dtype=np.int64), 8 ** -0.5)
+    for apply in (apply_u_f, apply_u_f_inverse):
+        with pytest.raises(RangeOverflowError, match="outside representable range"):
+            apply(state, steep, fmt, params, counter)

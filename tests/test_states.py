@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from gradkick import GridState
 from gradkick.oracle import DomainLabel
 from gradkick.states import (BLOCK_BYTES, GridSizeError, SparseTerm, SparseTripartiteState,
-                             blocks, check_grid_bits, grid_index_of, grid_outer,
-                             grid_point_of, grid_points)
+                             axis_columns, axis_ranges, blocks, check_grid_bits,
+                             grid_blocks, grid_index_of, grid_outer, grid_point_of,
+                             grid_points)
 
 
 def test_grid_index_row_major_first_axis_slowest():
@@ -113,6 +114,42 @@ def test_grid_outer_is_the_per_index_formula(n, p, ufunc, seed):
     got = grid_outer(ufunc, tables)
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
+
+
+@given(n=st.integers(1, 5), p=st.integers(1, 4), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_columns_equal_the_indexed_columns(n, p, data):
+    # An aligned block of 2^b points: b below n covers part of one axis,
+    # b from n up a part of one axis times whole axes below it (whole axes
+    # only when n divides b). Its columns and outer products must be those
+    # of the same flat indices read one by one.
+    bits = data.draw(st.integers(0, n * p), label="block bits")
+    start = data.draw(st.integers(0, (1 << (n * p - bits)) - 1), label="block") << bits
+    block = slice(start, start + (1 << bits))
+    indices = np.arange(block.start, block.stop)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    tables = [rng.normal(size=1 << n) for _ in range(p)]
+    got = axis_columns(block, n, p, tables)
+    assert got.shape == (indices.size, p)
+    assert got.tobytes() == axis_columns(indices, n, p, tables).tobytes()
+    assert grid_outer(np.add, tables, block).tobytes() == grid_outer(np.add, tables)[block].tobytes()
+    assert axis_columns(None, n, p, tables).tobytes() == axis_columns(
+        slice(0, 1 << (n * p)), n, p, tables).tobytes()
+
+
+def test_grid_blocks_are_aligned_and_other_slices_refused():
+    # 2^15 points: four blocks of 8,192, each a quarter of the first axis.
+    assert list(grid_blocks(5, 3)) == [slice(i << 13, (i + 1) << 13) for i in range(4)]
+    assert axis_ranges(slice(1 << 13, 2 << 13), 5, 3) == [slice(8, 16), slice(0, 32),
+                                                         slice(0, 32)]
+    assert list(grid_blocks(3, 2)) == [slice(0, 64)]
+    for bad in (slice(4, 12), slice(1, 2, 2), slice(0, 65), slice(8, 8)):
+        with pytest.raises(ValueError, match="aligned block"):
+            axis_ranges(bad, 3, 2)
+    # Two axes whose last coordinate comes before their first: their
+    # lengths, -5 each, multiply to the slice's 75 points.
+    with pytest.raises(ValueError, match="aligned block"):
+        axis_ranges(slice(54, 129), 3, 3)
 
 
 def test_sparse_state_rejects_duplicate_triples():
