@@ -22,7 +22,7 @@ from .operators import (OracleCallCounter, apply_phase_rotation, apply_u_f,
 from .params import AlgorithmParams
 from .qft import qft_amplitudes
 from .states import (BLOCK_BYTES, GridAlignedState, GridState, axis_columns, blocks,
-                     check_grid_bits, grid_points)
+                     grid_points)
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,11 @@ def run_pipeline(model: FunctionModel, x: Sequence[float], params: AlgorithmPara
     returned to their initial basis states, then applies the final grid
     transform (the same positive-kernel transform as the first).
     """
-    pt = np.asarray(x, dtype=float)
-    if pt.shape != (model.p,):
-        raise ValueError(f"x must have {model.p} components")
-    check_grid_bits(params.n, model.p, max_grid_bits)
-    check_sampling_box(model, pt, params)
-    if range_format is None:
-        range_format = plan_run_format(model, pt, params, group_mode)
-    elif range_format.group_mode != group_mode:
-        raise ValueError("range_format group_mode disagrees with group_mode argument")
+    from .analysis import plan_experiment  # imported here: analysis imports this module
 
+    experiment = plan_experiment("run", model, x, params, max_grid_bits=max_grid_bits,
+                                 group_mode=group_mode, range_format=range_format)
+    pt, range_format = experiment.x, experiment.range_format
     base = DomainLabel.base(pt)
     counter = OracleCallCounter()
     state = GridAlignedState.prepared(params.n, model.p, base.x)

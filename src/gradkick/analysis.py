@@ -111,9 +111,10 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
     branch 2^(n-2) / (gamma (L + delta)) and the curvature branch
     3 4^(n-2) pi M / (sqrt(5) (L + delta)^2 (1 - epsilon)), which is 0 at
     M = 0; mu = 1 / (2 lam (L + delta)), less an ulp while rounding leaves
-    2^(n-1) mu above gamma; nu = (1 - epsilon) / (6 pi lam). Targets for
-    which any of them overflows, divides by zero or is not finite and
-    positive raise PlannerError naming them.
+    2^(n-1) mu above gamma or 1 / (2 lam mu) below L + delta, so the margin
+    and bandwidth rows hold exactly; nu = (1 - epsilon) / (6 pi lam).
+    Targets for which any of them overflows, divides by zero or is not
+    finite and positive raise PlannerError naming them.
     """
     if L < 0 or M < 0:
         raise ValueError("L and M must be nonnegative")
@@ -141,7 +142,8 @@ def select_parameters(spec: AccuracySpec, L: float, M: float, p: int,
         raise PlannerError(f"the targets gamma={spec.gamma!r}, delta={spec.delta!r}, "
                            f"epsilon={spec.epsilon!r} with L={L!r} and M={M!r} cannot be "
                            f"planned: {exc.args[-1]}") from None
-    while sampling_radius(params) > spec.gamma:
+    while (sampling_radius(params) > spec.gamma
+           or 1.0 / (2.0 * lam * params.mu) < L + spec.delta):
         params = AlgorithmParams(n=n, nu=nu, lam=lam, mu=math.nextafter(params.mu, 0.0))
     return params
 
@@ -197,6 +199,64 @@ def _upper(name: str, value: float, bound: float, note: str) -> InequalityCheck:
     slack = bound - value
     return InequalityCheck(name=name, value=value, bound=bound, slack=slack,
                            holds=slack >= -DEFAULT_CHECK_TOL, note=note)
+
+
+# Each command's steps beside the grid guard and the box, which all run (plan
+# only notes a box outside the domain). run_pipeline and verify_theorem take
+# run's and verify's, decompose_state and leakage_check bench's.
+STEPS = {"plan": ("inequalities",), "run": ("box", "format"),
+         "verify": ("inequalities", "box", "format"), "bench": ("box",)}
+
+
+class Experiment(NamedTuple):
+    """What plan_experiment's steps gave, None for a step not run: grid is
+    the guard's (bits, size, bytes) and box_note plan's note on the box."""
+
+    model: FunctionModel
+    x: np.ndarray
+    params: AlgorithmParams
+    inequalities: InequalityReport | None
+    grid: tuple[int, int, int]
+    box_note: str | None
+    range_format: FixedPointFormat | None
+
+
+def plan_experiment(command: str, model: FunctionModel, x: Sequence[float],
+                    params: AlgorithmParams | None = None, spec: AccuracySpec | None = None,
+                    *, max_grid_bits: int | None = None, group_mode: str = "modular",
+                    range_format: FixedPointFormat | None = None) -> Experiment:
+    """Run command's steps, STEPS[command], in the one order that every
+    command and library entry point shares; each refuses the config when:
+
+    1. the model (resolved by the caller) and x: x lacks one value per axis;
+    2. the params, explicit or planned from spec: no grid meets the targets;
+    3. the planning inequalities: a row cannot be evaluated;
+    4. the grid guard: the grid is over max_grid_bits;
+    5. the sampling box x +- 2^(n-1) mu: it leaves the domain;
+    6. the range format, unless given: it needs more than 43 bits.
+    """
+    steps = STEPS[command]
+    pt = np.asarray(x, dtype=float)
+    if pt.shape != (model.p,):
+        raise ValueError(f"x must have {model.p} components")
+    L, M, p = model.grad_bound, model.hess_bound, model.p
+    if params is None:
+        params = select_parameters(spec, L, M, p, max_grid_bits)
+    inequalities = check_inequalities(params, spec, L, M, p) if "inequalities" in steps else None
+    grid = check_grid_bits(params.n, p, max_grid_bits)
+    box_note = None
+    try:
+        check_sampling_box(model, pt, params)
+    except DomainError as exc:
+        if "box" in steps:
+            raise
+        box_note = str(exc)
+    if "format" in steps:
+        if range_format is None:
+            range_format = plan_run_format(model, pt, params, group_mode)
+        elif range_format.group_mode != group_mode:
+            raise ValueError("range_format group_mode disagrees with group_mode argument")
+    return Experiment(model, pt, params, inequalities, grid, box_note, range_format)
 
 
 @dataclass(eq=False)
@@ -267,13 +327,11 @@ class AuditTables(NamedTuple):
 
 def audit_tables(model: FunctionModel, pt: np.ndarray, params: AlgorithmParams,
                  fmt: FixedPointFormat) -> AuditTables:
-    """The tables of decompose_block, after the checks that come before any
-    grid work: a format step above nu and a sampling box leaving the domain
-    are refused here."""
+    """The tables of decompose_block for a planned pt (plan_experiment); a
+    format step above nu is refused here, before any grid work."""
     n, p = params.n, model.p
     if fmt.a1 > params.nu:
         raise ValueError("format step exceeds nu; plan the format from params")
-    check_sampling_box(model, pt, params)
     mu = params.mu
     fx = model.evaluate(pt)
     linear = _linear_tables(model.gradient(pt), n)
@@ -356,9 +414,10 @@ def decompose_state(model: FunctionModel, x: Sequence[float], params: AlgorithmP
 
     Raises BoundViolation if a rounding error exceeds nu or a curvature error
     exceeds M mu^2 |h - g0|^2 / 2; both hold by construction for truthful
-    models, so a violation means a bug (or a lying hess_bound).
+    models, so a violation means a bug (or a lying hess_bound). x must pass
+    bench's steps (plan_experiment).
     """
-    pt = np.asarray(x, dtype=float)
+    pt = plan_experiment("bench", model, x, params).x
     tables = audit_tables(model, pt, params, fmt)
     return decompose_block(model, params, fmt, tables, slice(0, 1 << (params.n * model.p)))
 
@@ -468,16 +527,16 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
 
     Requires a linear model (the pre-transform state then equals its linear
     part exactly) and the bandwidth condition 1 / (2 lam mu) >= L + delta;
-    the sampling box must also stay inside the domain. Both are verified
-    before the bound is applied, because together they confine the phase
-    angle to where the cosecant estimate is valid. All p axes' factors come
-    from one geometric_sum call, and every value from real arithmetic, so
-    none depends on numpy's SIMD path.
+    x must pass bench's steps (plan_experiment) unless it is the Experiment
+    that passed verify's. Both are verified before the bound is applied,
+    because together they confine the phase angle to where the cosecant
+    estimate is valid. All p axes' factors come from one geometric_sum
+    call, and every value from real arithmetic, so none depends on numpy's
+    SIMD path.
     """
     if model.hess_bound != 0.0:
         raise ValueError("leakage check requires a linear model (hess_bound 0)")
-    pt = np.asarray(x, dtype=float)
-    check_sampling_box(model, pt, params)
+    pt = (x if isinstance(x, Experiment) else plan_experiment("bench", model, x, params)).x
     n, p, lam, mu = params.n, model.p, params.lam, params.mu
     if 1.0 / (2.0 * lam * mu) < model.grad_bound + delta:
         raise ValueError("bandwidth precondition 1 / (2 lam mu) >= L + delta fails")
@@ -587,11 +646,11 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                    range_format: FixedPointFormat | None = None) -> TheoremReport:
     """Run the pipeline and the full audit, and collect a TheoremReport.
 
-    Plans parameters when none are given, and the range format, as
-    run_pipeline does, when none is given. The audit always measures
-    everything; what it asserts (and lists under failures) is the set of
-    checks that must hold unconditionally, plus the projection floors when
-    the planning inequalities all hold.
+    verify's steps (plan_experiment) refuse a config before any grid work,
+    and plan the params and the range format when none are given. The audit
+    always measures everything; what it asserts (and lists under failures)
+    is the set of checks that must hold unconditionally, plus the
+    projection floors when the planning inequalities all hold.
 
     It holds one grid-sized reference, psi, and transforms it in place. psi_L
     is a global phase times a product of one-axis states a_m(g) =
@@ -599,20 +658,10 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
     so projected_linear is the square root of the product, in axis order, of
     the a_m's window probabilities, each from success_projection.
     """
-    pt = np.asarray(x, dtype=float)
-    if params is None:
-        params = select_parameters(spec, model.grad_bound, model.hess_bound,
-                                   model.p, max_grid_bits)
-    # Refused here, before any grid work, if a row cannot be evaluated (plan's
-    # order), the grid is over the guard or the sampling box leaves the domain.
-    inequalities = check_inequalities(params, spec, model.grad_bound,
-                                      model.hess_bound, model.p)
-    check_grid_bits(params.n, model.p, max_grid_bits)
-    check_sampling_box(model, pt, params)
-    if range_format is None:
-        range_format = plan_run_format(model, pt, params, group_mode)
-    elif range_format.group_mode != group_mode:
-        raise ValueError("range_format group_mode disagrees with group_mode argument")
+    experiment = plan_experiment("verify", model, x, params, spec,
+                                 max_grid_bits=max_grid_bits, group_mode=group_mode,
+                                 range_format=range_format)
+    pt, params, range_format = experiment.x, experiment.params, experiment.range_format
     # The split is reduced a block at a time, so psi is its only grid-sized
     # array. A block that breaks a per-point bound is refused only after f
     # is read and quantized at every later block, as over the whole grid.
@@ -659,22 +708,18 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                            [g], spec.delta, params)[1]
         for row, g in zip(axes.reshape(model.p, -1), grad)))
 
-    # The factorized leakage audit only makes sense for linear objectives and
-    # needs the bandwidth condition, which confines the phase angle to where
-    # the cosecant estimate is valid. Outside that, it is skipped (None); the
-    # bandwidth inequality check above still records the failure.
-    can_leak_check = (model.hess_bound == 0.0
-                      and 1.0 / (2.0 * params.lam * params.mu)
+    # The leakage audit needs a linear objective and the bandwidth condition,
+    # whose inequality row records its failure; without them it is None.
+    can_leak_check = (model.hess_bound == 0.0 and 1.0 / (2.0 * params.lam * params.mu)
                       >= model.grad_bound + spec.delta)
-    leakage = (leakage_check(model, pt, params, spec.delta)
-               if can_leak_check else None)
+    leakage = leakage_check(model, experiment, params, spec.delta) if can_leak_check else None
 
     psi_D_bound = psi_D_norm_bound(params)
     psi_N_bound = psi_N_norm_bound(params, model.hess_bound)
     psi_N_asserted = model.p == 1
     linear_floor = (2.0 + spec.epsilon) / 3.0
     triangle_floor = projected_linear - psi_N_norm - psi_D_norm
-    guarantee_asserted = inequalities.all_hold
+    guarantee_asserted = experiment.inequalities.all_hold
 
     failures: list[str] = []
     if reconstruction_error > RECONSTRUCTION_TOL:
@@ -710,7 +755,7 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
         hess_bound=model.hess_bound,
         true_gradient=tuple(float(v) for v in grad),
         oracle_calls=oracle_calls,
-        inequalities=inequalities,
+        inequalities=experiment.inequalities,
         psi_D_norm=psi_D_norm,
         psi_D_bound=psi_D_bound,
         psi_N_norm=psi_N_norm,

@@ -10,16 +10,11 @@ no partial record and any older one intact.
 
 Exit status: 0 on success, 1 when an asserted check or the pipeline itself
 failed, 2 for configuration and usage problems, among them running out of
-memory, a grid over max_grid_bits, planned or explicit, and a sampling box
-outside the domain. All four commands check that guard, and take the
-record's grid size from it, before the range format, the classical baseline
-or any grid work; run, verify and bench check the box next, and plan
-notes a box outside the domain without failing. plan and verify
-check the planning inequalities first, so an unevaluable one is refused
-ahead of the guard. bench names the sweep entry, config.sweep[i], in these
-errors. A verify run whose planning inequalities fail is not by itself an
-error (the report records the broken inequality); only asserted checks
-decide the status.
+memory. Every command refuses a config before the classical baseline or any
+grid work, in the order analysis.plan_experiment lists; bench names the
+sweep entry, config.sweep[i], in those errors. A verify run whose planning
+inequalities fail is not by itself an error (the report records the broken
+inequality); only asserted checks decide the status.
 """
 
 from __future__ import annotations
@@ -35,16 +30,16 @@ from typing import Any, BinaryIO, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .algorithm import check_sampling_box, plan_run_format, run_pipeline
-from .analysis import (BoundViolation, check_inequalities, classical_baseline,
-                       verify_theorem)
+from .algorithm import run_pipeline
+from .analysis import (STEPS, BoundViolation, Experiment, classical_baseline,
+                       plan_experiment, verify_theorem)
 from .config import (ConfigError, ExperimentConfig, ResultRecord,
                      distribution_entries, record_json, sample_summary,
                      to_tree)
 from .oracle import DomainError, FormatError, RangeOverflowError
 from .operators import ResidualEntanglementError
 from .params import PlannerError
-from .states import blocks, check_grid_bits
+from .states import blocks
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -138,14 +133,19 @@ def print_inequalities(report) -> None:
               f"{'yes' if c.holds else 'NO'}")
 
 
+def plan_config(cfg: ExperimentConfig, command: str,
+                context: str = "config") -> Experiment:
+    """command's steps (analysis.plan_experiment) on cfg's model, whose path
+    in errors is context, once cfg has the accuracy its inequalities need."""
+    if "inequalities" in STEPS[command] and cfg.accuracy is None:
+        raise ConfigError(f"{command} requires an accuracy block (gamma, delta, epsilon)")
+    return plan_experiment(command, cfg.resolve_model(context), cfg.x, cfg.params,
+                           cfg.accuracy, max_grid_bits=cfg.max_grid_bits,
+                           group_mode=cfg.group_mode)
+
+
 def cmd_plan(cfg: ExperimentConfig, path: str | None) -> int:
-    if cfg.accuracy is None:
-        raise ConfigError("plan requires an accuracy block (gamma, delta, epsilon)")
-    model = cfg.resolve_model()
-    params = cfg.resolve_params(model)
-    ineqs = check_inequalities(params, cfg.accuracy, model.grad_bound,
-                               model.hess_bound, model.p)
-    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
+    model, _, params, ineqs, (bits, size, mem), box_note, _ = plan_config(cfg, "plan")
     source = "explicit" if cfg.params is not None else "planned"
     print(f"parameters ({source}) for p={model.p}, L={model.grad_bound!r}, "
           f"M={model.hess_bound!r}:")
@@ -157,10 +157,8 @@ def cmd_plan(cfg: ExperimentConfig, path: str | None) -> int:
     if not ineqs.all_hold:
         print("note: at least one inequality fails; the success guarantee "
               "is not asserted for these parameters")
-    try:
-        check_sampling_box(model, np.asarray(cfg.x, dtype=float), params)
-    except DomainError as exc:
-        print(f"note: {exc}; run, verify and bench refuse this config")
+    if box_note is not None:
+        print(f"note: {box_note}; run, verify and bench refuse this config")
     record = ResultRecord(command="plan", config=cfg, params=params,
                           grid_bits=bits, grid_size=size,
                           memory_estimate_bytes=mem, inequalities=ineqs)
@@ -183,12 +181,7 @@ def top_rows(column: np.ndarray, count: int) -> np.ndarray:
 
 
 def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
-    model = cfg.resolve_model()
-    params = cfg.resolve_params(model)
-    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
-    x = np.asarray(cfg.x, dtype=float)
-    check_sampling_box(model, x, params)
-    fmt = plan_run_format(model, x, params, cfg.group_mode)
+    model, x, params, _, (bits, size, mem), _, fmt = plan_config(cfg, "run")
     started = time.perf_counter()
     chi, calls = run_pipeline(model, x, params, cfg.group_mode,
                               phase_variant=cfg.phase_variant,
@@ -224,17 +217,7 @@ def cmd_run(cfg: ExperimentConfig, path: str | None) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, path: str | None) -> int:
-    if cfg.accuracy is None:
-        raise ConfigError("verify requires an accuracy block (gamma, delta, epsilon)")
-    model = cfg.resolve_model()
-    params = cfg.resolve_params(model)
-    x = np.asarray(cfg.x, dtype=float)
-    # verify_theorem's order of refusals: an unevaluable inequality, the
-    # guard, the sampling box, then the one range format of the command.
-    check_inequalities(params, cfg.accuracy, model.grad_bound, model.hess_bound, model.p)
-    bits, size, mem = check_grid_bits(params.n, model.p, cfg.max_grid_bits)
-    check_sampling_box(model, x, params)
-    fmt = plan_run_format(model, x, params, cfg.group_mode)
+    model, x, params, _, (bits, size, mem), _, fmt = plan_config(cfg, "verify")
     started = time.perf_counter()
     report = verify_theorem(model, x, cfg.accuracy, params,
                             group_mode=cfg.group_mode,
@@ -291,11 +274,7 @@ def cmd_bench(cfg: ExperimentConfig, path: str | None) -> int:
         context = f"config.sweep[{index}]"
         sub = cfg.merged(entry, context)
         try:
-            model = sub.resolve_model(context)
-            params = sub.resolve_params(model)
-            bits, size, mem = check_grid_bits(params.n, model.p, sub.max_grid_bits)
-            x = np.asarray(sub.x, float)
-            check_sampling_box(model, x, params)
+            model, x, params, _, (bits, size, mem), _, _ = plan_config(sub, "bench", context)
         except (PlannerError, DomainError) as exc:
             raise type(exc)(f"{context}: {exc}") from None
         # The pipeline makes exactly two oracle applications by construction

@@ -78,9 +78,10 @@ class GridSizeError(PlannerError):
 
 def check_grid_bits(n: int, p: int,
                     max_grid_bits: int | None = None) -> tuple[int, int, int]:
-    """The one grid-size guard, checked by every command before any format,
-    baseline or grid work. Returns the record's grid block: (total bits,
-    grid size, bytes for one dense complex sector)."""
+    """The one grid-size guard: step 4 of analysis.plan_experiment, also run
+    by select_parameters and resolve_domain before they form 2^(n-2) or
+    2^(n-1). Returns the record's grid block: (total bits, grid size, bytes
+    for one dense complex sector)."""
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     bits = n * p

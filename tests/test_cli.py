@@ -199,8 +199,7 @@ def test_verify_plans_its_range_format_once(tmp_path, monkeypatch):
         formats.append(original(*args))
         return formats[-1]
 
-    original = cli.plan_run_format
-    monkeypatch.setattr(cli, "plan_run_format", planned)
+    original = analysis.plan_run_format
     monkeypatch.setattr(analysis, "plan_run_format", planned)
     cfg = write_config(tmp_path, PLANNED_QUADRATIC)
     out = tmp_path / "verify.json"
@@ -419,11 +418,15 @@ UNEVALUABLE_INEQUALITIES = [
     # lam * mu underflows to 0, and the bandwidth row divides by it.
     ({"n": 3, "nu": 1e-3, "lambda": 1e-200, "mu": 1e-200},
      "error: the bandwidth inequality cannot be evaluated", None),
+    # The nan row again, with a sampling box of half-width 2 outside the
+    # domain of half-width gamma = 1: the inequality is refused first.
+    ({"n": 3, "nu": 10.0, "lambda": 1e308, "mu": 0.5},
+     "error: the curvature inequality's value is nan", None),
 ]
 
 
 @pytest.mark.parametrize("params, plan_error, verify_error", UNEVALUABLE_INEQUALITIES,
-                         ids=["overflow", "nan", "zero-division"])
+                         ids=["overflow", "nan", "zero-division", "nan-with-the-box-outside"])
 def test_unevaluable_inequalities_are_a_usage_error(params, plan_error, verify_error,
                                                     tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -458,6 +461,10 @@ OVER_GUARD = [
     # built the grid.
     ({"params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
      "grid needs 6 bits (2 axes of 3 bits), over the 4-bit guard" + OVERRIDE, ALL_COMMANDS),
+    # The same grid with a sampling box of half-width 2, outside the domain
+    # of half-width gamma = 1: the guard is refused first.
+    ({"params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.5}},
+     "grid needs 6 bits (2 axes of 3 bits), over the 4-bit guard" + OVERRIDE, ALL_COMMANDS),
     # The widest grid a guard can admit, and the narrowest none can.
     ({"params": {"n": 31, "nu": 1e-3, "lambda": 1.0, "mu": 0.05}},
      "grid needs 62 bits (2 axes of 31 bits), over the 4-bit guard" + OVERRIDE, ALL_COMMANDS),
@@ -491,7 +498,8 @@ OVER_GUARD = [
 
 
 @pytest.mark.parametrize("override, error, commands", OVER_GUARD,
-                         ids=["planned", "explicit", "explicit-62-bits",
+                         ids=["planned", "explicit", "explicit-box-outside-the-domain",
+                              "explicit-62-bits",
                               "explicit-64-bits-at-the-62-bit-guard", "explicit-n40",
                               "explicit-n20000", "explicit-format-over-62-bits",
                               "explicit-default-domain-n1100"])
@@ -503,7 +511,6 @@ def test_a_grid_over_the_guard_is_a_usage_error(override, error, commands, tmp_p
     monkeypatch.setattr(analysis, "audit_tables", refuse)
     monkeypatch.setattr(analysis, "run_pipeline", refuse)
     monkeypatch.setattr(analysis, "plan_run_format", refuse)
-    monkeypatch.setattr(cli, "plan_run_format", refuse)
     monkeypatch.setattr(cli, "classical_baseline", refuse)
     monkeypatch.setattr(GridAlignedState, "prepared", refuse)
     cfg = write_config(tmp_path, {**OVER_GUARD_LINEAR, **override})
@@ -592,29 +599,31 @@ def test_sampling_box_outside_the_domain_is_refused_before_grid_work(tmp_path, c
                                                                     monkeypatch):
     # Explicit params whose box, of half-width 2^2 * 0.25 = 1, leaves the
     # default domain of half-width gamma = 0.1: run and verify used to exit 1
-    # with a DomainError.
+    # with a DomainError. The second has a range format that would need
+    # about 1,000 bits: the box is refused first.
     def refuse(*args, **kwargs):
         raise AssertionError("grid work started")
 
     monkeypatch.setattr(cli, "run_pipeline", refuse)
     monkeypatch.setattr(analysis, "audit_tables", refuse)
-    payload = {"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0],
-               "accuracy": {"gamma": 0.1, "delta": 0.5, "epsilon": 0.5},
-               "params": {"n": 3, "nu": 1e-3, "lambda": 1.0, "mu": 0.25}}
-    cfg = write_config(tmp_path, {**payload, "sweep": [{}]})
-    out = tmp_path / "record.json"
-    for command, prefix in (("run", "error: "), ("verify", "error: "),
-                            ("bench", "error: config.sweep[0]: ")):
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(prefix + "sampling box of half-width 1.0 around [0.0] exits "
-                              "the domain") and "Traceback" not in err, err
-        assert not out.exists()
-    # plan still reports the parameters, with the margin row failing.
-    assert main(["plan", "--config", cfg]) == 0
-    rows = [line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("  margin ")]
-    assert len(rows) == 1 and rows[0].endswith("NO")
+    for nu in (1e-3, 1e-300):
+        payload = {"function": {"kind": "linear", "coefficients": [0.5]}, "x": [0.0],
+                   "accuracy": {"gamma": 0.1, "delta": 0.5, "epsilon": 0.5},
+                   "params": {"n": 3, "nu": nu, "lambda": 1.0, "mu": 0.25}}
+        cfg = write_config(tmp_path, {**payload, "sweep": [{}]})
+        out = tmp_path / "record.json"
+        for command, prefix in (("run", "error: "), ("verify", "error: "),
+                                ("bench", "error: config.sweep[0]: ")):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(prefix + "sampling box of half-width 1.0 around [0.0] exits "
+                                  "the domain") and "Traceback" not in err, err
+            assert not out.exists()
+        # plan still reports the parameters, with the margin row failing.
+        assert main(["plan", "--config", cfg]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  margin ")]
+        assert len(rows) == 1 and rows[0].endswith("NO")
 
 
 def test_plan_notes_a_sampling_box_outside_an_explicit_domain(tmp_path, capsys):
