@@ -46,19 +46,22 @@ def check_sampling_box(model: FunctionModel, pt: np.ndarray, params: AlgorithmPa
             f"sampling box of half-width {radius} around {pt.tolist()} exits the domain")
 
 
+def axis_signed_indices(n: int) -> np.ndarray:
+    """Signed lattice index k of every single-axis index g, as an int64 array
+    of length 2^n: -g below 2^(n-1), 2^n - g from there on."""
+    k = -np.arange(1 << n, dtype=np.int64)
+    k[1 << (n - 1):] += 1 << n
+    return k
+
+
 # One decode table per params: the sampler, the distribution rows and every
 # window projection of an audit read the same one. A few are kept, not all,
 # since a table is 8 bytes per axis index.
 @functools.lru_cache(maxsize=8)
 def axis_decode_values(params: AlgorithmParams) -> np.ndarray:
-    """Decoded gradient component of every single-axis index g, as one
-    read-only array of length 2^n: -g / (2^n lam mu), folding g >= 2^(n-1)
-    positive."""
-    size = 1 << params.n
-    scale = float(size) * params.lam * params.mu
-    half = size >> 1
-    g = np.arange(size)
-    values = np.where(g < half, -g / scale, (size - g) / scale)
+    """Decoded gradient component of every single-axis index, as one
+    read-only array of length 2^n: k / (2^n lam mu), k its signed index."""
+    values = axis_signed_indices(params.n) / (float(1 << params.n) * params.lam * params.mu)
     values.flags.writeable = False
     return values
 

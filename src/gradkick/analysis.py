@@ -168,11 +168,7 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
         checks.append(InequalityCheck("margin", radius, spec.gamma, spec.gamma - radius,
                                       radius <= spec.gamma, "2^(n-1) mu <= gamma"))
 
-        value = 1.0 / (2.0 * lam * mu)
-        slack = value - (L + spec.delta)
-        checks.append(InequalityCheck(name="bandwidth", value=value, bound=L + spec.delta,
-                                      slack=slack, holds=slack >= -DEFAULT_CHECK_TOL,
-                                      note="1 / (2 lam mu) >= L + delta"))
+        checks.append(_bandwidth_row(params, L, spec.delta))
 
         theta = math.pi * lam * mu * spec.delta
         window = 1.0 - ((2.0 + eps) / 3.0) ** (2.0 / p)
@@ -193,6 +189,14 @@ def check_inequalities(params: AlgorithmParams, spec: AccuracySpec, L: float, M:
         row = ("curvature", "precision", "margin", "bandwidth", "leakage")[len(checks)]
         raise PlannerError(f"the {row} inequality cannot be evaluated: {exc.args[-1]}") from None
     return InequalityReport(checks=tuple(checks), tol=DEFAULT_CHECK_TOL)
+
+
+def _bandwidth_row(params: AlgorithmParams, L: float, delta: float) -> InequalityCheck:
+    """The bandwidth inequality, which leakage_check also needs to hold."""
+    value = 1.0 / (2.0 * params.lam * params.mu)
+    slack = value - (L + delta)
+    return InequalityCheck(name="bandwidth", value=value, bound=L + delta, slack=slack,
+                           holds=slack >= -DEFAULT_CHECK_TOL, note="1 / (2 lam mu) >= L + delta")
 
 
 def _upper(name: str, value: float, bound: float, note: str) -> InequalityCheck:
@@ -526,7 +530,8 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
     """Check the per-axis cosecant bound and the tensor factorization.
 
     Requires a linear model (the pre-transform state then equals its linear
-    part exactly) and the bandwidth condition 1 / (2 lam mu) >= L + delta;
+    part exactly) and the bandwidth row 1 / (2 lam mu) >= L + delta to hold
+    (_bandwidth_row, within DEFAULT_CHECK_TOL, as in the planning report);
     x must pass bench's steps (plan_experiment) unless it is the Experiment
     that passed verify's. Both are verified before the bound is applied,
     because together they confine the phase angle to where the cosecant
@@ -538,7 +543,7 @@ def leakage_check(model: FunctionModel, x: Sequence[float], params: AlgorithmPar
         raise ValueError("leakage check requires a linear model (hess_bound 0)")
     pt = (x if isinstance(x, Experiment) else plan_experiment("bench", model, x, params)).x
     n, p, lam, mu = params.n, model.p, params.lam, params.mu
-    if 1.0 / (2.0 * lam * mu) < model.grad_bound + delta:
+    if not _bandwidth_row(params, model.grad_bound, delta).holds:
         raise ValueError("bandwidth precondition 1 / (2 lam mu) >= L + delta fails")
     grad = model.gradient(pt)
     fx = model.evaluate(pt)
@@ -604,9 +609,12 @@ class TheoremReport:
     """Everything the success-guarantee audit measured, plus what it asserts.
 
     Slack orientation matches InequalityCheck: nonnegative means satisfied.
-    failures lists the asserted checks that did not hold; the projection
-    floors are asserted only when all five planning inequalities hold
-    (guarantee_asserted), since the guarantee promises nothing otherwise.
+    failures lists the asserted checks that did not hold, each entry led by
+    its stable code and a colon: reconstruction, dual_path, psi_D_bound,
+    psi_N_bound, triangle, leakage_amplitude, leakage_factorization,
+    linear_floor or epsilon_floor. The projection floors are asserted only
+    when all five planning inequalities hold (guarantee_asserted), since the
+    guarantee promises nothing otherwise.
     """
 
     params: AlgorithmParams
@@ -708,11 +716,9 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
                            [g], spec.delta, params)[1]
         for row, g in zip(axes.reshape(model.p, -1), grad)))
 
-    # The leakage audit needs a linear objective and the bandwidth condition,
-    # whose inequality row records its failure; without them it is None.
-    can_leak_check = (model.hess_bound == 0.0 and 1.0 / (2.0 * params.lam * params.mu)
-                      >= model.grad_bound + spec.delta)
-    leakage = leakage_check(model, experiment, params, spec.delta) if can_leak_check else None
+    # A linear f gets the leakage audit exactly when the bandwidth row holds.
+    leakage = (leakage_check(model, experiment, params, spec.delta) if model.hess_bound == 0.0
+               and experiment.inequalities.checks[3].holds else None)
 
     psi_D_bound = psi_D_norm_bound(params)
     psi_N_bound = psi_N_norm_bound(params, model.hess_bound)
@@ -723,29 +729,31 @@ def verify_theorem(model: FunctionModel, x: Sequence[float], spec: AccuracySpec,
 
     failures: list[str] = []
     if reconstruction_error > RECONSTRUCTION_TOL:
-        failures.append(f"reconstruction error {reconstruction_error!r} "
+        failures.append(f"reconstruction: error {reconstruction_error!r} "
                         f"above {RECONSTRUCTION_TOL}")
     if dual_path_error > DUAL_PATH_TOL:
-        failures.append(f"pipeline/reference disagreement {dual_path_error!r} "
+        failures.append(f"dual_path: pipeline/reference disagreement {dual_path_error!r} "
                         f"above {DUAL_PATH_TOL}")
     if psi_D_norm > psi_D_bound + DEFAULT_CHECK_TOL:
-        failures.append(f"psi_D norm {psi_D_norm!r} above bound {psi_D_bound!r}")
+        failures.append(f"psi_D_bound: psi_D norm {psi_D_norm!r} above bound {psi_D_bound!r}")
     if psi_N_asserted and psi_N_norm > psi_N_bound + DEFAULT_CHECK_TOL:
-        failures.append(f"psi_N norm {psi_N_norm!r} above bound {psi_N_bound!r}")
+        failures.append(f"psi_N_bound: psi_N norm {psi_N_norm!r} above bound {psi_N_bound!r}")
     if projected_amplitude < triangle_floor - DUAL_PATH_TOL:
-        failures.append("triangle chain violated: projected amplitude "
-                        f"{projected_amplitude!r} below {triangle_floor!r}")
+        failures.append(f"triangle: projected amplitude {projected_amplitude!r} "
+                        f"below {triangle_floor!r}")
     if leakage is not None and not leakage.amplitude_ok:
-        failures.append("leakage amplitude bound violated")
+        failures.append(f"leakage_amplitude: out-of-window amplitude "
+                        f"{max(leakage.per_axis_max)!r} above bound {leakage.bound!r}")
     if leakage is not None and not leakage.factorization_ok:
-        failures.append("leakage factorization check failed")
+        failures.append(f"leakage_factorization: factorization error "
+                        f"{leakage.factorization_error!r} above {FACTORIZATION_TOL}")
     if guarantee_asserted:
         if projected_linear < linear_floor - DEFAULT_CHECK_TOL:
-            failures.append(f"linear projection {projected_linear!r} below "
+            failures.append(f"linear_floor: linear projection {projected_linear!r} below "
                             f"floor {linear_floor!r}")
         if projected_amplitude < spec.epsilon - DEFAULT_CHECK_TOL:
-            failures.append(f"projected amplitude {projected_amplitude!r} below "
-                            f"epsilon {spec.epsilon!r}")
+            failures.append(f"epsilon_floor: projected amplitude {projected_amplitude!r} "
+                            f"below epsilon {spec.epsilon!r}")
 
     return TheoremReport(
         params=params,

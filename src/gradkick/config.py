@@ -33,7 +33,8 @@ from typing import (Any, Callable, Iterator, Sequence, Union, get_args, get_orig
 
 import numpy as np
 
-from .algorithm import axis_decode_values, sample_blocks, sampling_radius
+from .algorithm import (axis_decode_values, axis_signed_indices, sample_blocks,
+                        sampling_radius)
 from .analysis import (AccuracySpec, InequalityReport, TheoremReport,
                        select_parameters)
 from .floattext import BLOCK_VALUES, float_texts
@@ -49,7 +50,8 @@ DEFAULT_PROB_FLOOR = 1e-12
 
 # The most shots a config may ask for. Sampling a 2^14-point state ran at
 # about 130 ns a shot on a 2-vCPU host, so 2^32 shots take about ten minutes;
-# the bound also keeps sample_summary's exact mean in int64 (counts_mean).
+# the bound also keeps both int64 parts of sample_summary's exact index sum
+# N_m = sum_g C_g k(g), |N_m| <= 2^32 2^(n-1), from overflow (signed_index_mean).
 MAX_SHOTS = 1 << 32
 
 FUNCTION_KINDS = ("linear", "quadratic", "sinusoidal", "custom-coefficients")
@@ -444,10 +446,13 @@ def sample_summary(chi: GridState, shots: int, seed: int,
 
     Each block of shots sample_blocks draws is added into one count per
     grid index. Outcomes are listed by falling count, ties in grid-index
-    order. mean_gradient[m] is axis m's sample mean, sum_k C_k v_k / shots
-    over the axis's marginal counts C_k and the decode table v
-    (axis_decode_values), exact and rounded once (counts_mean). No array
-    grows with the number of shots.
+    order. mean_gradient[m] is axis m's sample mean of the estimates k / s,
+    N_m / (shots s) with N_m = sum_g C_g k(g) over the axis's marginal
+    counts C_g (signed_index_mean): k is the signed lattice index
+    (algorithm.axis_signed_indices) and s the double 2^n lam mu that
+    axis_decode_values divides by. N_m is an exact integer,
+    |N_m| <= shots 2^(n-1) <= 2^(31+n), and the mean is rounded once; a zero
+    sum gives +0.0. No array grows with the number of shots.
     """
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be at most 2^32 = {MAX_SHOTS}, got {shots}")
@@ -456,8 +461,9 @@ def sample_summary(chi: GridState, shots: int, seed: int,
     for _, indices in sample_blocks(chi, shots, seed):
         np.add.at(counts, indices, 1)
     grid = counts.reshape((1 << n,) * p)
-    mean = counts_mean(np.stack([grid.sum(axis=tuple(a for a in range(p) if a != m))
-                                 for m in range(p)]), axis_decode_values(params), shots)
+    k, scale = axis_signed_indices(n), float(1 << n) * params.lam * params.mu
+    mean = [signed_index_mean(grid.sum(axis=tuple(a for a in range(p) if a != m)), k,
+                              shots, scale) for m in range(p)]
     outcomes = np.flatnonzero(counts)
     counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
@@ -471,75 +477,17 @@ def sample_summary(chi: GridState, shots: int, seed: int,
     }
 
 
-def counts_mean(counts: np.ndarray, values: np.ndarray, total: int) -> list[float]:
-    """sum_k counts[m, k] values[k] / total for each row m, exact and rounded
-    once to the nearest float (ties to even); a zero mean is +0.0. Counts
-    are nonnegative and each row adds up to at most MAX_SHOTS.
-
-    Each value is w 2^(e - 53), with e its frexp exponent and w an integer
-    of at most 53 bits, split as w = hi 2^26 + lo with 0 <= lo < 2^26, so
-    |hi| <= 2^27. A row's count-weighted hi and lo are added up per
-    exponent in int64, exactly, since no such sum exceeds 2^32 2^27 = 2^59:
-    the values are grouped by exponent (_exponent_groups), so each block of
-    them takes one gather, one product and one reduceat. The per-exponent
-    sums are combined in Python ints, scaled to 2^-1126 (frexp's least
-    exponent, -1073, less 53), and one int / int true division, which
-    CPython rounds correctly, gives each mean.
+def signed_index_mean(counts: np.ndarray, k: np.ndarray, shots: int, scale: float) -> float:
+    """sum_i counts[i] k[i] / (shots scale), the sum exact and the quotient
+    rounded once to the nearest float by one division of Python ints, which
+    CPython rounds correctly; a zero sum gives +0.0. The counts add up to at
+    most MAX_SHOTS = 2^32 and |k| <= 2^61. The sum leaves int64 once |k|
+    reaches 2^31, so k is split as hi 2^31 + lo, 0 <= lo < 2^31, whose sums
+    stay within 2^62 and below 2^63 in int64 and join in a Python int.
     """
-    fixed = not values.flags.writeable and values.base is None
-    groups = _cached_groups(_Identity(values)) if fixed else _exponent_groups(values)
-    numerators = [0] * len(counts)
-    for order, starts, shifts, parts in groups:
-        sums = np.add.reduceat(counts[:, None, order] * parts, starts, axis=2)
-        for m, (his, los) in enumerate(sums.tolist()):
-            numerators[m] += sum(((upper << 26) + lower) << shift
-                                 for upper, lower, shift in zip(his, los, shifts))
-    return [numerator / (total << 1126) for numerator in numerators]
-
-
-def _exponent_groups(values: np.ndarray) -> list[tuple]:
-    """counts_mean's grouping of values, one block (states.blocks) at a time,
-    so the temporaries stay within a few blocks however long the table is.
-    Each block's values are taken in order of frexp exponent, and its entry
-    holds their indices in the table, where each exponent's run starts, each
-    run's exponent plus 1073, and the values' hi and lo parts, stacked as a
-    (2, k) int64 array."""
-    groups = []
-    for block in blocks(values.size, 8):
-        fractions, exponents = np.frexp(values[block])
-        whole = np.ldexp(fractions, 53, out=fractions).astype(np.int64)
-        hi = whole >> 26
-        whole -= hi << 26
-        order = np.argsort(exponents, kind="stable")
-        exponents = exponents[order]
-        starts = np.flatnonzero(np.diff(exponents, prepend=exponents[0] - 1))
-        groups.append((order + block.start, starts, (exponents[starts] + 1073).tolist(),
-                       np.stack((hi[order], whole[order]))))
-    return groups
-
-
-class _Identity:
-    """A key equal only to a key of the same array object."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
-
-    def __hash__(self) -> int:
-        return id(self.array)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Identity) and other.array is self.array
-
-
-# A read-only table that owns its data changes only if it is made writeable
-# again, so its grouping is kept: the decode tables are such tables, cached
-# per params (algorithm.axis_decode_values), so each is grouped once. The key
-# holds its table, so no other array takes its id while the entry lives.
-@functools.lru_cache(maxsize=8)
-def _cached_groups(key: _Identity) -> list[tuple]:
-    return _exponent_groups(key.array)
+    total = (int(counts @ (k >> 31)) << 31) + int(counts @ (k & ((1 << 31) - 1)))
+    numerator, denominator = scale.as_integer_ratio()
+    return total * denominator / (shots * numerator)
 
 
 def record_json(tree: Any, write: Callable[[str], Any] | None = None) -> str | None:

@@ -104,15 +104,15 @@ def inequalities_at_half_epsilon(monkeypatch):
 
 
 CASES = [
-    ("reconstruction", QUADRATIC, perturb_psi_D, "reconstruction error "),
+    ("reconstruction", QUADRATIC, perturb_psi_D, "error "),
     ("dual_path", QUADRATIC, rotate_chi, "pipeline/reference disagreement "),
     ("psi_D_bound", QUADRATIC, zero_bound("psi_D_norm_bound"), "psi_D norm "),
     ("psi_N_bound", QUADRATIC, zero_bound("psi_N_norm_bound"), "psi_N norm "),
-    ("triangle", QUADRATIC, low_projection(0, 0.6), "triangle chain violated: "),
+    ("triangle", QUADRATIC, low_projection(0, 0.6), "projected amplitude 0.6 below "),
     ("leakage_amplitude", LINEAR, failing_leakage("amplitude_ok"),
-     "leakage amplitude bound violated"),
+     "out-of-window amplitude "),
     ("leakage_factorization", LINEAR, failing_leakage("factorization_ok"),
-     "leakage factorization check failed"),
+     "factorization error "),
     ("linear_floor", QUADRATIC, low_projection(1, 0.8), "linear projection "),
     ("epsilon_floor", STRICT, inequalities_at_half_epsilon, "projected amplitude "),
 ]
@@ -137,6 +137,7 @@ def test_each_asserted_check_fails_alone(code, config, perturb, message, tmp_pat
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAILED: ")]
-    assert len(failed) == 1 and failed[0].startswith("FAILED: " + message), failed
+    # Each failure is led by its stable code, the case's id.
+    assert len(failed) == 1 and failed[0].startswith(f"FAILED: {code}: {message}"), failed
     record = ResultRecord.from_json(out.read_text())
     assert record.theorem.failures == (failed[0][len("FAILED: "):],)

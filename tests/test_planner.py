@@ -1,6 +1,7 @@
 """The one planned experiment: every refusal check runs in
 analysis.plan_experiment, each command runs it a pinned number of times,
-and planned parameters meet the bandwidth row exactly."""
+planned parameters meet the bandwidth row exactly, and the leakage audit
+runs exactly when that row holds."""
 
 import ast
 import contextlib
@@ -15,6 +16,7 @@ import pytest
 
 import gradkick
 from gradkick import AccuracySpec, check_inequalities, select_parameters
+from gradkick.analysis import DEFAULT_CHECK_TOL
 from gradkick.cli import main
 from gradkick.config import ResultRecord
 from gradkick.params import PlannerError
@@ -100,23 +102,45 @@ def test_each_command_runs_each_check_a_pinned_number_of_times(name, monkeypatch
     assert tuple(counts[check] for check in ALLOWED_CALLERS) == PINNED_COUNTS[name]
 
 
+LINEAR_TARGET = {
+    "function": {"kind": "linear",
+                 "coefficients": [-0.9638649292429398, 0.5754766079608684]},
+    "x": [0.0, 0.0],
+    "accuracy": {"gamma": 0.02915666878558584, "delta": 0.279445469253843,
+                 "epsilon": 0.0581705481375756}}
+
+
+def verified_theorem(config, tmp_path, capsys):
+    """The theorem record of a verify of config that exits 0 with the
+    guarantee asserted."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    assert "guarantee asserted" in capsys.readouterr().out
+    return ResultRecord.from_json(out.read_text()).theorem
+
+
 def test_a_planned_linear_verify_runs_its_leakage_check(tmp_path, capsys):
     # mu = 1 / (2 lam (L + delta)) put 1 / (2 lam mu) an ulp below L + delta:
     # the bandwidth row held within its tolerance, so the guarantee was
     # asserted, while the leakage check was skipped and recorded as null.
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "function": {"kind": "linear",
-                     "coefficients": [-0.9638649292429398, 0.5754766079608684]},
-        "x": [0.0, 0.0],
-        "accuracy": {"gamma": 0.02915666878558584, "delta": 0.279445469253843,
-                     "epsilon": 0.0581705481375756}}))
-    out = tmp_path / "verify.json"
-    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
-    assert "guarantee asserted" in capsys.readouterr().out
-    theorem = ResultRecord.from_json(out.read_text()).theorem
+    theorem = verified_theorem(LINEAR_TARGET, tmp_path, capsys)
     assert theorem.leakage is not None and theorem.ok
     assert theorem.inequalities.checks[3].slack >= 0.0
+
+
+def test_the_leakage_check_runs_exactly_when_the_bandwidth_row_holds(tmp_path, capsys):
+    # Explicit params an ulp short of the bandwidth condition: the row holds
+    # within its tolerance, so the guarantee is asserted and the leakage
+    # audit runs too, where it used to be skipped and recorded as null.
+    theorem = verified_theorem({**LINEAR_TARGET, "params": {
+        "n": 5, "nu": 0.00022641157525078888, "lambda": 220.6848488899021,
+        "mu": 0.001822291799099115}}, tmp_path, capsys)
+    bandwidth = theorem.inequalities.checks[3]
+    assert bandwidth.name == "bandwidth" and bandwidth.holds
+    assert -DEFAULT_CHECK_TOL <= bandwidth.slack < 0.0
+    assert theorem.leakage is not None and theorem.ok
 
 
 def test_planned_params_meet_the_bandwidth_row_exactly():

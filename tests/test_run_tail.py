@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradkick import config
 from gradkick.algorithm import ShotBlock, axis_decode_values, sample_blocks
 from gradkick.cli import write_text
-from gradkick.config import sample_summary
+from gradkick.config import MAX_SHOTS, sample_summary, signed_index_mean
 from gradkick.params import AlgorithmParams
 from gradkick.states import BLOCK_BYTES, GridState, axis_columns, blocks, grid_points
 
@@ -39,12 +39,20 @@ def every_shot(chi, shots, seed, params):
     return indices, axis_columns(indices, chi.n, chi.p, [axis_decode_values(params)] * chi.p)
 
 
-def exact_mean(gradients):
-    """Each column's exact mean of every shot's decoded value, rounded once:
-    float(Fraction(sum) / shots)."""
-    shots = len(gradients)
-    return np.array([float(sum(map(Fraction, column), Fraction(0)) / shots)
-                     for column in gradients.T.tolist()])
+def exact_mean(indices, n, p, params):
+    """Each axis's exact mean of every shot's estimate k / s, rounded once,
+    from the shots' flat grid indices: k folds the axis coordinate g to -g
+    below 2^(n-1) and to 2^n - g from there on, s is the double
+    2^n lam mu, and the mean sum_shots (k / s) / shots is one Fraction,
+    sum_shots k / (shots s)."""
+    size = 2 ** n
+    scale = Fraction(float(size) * params.lam * params.mu)
+    sums = [0] * p
+    for i in indices.tolist():
+        for m in range(p):
+            g = i // size ** (p - 1 - m) % size
+            sums[m] += -g if g < size // 2 else size - g
+    return np.array([float(total / (len(indices) * scale)) for total in sums])
 
 
 @given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
@@ -79,7 +87,7 @@ def test_generator_random_in_consecutive_chunks_gives_the_doubles_of_one_call(se
     assert np.array_equal(chunks.view(np.int64), whole.view(np.int64))
 
 
-def summary_of_every_shot(indices, gradients, n, p):
+def summary_of_every_shot(indices, n, p, params):
     """The run command's summary from every shot at once: (outcomes by
     falling count, their counts, the mean), counted by one np.bincount and
     averaged exactly (exact_mean)."""
@@ -87,7 +95,7 @@ def summary_of_every_shot(indices, gradients, n, p):
     outcomes = np.flatnonzero(counts)
     counts = counts[outcomes]
     order = np.argsort(-counts, kind="stable")
-    return outcomes[order], counts[order], exact_mean(gradients)
+    return outcomes[order], counts[order], exact_mean(indices, n, p, params)
 
 
 @given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
@@ -97,7 +105,8 @@ def test_folded_summary_equals_the_summary_of_every_shot(n, p, shots, zeros, see
     chi = random_chi(n, p, seed, zeros)
     params = AlgorithmParams(n=n, nu=1e-6, lam=0.75, mu=0.1)
     summary = sample_summary(chi, shots, seed, params)
-    outcomes, counts, mean = summary_of_every_shot(*every_shot(chi, shots, seed, params), n, p)
+    indices, _ = every_shot(chi, shots, seed, params)
+    outcomes, counts, mean = summary_of_every_shot(indices, n, p, params)
 
     table = summary["outcome_counts"]
     assert (summary["shots"], summary["seed"]) == (shots, seed)
@@ -107,32 +116,61 @@ def test_folded_summary_equals_the_summary_of_every_shot(n, p, shots, zeros, see
                           mean.view(np.int64))
 
 
-DECODED = (0.0, -0.0, 0.5, -0.75, 1.0 / 3.0, -1.0 / 7.0, 1e-3, -2.5e5)
-
-
-@given(n=st.integers(2, 4), p=st.integers(1, 3), shots=st.integers(1, 3 * BLOCK + 1),
-       values=st.integers(1, len(DECODED)), seed=st.integers(0, 2 ** 32 - 1))
+@given(n=st.integers(1, 5), p=st.integers(1, 3), lam=st.floats(1e-3, 1e3),
+       mu=st.floats(1e-6, 1.0), shots=st.integers(1, 3 * BLOCK + 1),
+       coordinates=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_sample_mean_is_the_exact_mean_rounded_once(n, p, shots, values, seed):
-    # A decode table drawn from few values, so that a column can be all
-    # zeros of either sign (the mean is then +0.0) or mix magnitudes far
-    # apart; the summary counts the shots as the sampler hands them over,
-    # in blocks, and decodes none of them.
+def test_sample_mean_is_the_exact_mean_of_the_estimates(n, p, lam, mu, shots, coordinates,
+                                                         seed):
+    # Each axis's shots fall on a few coordinates, index 0 among them, so a
+    # column can hold index 0 alone (the mean is then +0.0) or mix signs;
+    # the summary counts the shots as the sampler hands them over, in
+    # blocks, and decodes none of them.
     rng = np.random.default_rng(seed)
-    table = np.asarray(DECODED[:values])[rng.integers(0, values, size=1 << n)]
-    indices = rng.integers(0, 1 << (n * p), size=shots)
-    expected = exact_mean(axis_columns(indices, n, p, [table] * p))
+    axes = [rng.choice(np.append(0, rng.integers(0, 1 << n, size=coordinates - 1)), size=shots)
+            for _ in range(p)]
+    indices = sum(axis << (n * (p - 1 - m)) for m, axis in enumerate(axes))
+    params = AlgorithmParams(n=n, nu=1e-6, lam=lam, mu=mu)
 
     def drawn(chi, shots, seed):
         for block in blocks(shots, 8):
             yield ShotBlock(block, indices[block])
 
-    chi = random_chi(n, p, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(config, "sample_blocks", drawn)
-        patch.setattr(config, "axis_decode_values", lambda params: table)
-        mean = np.array(sample_summary(chi, shots, seed, None)["mean_gradient"])
-    assert np.array_equal(mean.view(np.int64), expected.view(np.int64))
+        mean = np.array(sample_summary(random_chi(n, p, seed), shots, seed,
+                                       params)["mean_gradient"])
+    assert np.array_equal(mean.view(np.int64), exact_mean(indices, n, p, params).view(np.int64))
+
+
+@st.composite
+def edge_marginals(draw):
+    """Synthetic marginal counts C and signed indices k of an n-bit axis,
+    n >= 32, where sum C k leaves int64: the counts add up to near 2^32 and
+    each |k| is near 2^31, 0, or anywhere up to 2^(n-1)."""
+    n = draw(st.integers(32, 62))
+    half = 2 ** (n - 1)
+    size = draw(st.integers(1, 6))
+    k = draw(st.lists(st.one_of(st.integers(-2 ** 31 - 2, -2 ** 31 + 2),
+                                st.integers(2 ** 31 - 2, 2 ** 31 + 2), st.just(0),
+                                st.integers(-half + 1, half)), min_size=size, max_size=size))
+    shots = draw(st.integers(MAX_SHOTS - 2 ** 16, MAX_SHOTS))
+    cuts = sorted(draw(st.lists(st.integers(0, shots), min_size=size - 1, max_size=size - 1)))
+    return n, np.diff([0, *cuts, shots]), np.array(k, dtype=np.int64), shots
+
+
+@given(marginals=edge_marginals(), lam=st.floats(1e-3, 1e3), mu=st.floats(1e-20, 1.0))
+@example(marginals=(32, np.array([MAX_SHOTS]), np.array([2 ** 31]), MAX_SHOTS), lam=1.0,
+         mu=1.0)
+@settings(max_examples=200, deadline=None)
+def test_signed_index_mean_is_exact_at_the_int64_edge(marginals, lam, mu):
+    # The example's sum is 2^63, one past int64.
+    n, counts, k, shots = marginals
+    scale = float(2 ** n) * lam * mu
+    expected = float(sum((Fraction(int(c)) * int(v) / Fraction(scale)
+                          for c, v in zip(counts, k)), Fraction(0)) / shots)
+    mean = signed_index_mean(counts, k, shots, scale)
+    assert np.array_equal(np.float64(mean).view(np.int64), np.float64(expected).view(np.int64))
 
 
 def test_sampling_and_summary_hold_little_beyond_their_outputs():
